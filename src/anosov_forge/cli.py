@@ -66,6 +66,16 @@ def _parse_options(doc: dict, path: str) -> dict:
     return dict(opts)
 
 
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}")
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})")
+
+
 def load_action_file(path: str):
     """Parse an ActionFile; returns ValidatedAction or GradedAlgebraAction.
     Use load_action_file_with_options to also read the embedded options."""
@@ -77,13 +87,7 @@ def load_action_file_with_options(path: str):
 
     Options embedded in the file configure precision/search limits;
     command-line flags take precedence over them."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})")
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
     if doc.get("schema_version") != 1:
@@ -261,9 +265,7 @@ def cmd_chambers(args) -> int:
     chambers = weyl_chambers(classes, obj.rank, cfg)
     if args.format == "svg":
         if obj.rank != 2:
-            raise RankUnsupported(
-                f"SVG chamber diagrams require rank 2, got rank {obj.rank}"
-            )
+            raise RankUnsupported(obj.rank)
         _emit(chambers_svg(classes, chambers), args.out)
     else:
         _emit(
@@ -302,15 +304,11 @@ def cmd_lift(args) -> int:
 
 
 def cmd_normal_forms(args) -> int:
-    from .normalforms import ContractionSpectrum, sr_group_dimension, subresonance_indices
+    from .normalforms import ContractionSpectrum, _dimension, subresonance_indices
     from .weyl import coarse_classes, lyapunov_data, stable_set
 
     cfg = _config_from_args(args)
-    with open(args.file) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.file}: invalid JSON ({exc})")
+    doc = _read_json(args.file)
     if isinstance(doc, dict) and doc.get("kind") == "spectrum":
         _reject_unknown(
             doc, {"schema_version", "kind", "exponents", "multiplicities"}, args.file
@@ -352,7 +350,7 @@ def cmd_normal_forms(args) -> int:
         "subresonance_indices": [
             {"target": ix.target, "degrees": list(ix.degrees)} for ix in indices
         ],
-        "sr_group_dimension": sr_group_dimension(spec, config=cfg),
+        "sr_group_dimension": _dimension(spec, indices),
     }
     _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.json or None)
     return EXIT_TRUE

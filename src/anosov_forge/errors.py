@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class AnosovForgeError(Exception):
     """Base class for all toolkit errors."""
+
+    def __reduce__(self):
+        # Rebuild from the stored message and attributes instead of calling
+        # __init__ again: subclass constructors take other arguments than the
+        # message, and errors raised in `analyze --jobs` workers are pickled
+        # back to the parent process.
+        return (copyreg.__newobj__, (type(self),), {**self.__dict__, "args": self.args})
 
 
 class InputError(AnosovForgeError):

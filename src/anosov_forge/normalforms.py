@@ -75,72 +75,77 @@ class SubresonanceIndex:
     degrees: tuple[int, ...]
 
 
-def _degree_cap(
-    spec: ContractionSpectrum, i: int, j: int, config: ToolkitConfig
-) -> int:
-    """Largest s_j possibly admissible for target i: s_j <= chi_i / chi_j
-    (both negative).  Returns a certified integer upper bound."""
-    cap = config.precision_cap_bits
-    chi_i, chi_j = spec.exponents[i], spec.exponents[j]
-    bits = 64
-    while bits <= cap:
-        ilo, ihi = chi_i.interval(bits)
-        jlo, jhi = chi_j.interval(bits)
-        if ihi < 0 and jhi < 0:
-            bound = ilo / jhi  # upper bound of |chi_i| / |chi_j|
-            n = math.floor(bound)
-            # settle whether n+1 might still be admissible on the boundary
-            if n >= 0:
-                return max(n, 0) + 1  # +1 slack; exact test decides below
-        bits *= 2
-    raise UndecidedBoundary(cap)
-
-
 def subresonance_indices(
     spec: ContractionSpectrum,
     exclude_target: bool = False,
     config: ToolkitConfig = DEFAULT_CONFIG,
 ) -> list[SubresonanceIndex]:
-    """Complete enumeration of subresonance indices (finite since all
-    exponents are strictly negative)."""
+    """Complete enumeration of subresonance indices, targets in order and
+    degree vectors in lexicographic order.
+
+    Depth-first over s_0, s_1, ... carrying the partial sum sum_j s_j chi_j.
+    Every chi_j is strictly negative, so the partial sum only falls as an
+    s_j grows or the search goes deeper: once it drops below chi_i, no
+    larger s_j and no extension can recover, and the loop over s_j stops.
+    The search is therefore finite, and every leaf it reaches is admissible
+    without a further test.  Rational spectra are summed as Fractions;
+    log-linear ones are compared by their certified sign, where an exact
+    zero counts as admissible and an unresolved sign at the precision cap
+    raises UndecidedBoundary.
+    """
+    if all(not e.terms for e in spec.exponents):
+        chis = [e.const for e in spec.exponents]
+        start = Fraction(0)
+
+        def below(total, chi_i) -> bool:
+            return total < chi_i
+
+    else:
+        cap = config.precision_cap_bits
+        chis = list(spec.exponents)
+        start = LogLinearValue.from_rational(0)
+
+        def below(total, chi_i) -> bool:
+            return _sign(total - chi_i, cap) < 0
+
     l = spec.blocks
-    cap = config.precision_cap_bits
     out: list[SubresonanceIndex] = []
-    for i in range(l):
-        caps = [
-            0 if (exclude_target and j == i) else _degree_cap(spec, i, j, config)
-            for j in range(l)
-        ]
+    s = [0] * l
+    for i, chi_i in enumerate(chis):
 
-        def admissible(s: tuple[int, ...]) -> bool:
-            total = LogLinearValue.from_rational(0)
-            for sj, chi in zip(s, spec.exponents):
-                if sj:
-                    total = total + chi.scale(sj)
-            diff = total - spec.exponents[i]
-            # chi_i <= sum s_j chi_j  <=>  diff >= 0
-            if diff.is_exactly_zero():
-                return True
-            return _sign(diff, cap) > 0
-
-        def rec(j: int, s: list[int]):
+        def rec(j: int, total) -> None:
             if j == l:
-                if sum(s) >= 1 and admissible(tuple(s)):
+                if any(s):
                     out.append(SubresonanceIndex(i, tuple(s)))
                 return
-            for v in range(caps[j] + 1):
-                s.append(v)
-                # pruning: exponents are negative, so once the partial sum
-                # is already below chi_i no extension can recover
-                rec(j + 1, s)
-                s.pop()
+            if exclude_target and j == i:
+                rec(j + 1, total)
+                return
+            while True:
+                rec(j + 1, total)
+                total = total + chis[j]
+                if below(total, chi_i):
+                    break
+                s[j] += 1
+            s[j] = 0
 
-        rec(0, [])
+        rec(0, start)
     return out
 
 
 def _multichoose(n: int, r: int) -> int:
     return math.comb(n + r - 1, r)
+
+
+def _dimension(spec: ContractionSpectrum, indices) -> int:
+    """sum over indices (i, s) of m_i * prod_j multichoose(m_j, s_j)."""
+    total = 0
+    for idx in indices:
+        count = spec.multiplicities[idx.target]
+        for m, s in zip(spec.multiplicities, idx.degrees):
+            count *= _multichoose(m, s)
+        total += count
+    return total
 
 
 def sr_group_dimension(
@@ -150,10 +155,4 @@ def sr_group_dimension(
 ) -> int:
     """Dimension of the space of subresonance polynomial maps:
     sum over indices (i, s) of m_i * prod_j multichoose(m_j, s_j)."""
-    total = 0
-    for idx in subresonance_indices(spec, exclude_target, config):
-        count = spec.multiplicities[idx.target]
-        for m, s in zip(spec.multiplicities, idx.degrees):
-            count *= _multichoose(m, s)
-        total += count
-    return total
+    return _dimension(spec, subresonance_indices(spec, exclude_target, config))

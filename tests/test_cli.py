@@ -107,7 +107,9 @@ def test_chambers_svg_deterministic(tmp_path):
 def test_chambers_svg_rank1_unsupported():
     proc = run_cli("chambers", fixture_path("fibonacci.json"), "--format", "svg")
     assert proc.returncode == 3
-    assert "RankUnsupported" in proc.stderr
+    assert proc.stderr.strip() == (
+        "error: RankUnsupported: svg diagrams require rank 2, got rank 1"
+    )
 
 
 def test_chambers_json_fibonacci():
@@ -149,6 +151,13 @@ def test_normal_forms_action_with_element():
     assert doc["sr_group_dimension"] >= sum(doc["multiplicities"])
 
 
+def test_normal_forms_missing_file_exit_three():
+    proc = run_cli("normal-forms", "/nonexistent/spectrum.json")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: /nonexistent/spectrum.json:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_selftest():
     assert run_cli("selftest").returncode == 0
 
@@ -168,6 +177,21 @@ def test_analyze_multiple_files_jobs():
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
     assert len(doc["reports"]) == 2
+
+
+def test_analyze_jobs_non_unimodular_exit_three(tmp_path):
+    p = tmp_path / "det2.json"
+    p.write_text(
+        json.dumps(
+            {"schema_version": 1, "kind": "torus", "dim": 2, "generators": [[2, 0, 0, 1]]}
+        )
+    )
+    proc = run_cli(
+        "analyze", fixture_path("cartan_t3.json"), str(p), "--jobs", "2", "--json"
+    )
+    assert proc.returncode == 3
+    assert "NotUnimodular" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def _cartan_doc():

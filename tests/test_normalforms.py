@@ -1,31 +1,39 @@
 import itertools
+import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture_path
+
+from anosov_forge.cli import main as cli_main
 from anosov_forge.config import DEFAULT_CONFIG
-from anosov_forge.errors import InputError
+from anosov_forge.errors import InputError, SingularElement
+from anosov_forge.logval import LogLinearValue
 from anosov_forge.normalforms import (
     ContractionSpectrum,
     sr_group_dimension,
     subresonance_indices,
 )
+from anosov_forge.weyl import coarse_classes, lyapunov_data, stable_set, weyl_chambers
 
 CFG = DEFAULT_CONFIG
 F = Fraction
 
 
-def brute_force_indices(exponents, cap=60):
+def brute_force_indices(exponents, cap=60, exclude_target=False):
     """Independent oracle: enumerate admissible (target, degrees) by direct
     search with per-coordinate degree bound cap."""
     out = set()
     n = len(exponents)
     for i, chi in enumerate(exponents):
         bounds = []
-        for chj in exponents:
-            bounds.append(range(0, int(chi / chj) + 2))
+        for j, chj in enumerate(exponents):
+            top = 1 if exclude_target and j == i else int(chi / chj) + 2
+            bounds.append(range(0, top))
         for s in itertools.product(*bounds):
             if sum(s) == 0:
                 continue
@@ -130,3 +138,96 @@ def test_oracle_agreement_random(neg_exps, mult):
     spec = ContractionSpectrum.build(exps, [mult] * len(exps), CFG)
     got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, config=CFG)}
     assert got == brute_force_indices(exps)
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=-4, max_value=F(-1, 2), max_denominator=4),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_pruned_search_matches_box_scan_in_order(neg_exps, exclude_target):
+    # targets in order, degree vectors in lexicographic order
+    exps = sorted(neg_exps, reverse=True)
+    spec = ContractionSpectrum.build(exps, [1] * len(exps), CFG)
+    got = [
+        (ix.target, ix.degrees)
+        for ix in subresonance_indices(spec, exclude_target, CFG)
+    ]
+    assert got == sorted(brute_force_indices(exps, exclude_target=exclude_target))
+
+
+def element_spectrum(classes, b):
+    """The stable spectrum at b, built as `normal-forms --element` builds it."""
+    vals = sorted(
+        ((c.value_at(b), c.total_multiplicity) for c in stable_set(classes, b, CFG)),
+        key=lambda p: p[0].midpoint(128),
+        reverse=True,
+    )
+    return ContractionSpectrum.build([v for v, _ in vals], [m for _, m in vals], CFG)
+
+
+def log_linear_box_scan(spec):
+    """Ordered oracle over the full degree box: every candidate is decided on
+    its own by the certified sign of sum_j s_j chi_j - chi_i."""
+    chis = spec.exponents
+    out = []
+    for i, chi in enumerate(chis):
+        bounds = [
+            range(math.floor(chi.midpoint(64) / chj.midpoint(64)) + 3) for chj in chis
+        ]
+        for s in itertools.product(*bounds):
+            if not any(s):
+                continue
+            total = LogLinearValue.from_rational(0)
+            for sj, chj in zip(s, chis):
+                total = total + chj.scale(sj)
+            if (total - chi).sign(CFG.precision_cap_bits) >= 0:
+                out.append((i, s))
+    return out
+
+
+def test_log_linear_spectra_match_box_scan(cartan_action):
+    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
+    elements = [ch.witness for ch in weyl_chambers(classes, 2, CFG)]
+    elements += [b for b in itertools.product(range(-2, 3), repeat=2) if any(b)]
+    checked = 0
+    for b in elements:
+        try:
+            spec = element_spectrum(classes, b)
+        except SingularElement:
+            continue
+        got = [(ix.target, ix.degrees) for ix in subresonance_indices(spec, config=CFG)]
+        assert got == log_linear_box_scan(spec), b
+        checked += 1
+    assert checked >= 6
+
+
+def test_cli_dimension_matches_library(tmp_path, cartan_action):
+    spectra = [([-1, -2], [1, 1]), ([F(-1, 2), -1, F(-5, 2)], [1, 2, 1])]
+    for n, (exps, mults) in enumerate(spectra):
+        src = tmp_path / f"spectrum{n}.json"
+        src.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "kind": "spectrum",
+                    "exponents": [str(F(e)) for e in exps],
+                    "multiplicities": mults,
+                }
+            )
+        )
+        out = tmp_path / f"spectrum{n}.out.json"
+        assert cli_main(["normal-forms", str(src), "--json", str(out)]) == 0
+        expected = sr_group_dimension(spectrum(exps, mults), config=CFG)
+        assert json.loads(out.read_text())["sr_group_dimension"] == expected
+    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
+    out = tmp_path / "element.out.json"
+    argv = ["normal-forms", fixture_path("cartan_t3.json"), "--element=-1,-1"]
+    assert cli_main(argv + ["--json", str(out)]) == 0
+    expected = sr_group_dimension(element_spectrum(classes, (-1, -1)), config=CFG)
+    assert json.loads(out.read_text())["sr_group_dimension"] == expected

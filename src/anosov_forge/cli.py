@@ -12,9 +12,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .actions import ValidatedAction, validate
+from .actions import validate
 from .config import DEFAULT_CONFIG, ToolkitConfig
-from .errors import AnosovForgeError, RankUnsupported, InputError
+from .errors import AnosovForgeError, InputError, RankUnsupported, UndecidedAtCap
 from .graded import GradedAlgebraAction, validate_graded
 from .report import (
     audit_action,
@@ -297,10 +297,18 @@ def cmd_lift(args) -> int:
     rep["step"] = lift.step
     rep["base_dim"] = lift.base.dim
     rep["degree_dimensions"] = list(lift.hall.degree_dimensions())
-    text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
-    _emit(text, args.json or None)
-    kind = rep["theorem_1_1_hypotheses"]["kind"]
-    return {"true": EXIT_TRUE, "false": EXIT_FALSE, "undecided": EXIT_UNDECIDED}[kind]
+    _emit(report_to_json(rep), args.json or None)
+    return exit_code_for(rep)
+
+
+def _parse_element(text: str, rank: int) -> tuple[int, ...]:
+    try:
+        b = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InputError(f"--element: expected comma-separated integers, got {text!r}")
+    if len(b) != rank:
+        raise InputError(f"--element: got {len(b)} entries for an action of rank {rank}")
+    return b
 
 
 def cmd_normal_forms(args) -> int:
@@ -325,7 +333,7 @@ def cmd_normal_forms(args) -> int:
         cfg = _config_from_args(args, options)
         if isinstance(obj, GradedAlgebraAction):
             raise InputError(f"{args.file}: normal-forms requires a torus action")
-        b = tuple(int(x) for x in args.element.split(","))
+        b = _parse_element(args.element, obj.rank)
         classes = coarse_classes(lyapunov_data(obj, cfg), cfg)
         stable = stable_set(classes, b, cfg)
         if not stable:
@@ -455,6 +463,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except UndecidedAtCap as exc:
+        print(f"undecided: {exc.__class__.__name__}: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except AnosovForgeError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

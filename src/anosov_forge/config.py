@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 ENV_BITS = "ANOSOV_FORGE_BITS"
 
@@ -36,14 +36,7 @@ class ToolkitConfig:
             return self
         if bits < 32:
             return self
-        return ToolkitConfig(
-            initial_bits=self.initial_bits,
-            precision_cap_bits=bits,
-            max_den=self.max_den,
-            witness_cap=self.witness_cap,
-            size_cap=self.size_cap,
-            seed=self.seed,
-        )
+        return replace(self, precision_cap_bits=bits)
 
 
 DEFAULT_CONFIG = ToolkitConfig()

@@ -50,7 +50,12 @@ class EndpointRoot(AnosovForgeError):
     """A Sturm query was made with a root at an interval endpoint."""
 
 
-class PrecisionExhausted(AnosovForgeError):
+class UndecidedAtCap(AnosovForgeError):
+    """A certified decision reached a configured precision or search cap
+    without settling; the command line reports it as undecided (exit 2)."""
+
+
+class PrecisionExhausted(UndecidedAtCap):
     """A refinement loop hit the configured bit cap without deciding."""
 
     def __init__(self, message: str, bits: int):
@@ -62,7 +67,7 @@ class NotAnosovAction(AnosovForgeError):
     """The action carries an identically-zero Lyapunov functional."""
 
 
-class UndecidedProportionality(AnosovForgeError):
+class UndecidedProportionality(UndecidedAtCap):
     def __init__(self, pair, bits: int):
         self.pair = pair
         self.bits = bits
@@ -77,7 +82,7 @@ class SingularElement(AnosovForgeError):
         super().__init__(f"element {b} lies on a Lyapunov hyperplane")
 
 
-class WitnessSearchExhausted(AnosovForgeError):
+class WitnessSearchExhausted(UndecidedAtCap):
     def __init__(self, cap: int):
         self.cap = cap
         super().__init__(f"no integer witness found within scaling cap {cap}")
@@ -91,7 +96,7 @@ class NotTNS(AnosovForgeError):
     pass
 
 
-class LPInfeasibleAtPrecision(AnosovForgeError):
+class LPInfeasibleAtPrecision(UndecidedAtCap):
     def __init__(self, bits: int):
         self.bits = bits
         super().__init__(f"LP infeasible at working precision {bits} bits")
@@ -109,7 +114,7 @@ class RankUnsupported(AnosovForgeError):
         super().__init__(f"svg diagrams require rank 2, got rank {rank}")
 
 
-class UndecidedBoundary(AnosovForgeError):
+class UndecidedBoundary(UndecidedAtCap):
     def __init__(self, bits: int):
         self.bits = bits
         super().__init__(f"subresonance boundary undecided at {bits} bits")

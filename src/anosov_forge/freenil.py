@@ -20,7 +20,6 @@ from .actions import ValidatedAction, validate
 from .config import DEFAULT_CONFIG, ToolkitConfig
 from .errors import SizeCap
 from .graded import GradedAlgebraAction, validate_graded
-from .intpoly import IntPolynomial
 from .modulus import has_unit_modulus_root
 
 
@@ -246,43 +245,3 @@ def lift_is_anosov(lift: LiftedAction, b) -> bool:
         if has_unit_modulus_root(cp):
             return False
     return True
-
-
-def lift_report(
-    lift: LiftedAction, config: ToolkitConfig = DEFAULT_CONFIG
-) -> dict:
-    """Full Weyl analysis of the lifted (block-diagonal) action."""
-    from .errors import NotAnosovAction
-    from .weyl import (
-        anosov_in_every_chamber,
-        coarse_classes,
-        is_tns,
-        lyapunov_data,
-        weyl_chambers,
-    )
-
-    action = lift.to_validated()
-    functionals = lyapunov_data(action, config)
-    base_functionals = lyapunov_data(lift.base, config)
-    base_mult = sum(f.multiplicity for f in base_functionals)
-    report: dict = {
-        "dimension": action.dim,
-        "functionals": functionals,
-        "base_functional_multiplicity": base_mult,
-    }
-    try:
-        classes = coarse_classes(functionals, config)
-    except NotAnosovAction:
-        report["classes"] = None
-        report["error"] = "NotAnosovAction"
-        return report
-    report["classes"] = classes
-    verdict, tns_info = is_tns(classes, config)
-    report["tns"] = verdict
-    report["tns_info"] = tns_info
-    chambers = weyl_chambers(classes, lift.base.rank, config)
-    report["chambers"] = chambers
-    ok, table = anosov_in_every_chamber(action, chambers, config)
-    report["anosov_in_every_chamber"] = ok
-    report["chamber_table"] = table
-    return report

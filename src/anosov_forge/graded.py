@@ -71,23 +71,6 @@ class GradedAlgebraAction:
                 table.setdefault((a, b), list(zero))
         return table
 
-    def bracket_vectors(self, u: Vec, v: Vec) -> Vec:
-        table = self.bracket_table()
-        d = self.dim
-        out = [Fraction(0)] * d
-        for a in range(d):
-            if not u[a]:
-                continue
-            for b in range(d):
-                if not v[b]:
-                    continue
-                w = table[(a, b)]
-                coeff = u[a] * v[b]
-                for c in range(d):
-                    if w[c]:
-                        out[c] += coeff * w[c]
-        return out
-
     def generator_mats(self) -> list[list[Vec]]:
         return [[list(row) for row in g] for g in self.generators]
 

@@ -125,17 +125,6 @@ class IntPolynomial:
         den = math.lcm(*[int(c.q) for c in coeffs]) if coeffs else 1
         return cls([int(c * den) for c in reversed(coeffs)])
 
-    @classmethod
-    def from_roots_companion(cls, *ints: int) -> "IntPolynomial":
-        out = cls([1])
-        for r in ints:
-            out = out * cls([-r, 1])
-        return out
-
-
-X = IntPolynomial([0, 1])
-ONE = IntPolynomial([1])
-
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Primitive gcd over Q, returned with integer coefficients."""

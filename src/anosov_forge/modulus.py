@@ -1,118 +1,19 @@
-"""Certified root-modulus classes of integer polynomials.
+"""Exact unit-circle test for the roots of integer polynomials.
 
-A ModulusClass packages |lambda| for a group of equal-modulus roots: an
-exact real-algebraic backing for |lambda|^2 (whose minimal polynomial is the
-``exact_backing``), a refinable rational enclosure of log|lambda|, and the
-summed multiplicity.  Equality of moduli is always decided exactly through
-the backing; intervals only ever decide strict inequalities.
+has_unit_modulus_root decides whether some complex root of p has modulus
+one: roots on the unit circle come in reciprocal pairs, so they are roots of
+gcd(p, reciprocal p); after stripping x = +-1 that gcd is palindromic, and
+x + 1/x maps its unit-circle roots onto real roots in [-2, 2], which a Sturm
+count detects.
 """
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
 
-from .intpoly import (
-    IntPolynomial,
-    factor_cached,
-    pair_product_poly,
-    poly_gcd,
-    squarefree_part,
-    sturm_count,
-)
-from .numutil import certified_root_disks, log_interval, modulus_squared_bounds
-from .realalg import RealAlgebraic
-
-
-class Ordering(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    UNDECIDED = "undecided"
-
-
-@dataclass
-class ModulusClass:
-    """One equal-modulus group of roots of a source polynomial."""
-
-    msq: RealAlgebraic  # |lambda|^2, exact
-    multiplicity: int
-    source: IntPolynomial
-
-    @property
-    def exact_backing(self) -> IntPolynomial:
-        """Minimal polynomial of lambda * conj(lambda) = |lambda|^2."""
-        return self.msq.poly
-
-    def log_enclosure(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Rational interval containing log|lambda|, width shrinking in bits."""
-        lo, hi = self.msq.interval(bits)
-        if lo <= 0:
-            lo, hi = self.msq.interval(bits * 4)
-        la, lb = log_interval(lo, hi, bits)
-        return la / 2, lb / 2
-
-    def refine(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Narrow the enclosure below 2^-bits; the handle spec calls refine_token."""
-        return self.log_enclosure(bits)
-
-    @property
-    def enclosure(self) -> tuple[Fraction, Fraction]:
-        return self.log_enclosure(64)
-
-    def is_unit_modulus(self) -> bool:
-        return self.msq == 1
-
-
-def _modulus_squares_of_irreducible(f: IntPolynomial) -> list[RealAlgebraic]:
-    """|root|^2 for every root of the irreducible factor f, with repetitions."""
-    if f.degree == 1:
-        r = Fraction(-f.coeffs[0], f.coeffs[1])
-        return [RealAlgebraic.from_rational(r * r)]
-    candidates = squarefree_part(pair_product_poly(f))
-    out = []
-    for idx in range(f.degree):
-
-        def enclosure(bits: int, _idx=idx) -> tuple[Fraction, Fraction]:
-            disks = certified_root_disks(f.coeffs, bits)
-            re, im, rad = disks[_idx]
-            return modulus_squared_bounds(re, im, rad)
-
-        out.append(RealAlgebraic.from_enclosure(candidates, enclosure))
-    return out
-
-
-def root_modulus_classes(p: IntPolynomial, source: IntPolynomial | None = None) -> list[ModulusClass]:
-    """Partition the root moduli of p into exact equal-modulus classes.
-
-    Classes are sorted by increasing modulus; multiplicities sum to deg p.
-    Roots at zero are rejected (their log-modulus is not finite).
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    shift, p = p.shift_down()
-    if shift:
-        raise ValueError("polynomial has roots at zero; moduli have no logarithm")
-    if p.degree == 0:
-        return []
-    groups: list[tuple[RealAlgebraic, int]] = []
-    for f, mult in factor_cached(p):
-        if f.degree < 1:
-            continue
-        for msq in _modulus_squares_of_irreducible(f):
-            for i, (existing, count) in enumerate(groups):
-                if existing == msq:
-                    groups[i] = (existing, count + mult)
-                    break
-            else:
-                groups.append((msq, mult))
-    groups.sort(key=lambda g: g[0])  # exact RealAlgebraic ordering
-    src = source if source is not None else p
-    return [ModulusClass(msq, count, src) for msq, count in groups]
+from .intpoly import IntPolynomial, poly_gcd, squarefree_part, sturm_count
 
 
 def _strip_unit_factors(g: IntPolynomial) -> IntPolynomial:
@@ -160,57 +61,3 @@ def has_unit_modulus_root(p: IntPolynomial) -> bool:
     if h(lo) == 0 or h(hi) == 0:
         raise RuntimeError("unit factors were not fully stripped")
     return sturm_count(h, lo, hi) > 0
-
-
-def compare_moduli(a: ModulusClass, b: ModulusClass, bit_budget: int = 256) -> Ordering:
-    """Exact ordering of two root moduli; Undecided only past bit_budget."""
-    if bit_budget < 32:
-        raise ValueError("bit_budget must be at least 32")
-    if a.msq == b.msq:
-        return Ordering.EQUAL
-    bits = 16
-    while bits <= bit_budget:
-        alo, ahi = a.msq.interval(bits)
-        blo, bhi = b.msq.interval(bits)
-        if ahi < blo:
-            return Ordering.LESS
-        if bhi < alo:
-            return Ordering.GREATER
-        bits *= 2
-    return Ordering.UNDECIDED
-
-
-def certify_multiplicative_relation(
-    a: ModulusClass, b: ModulusClass, max_den: int = 12
-) -> tuple[int, int] | None:
-    """Coprime (p, q) with |alpha|^p = |beta|^q, certified exactly, or None.
-
-    None means "no rational relation with exponents <= max_den", not a proof
-    of multiplicative independence.
-    """
-    if max_den < 1:
-        raise ValueError("max_den must be at least 1")
-    alpha, beta = a.msq, b.msq
-    if alpha == 1 and beta == 1:
-        return (1, 1)
-    if alpha == 1 or beta == 1:
-        return None
-    side_a = alpha.compare(RealAlgebraic.from_rational(1))
-    side_b = beta.compare(RealAlgebraic.from_rational(1))
-    if side_a != side_b:
-        return None
-    bits = 96
-    la = log_interval(*alpha.interval(bits), bits)
-    lb = log_interval(*beta.interval(bits), bits)
-    for p_exp in range(1, max_den + 1):
-        for q_exp in range(1, max_den + 1):
-            if math.gcd(p_exp, q_exp) != 1:
-                continue
-            # quick interval filter on p*log(alpha) = q*log(beta)
-            pa = (p_exp * la[0], p_exp * la[1])
-            qb = (q_exp * lb[0], q_exp * lb[1])
-            if min(pa) > max(qb) or min(qb) > max(pa):
-                continue
-            if alpha.pow(p_exp) == beta.pow(q_exp):
-                return (p_exp, q_exp)
-    return None

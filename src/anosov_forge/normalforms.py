@@ -20,8 +20,6 @@ from .config import DEFAULT_CONFIG, ToolkitConfig
 from .errors import InputError, PrecisionExhausted, UndecidedBoundary
 from .logval import LogLinearValue
 
-Exponent = "Fraction | LogLinearValue"
-
 
 def _as_value(x) -> LogLinearValue:
     if isinstance(x, LogLinearValue):

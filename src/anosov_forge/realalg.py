@@ -3,13 +3,11 @@
 A value is pinned down by its minimal polynomial over Q (primitive integer
 coefficients, positive leading coefficient) and the index of the root among
 the ascending real roots of that polynomial.  Equality is therefore a tuple
-comparison; ordering and enclosures come from bisection refinement, which is
-guarded by a lock so shared values can be refined from several threads.
+comparison; ordering and enclosures come from bisection refinement.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -34,7 +32,7 @@ def _isolations(coeffs: tuple[int, ...]) -> tuple[tuple[Fraction, Fraction], ...
 class RealAlgebraic:
     """A real algebraic number with exact comparisons and refinable enclosure."""
 
-    __slots__ = ("poly", "index", "_lo", "_hi", "_lock")
+    __slots__ = ("poly", "index", "_lo", "_hi")
 
     def __init__(self, poly: IntPolynomial, index: int):
         self.poly = poly.primitive()
@@ -43,7 +41,6 @@ class RealAlgebraic:
         if not 0 <= index < len(iso):
             raise ValueError(f"root index {index} out of range for {poly}")
         self._lo, self._hi = iso[index]
-        self._lock = threading.Lock()
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -109,32 +106,31 @@ class RealAlgebraic:
 
     # -- enclosure ---------------------------------------------------------
     def interval(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Enclosure of width <= 2^-bits (copy-on-read; lock-guarded refine)."""
+        """Enclosure of width <= 2^-bits; refinements are kept."""
         if self.is_rational:
             v = self.as_rational()
             return v, v
         target = Fraction(1, 2**bits)
-        with self._lock:
-            lo, hi = self._lo, self._hi
-            if hi - lo <= target:
-                return lo, hi
-            # bisect on sign: isolating intervals of simple real roots of the
-            # squarefree minimal polynomial always show a sign change
-            p = self.poly
-            slo = 1 if p(lo) > 0 else -1
-            while hi - lo > target:
-                mid = (lo + hi) / 2
-                v = p(mid)
-                if v == 0:
-                    eps = (hi - lo) / 1024
-                    lo, hi = mid - eps, mid + eps
-                    break
-                if (1 if v > 0 else -1) == slo:
-                    lo = mid
-                else:
-                    hi = mid
-            self._lo, self._hi = lo, hi
+        lo, hi = self._lo, self._hi
+        if hi - lo <= target:
             return lo, hi
+        # bisect on sign: isolating intervals of simple real roots of the
+        # squarefree minimal polynomial always show a sign change
+        p = self.poly
+        slo = 1 if p(lo) > 0 else -1
+        while hi - lo > target:
+            mid = (lo + hi) / 2
+            v = p(mid)
+            if v == 0:
+                eps = (hi - lo) / 1024
+                lo, hi = mid - eps, mid + eps
+                break
+            if (1 if v > 0 else -1) == slo:
+                lo = mid
+            else:
+                hi = mid
+        self._lo, self._hi = lo, hi
+        return lo, hi
 
     def sign(self) -> int:
         if self.is_rational:
@@ -249,6 +245,3 @@ def _nudge(p: IntPolynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Frac
     while p(hi) == 0:
         hi += eps
     return lo, hi
-
-
-ONE_RA = RealAlgebraic.from_rational(1)

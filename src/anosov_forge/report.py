@@ -2,12 +2,12 @@
 
 Reports are deterministic byte for byte given (input, options): rationals
 serialize as "p/q" strings, floats as fixed-precision decimals derived from
-certified midpoints, and no timestamps are embedded unless explicitly
-requested.
+certified midpoints, and no timestamps are embedded.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -69,32 +69,16 @@ def chamber_json(ch: WeylChamber) -> dict:
     }
 
 
-def _config_echo(config: ToolkitConfig) -> dict:
-    return {
-        "initial_bits": config.initial_bits,
-        "precision_cap_bits": config.precision_cap_bits,
-        "max_den": config.max_den,
-        "witness_cap": config.witness_cap,
-        "size_cap": config.size_cap,
-        "seed": config.seed,
-    }
-
-
 def audit_action(
-    action: ValidatedAction,
-    config: ToolkitConfig = DEFAULT_CONFIG,
-    include_timing: bool = False,
+    action: ValidatedAction, config: ToolkitConfig = DEFAULT_CONFIG
 ) -> dict:
     """Full Theorem-1.1-hypothesis audit of a validated toral action."""
-    import time
-
-    t0 = time.perf_counter()
     report: dict = {
         "name": action.name,
         "kind": "torus",
         "dim": action.dim,
         "rank": action.rank,
-        "config": _config_echo(config),
+        "config": dataclasses.asdict(config),
         "hypotheses": {},
         "arrangement": {},
         "note": (
@@ -126,7 +110,6 @@ def audit_action(
 
     functionals = lyapunov_data(action, config)
     report["arrangement"]["functionals"] = [functional_json(f) for f in functionals]
-    aggregate = "true"
     try:
         classes = coarse_classes(functionals, config)
     except NotAnosovAction:
@@ -137,7 +120,7 @@ def audit_action(
         }
         report["arrangement"]["classes"] = []
         report["arrangement"]["chambers"] = []
-        _finish(report, "false", semi, t0, include_timing)
+        report["theorem_1_1_hypotheses"] = {"kind": "false"}
         return report
     except UndecidedProportionality as exc:
         hyp["tns"] = {
@@ -148,7 +131,7 @@ def audit_action(
         hyp["anosov_in_every_chamber"] = {"kind": "undecided"}
         report["arrangement"]["classes"] = []
         report["arrangement"]["chambers"] = []
-        _finish(report, "undecided", semi, t0, include_timing)
+        report["theorem_1_1_hypotheses"] = {"kind": "undecided"}
         return report
 
     report["arrangement"]["classes"] = [class_json(c) for c in classes]
@@ -175,26 +158,17 @@ def audit_action(
     ]
     hyp["anosov_in_every_chamber"] = {"kind": "true" if ok else "false"}
 
+    aggregate = "true"
     if tns_verdict.kind == "undecided":
         aggregate = "undecided"
     elif not (semi and tns_verdict.kind == "true" and ok):
         aggregate = "false"
-    _finish(report, aggregate, semi, t0, include_timing)
+    report["theorem_1_1_hypotheses"] = {"kind": aggregate}
     return report
 
 
-def _finish(report, aggregate, semi, t0, include_timing):
-    import time
-
-    report["theorem_1_1_hypotheses"] = {"kind": aggregate}
-    if include_timing:
-        report["timing_seconds"] = round(time.perf_counter() - t0, 6)
-
-
 def audit_graded(
-    g: GradedAlgebraAction,
-    config: ToolkitConfig = DEFAULT_CONFIG,
-    include_timing: bool = False,
+    g: GradedAlgebraAction, config: ToolkitConfig = DEFAULT_CONFIG
 ) -> dict:
     """Audit a graded (nilmanifold) action: the spectral hypotheses run on
     the full lattice matrices; total reducibility uses the graded criterion."""
@@ -204,7 +178,7 @@ def audit_graded(
         [[[int(x) for x in row] for row in gen] for gen in g.generators],
         name=g.name,
     )
-    report = audit_action(full, config, include_timing)
+    report = audit_action(full, config)
     report["kind"] = "graded"
     report["grading"] = list(g.grading)
     reducible, witness = is_totally_reducible_graded(g)

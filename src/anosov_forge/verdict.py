@@ -20,14 +20,6 @@ class Verdict3:
     def is_true(self) -> bool:
         return self.kind == "true"
 
-    @property
-    def is_false(self) -> bool:
-        return self.kind == "false"
-
-    @property
-    def is_undecided(self) -> bool:
-        return self.kind == "undecided"
-
     def __bool__(self):
         raise TypeError("Verdict3 is three-valued; test .is_true explicitly")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
@@ -42,7 +42,7 @@ from .intpoly import IntPolynomial, factor_cached, squarefree_part, pair_product
 from .logval import LogLinearValue
 from .lp import maximize
 from .numutil import certified_root_disks, modulus_squared_bounds, sqrt_bounds
-from .realalg import RealAlgebraic
+from .realalg import RealAlgebraic, _interval_mul
 from .verdict import VERDICT_FALSE, VERDICT_TRUE, Verdict3, undecided
 
 
@@ -279,10 +279,6 @@ def lyapunov_data(
 # -- proportionality and coarse classes --------------------------------------
 
 
-def _interval(value: LogLinearValue, bits: int) -> tuple[Fraction, Fraction]:
-    return value.interval(bits)
-
-
 def _bounded_away(value: LogLinearValue, bits: int, cap: int):
     """Interval for a value known to be nonzero, not containing 0."""
     b = bits
@@ -430,36 +426,9 @@ def _joint_negative_witness(
     k = a.rank
     bits = config.initial_bits
     while bits <= config.precision_cap_bits:
-        rows, rhs = [], []
-        widths = []
-        for cls in (a, b):
-            mids = []
-            w = Fraction(0)
-            for v in cls.hyperplane_normal.values:
-                lo, hi = v.interval(bits)
-                mids.append((lo + hi) / 2)
-                w = max(w, hi - lo)
-            rows.append(mids)
-            widths.append(Fraction(k) * w)
-        # maximize t st  mids.x + t <= -width, |x_i| <= 1, t <= 1
-        c = [Fraction(0)] * k + [Fraction(1)]
-        cons, cb = [], []
-        for row, w in zip(rows, widths):
-            cons.append(list(row) + [Fraction(1)])
-            cb.append(-w)
-        for i in range(k):
-            e = [Fraction(0)] * (k + 1)
-            e[i] = Fraction(1)
-            cons.append(list(e))
-            cb.append(Fraction(1))
-            e2 = [Fraction(0)] * (k + 1)
-            e2[i] = Fraction(-1)
-            cons.append(e2)
-            cb.append(Fraction(1))
-        cons.append([Fraction(0)] * k + [Fraction(1)])
-        cb.append(Fraction(1))
-        res = maximize(c, cons, cb)
-        if res is not None and res[0] > 0:
+        rows, widths = zip(*(_approx_row(cls.hyperplane_normal, bits, k) for cls in (a, b)))
+        margin, x = _feasible_signs(rows, widths, (-1, -1), k)
+        if margin > 0:
 
             def contracts_both(w) -> bool:
                 return all(
@@ -468,9 +437,7 @@ def _joint_negative_witness(
                 )
 
             try:
-                return _rounded_integer_witness(
-                    res[1][:k], contracts_both, config.witness_cap
-                )
+                return _rounded_integer_witness(x, contracts_both, config.witness_cap)
             except WitnessSearchExhausted:
                 pass
         bits *= 2
@@ -508,19 +475,14 @@ def _product_diff_sign(x1, y1, x2, y2, config: ToolkitConfig) -> int:
     bits = config.initial_bits
     while bits <= config.precision_cap_bits:
         ivs = [v.interval(bits) for v in (x1, y2, y1, x2)]
-        lo1, hi1 = _iv_mul(ivs[0], ivs[1])
-        lo2, hi2 = _iv_mul(ivs[2], ivs[3])
+        lo1, hi1 = _interval_mul(ivs[0], ivs[1])
+        lo2, hi2 = _interval_mul(ivs[2], ivs[3])
         if lo1 - hi2 > 0:
             return 1
         if hi1 - lo2 < 0:
             return -1
         bits *= 2
     raise PrecisionExhausted("cross product sign unresolved", config.precision_cap_bits)
-
-
-def _iv_mul(a, b):
-    corners = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
-    return min(corners), max(corners)
 
 
 def _chambers_rank1(classes, config) -> list[WeylChamber]:
@@ -616,23 +578,35 @@ def _chambers_rank2(classes, config) -> list[WeylChamber]:
             raise WitnessSearchExhausted(config.witness_cap)
 
 
+def _approx_row(f: LyapunovFunctional, bits: int, k: int) -> tuple[list[Fraction], Fraction]:
+    """Midpoints of f's values at `bits`, and k times the widest enclosure:
+    a bound on |mids . x - f(x)| over the unit box."""
+    mids, w = [], Fraction(0)
+    for v in f.values:
+        lo, hi = v.interval(bits)
+        mids.append((lo + hi) / 2)
+        w = max(w, hi - lo)
+    return mids, Fraction(k) * w
+
+
 def _feasible_signs(rows, widths, signs, k):
     """Exact LP: is there x in the unit box with sign_m * (row_m . x) > width_m
-    for every assigned m?  Returns (margin, x) with margin > 0 iff certified."""
+    for every assigned m?  Returns (margin, x) with margin > 0 iff certified.
+
+    Maximizes t subject to -sign_m * row_m . x + t <= -width_m, |x_i| <= 1
+    and t <= 1; this is the only LP the chamber, TNS and fast-stable
+    searches solve."""
     c = [Fraction(0)] * k + [Fraction(1)]
     cons, cb = [], []
     for row, w, s in zip(rows, widths, signs):
         cons.append([-Fraction(s) * v for v in row] + [Fraction(1)])
         cb.append(-w)
     for i in range(k):
-        e = [Fraction(0)] * (k + 1)
-        e[i] = Fraction(1)
-        cons.append(list(e))
-        cb.append(Fraction(1))
-        e2 = [Fraction(0)] * (k + 1)
-        e2[i] = Fraction(-1)
-        cons.append(e2)
-        cb.append(Fraction(1))
+        for unit in (1, -1):
+            e = [Fraction(0)] * (k + 1)
+            e[i] = Fraction(unit)
+            cons.append(e)
+            cb.append(Fraction(1))
     cons.append([Fraction(0)] * k + [Fraction(1)])
     cb.append(Fraction(1))
     res = maximize(c, cons, cb)
@@ -645,17 +619,8 @@ def _chambers_high_rank(classes, k, config) -> list[WeylChamber]:
     cap = config.precision_cap_bits
     bits = config.initial_bits
     while True:
-        rows, widths = [], []
-        exact = True
-        for cls in classes:
-            mids, w = [], Fraction(0)
-            for v in cls.hyperplane_normal.values:
-                lo, hi = v.interval(bits)
-                mids.append((lo + hi) / 2)
-                w = max(w, hi - lo)
-            rows.append(mids)
-            widths.append(Fraction(k) * w)
-            exact = exact and w == 0
+        rows, widths = zip(*(_approx_row(c.hyperplane_normal, bits, k) for c in classes))
+        exact = not any(widths)
         partial: list[tuple[tuple[int, ...], list[Fraction]]] = [((), None)]
         unresolved = False
         for m in range(len(classes)):
@@ -881,39 +846,14 @@ def fast_stable_element(
     target_members = list(target.members)
     bits = config.initial_bits
     while bits <= cap:
-        def approx(f):
-            mids, w = [], Fraction(0)
-            for v in f.values:
-                lo, hi = v.interval(bits)
-                mids.append((lo + hi) / 2)
-                w = max(w, hi - lo)
-            return mids, Fraction(k) * w
-
-        sa = [approx(f) for f in side_members]
-        ta = [approx(f) for f in target_members]
-        c = [Fraction(0)] * k + [Fraction(1)]
-        cons, cb = [], []
-        for su, se in sa:
-            for tu, te in ta:
-                cons.append([a - b_ for a, b_ in zip(su, tu)] + [Fraction(1)])
-                cb.append(-(se + te))
-        for tu, te in ta:
-            cons.append(list(tu) + [Fraction(1)])
-            cb.append(-te)
-        for i in range(k):
-            e = [Fraction(0)] * (k + 1)
-            e[i] = Fraction(1)
-            cons.append(list(e))
-            cb.append(Fraction(1))
-            e2 = [Fraction(0)] * (k + 1)
-            e2[i] = Fraction(-1)
-            cons.append(e2)
-            cb.append(Fraction(1))
-        cons.append([Fraction(0)] * k + [Fraction(1)])
-        cb.append(Fraction(1))
-        res = maximize(c, cons, cb)
-        if res is not None and res[0] > 0:
-            exact_b = res[1][:k]
+        sa = [_approx_row(f, bits, k) for f in side_members]
+        ta = [_approx_row(f, bits, k) for f in target_members]
+        rows = [[a - b_ for a, b_ in zip(su, tu)] for su, _ in sa for tu, _ in ta]
+        widths = [se + te for _, se in sa for _, te in ta]
+        rows += [tu for tu, _ in ta]
+        widths += [te for _, te in ta]
+        lp_value, exact_b = _feasible_signs(rows, widths, [-1] * len(rows), k)
+        if lp_value > 0:
             den = 4
             rounded = []
             while den <= 1 << 16:
@@ -927,7 +867,7 @@ def fast_stable_element(
                     b, side_members, target_members, bits
                 )
                 if margin is not None:
-                    return b, {"margin": margin, "lp_value": res[0], "bits": bits}
+                    return b, {"margin": margin, "lp_value": lp_value, "bits": bits}
         bits *= 2
     raise LPInfeasibleAtPrecision(cap)
 

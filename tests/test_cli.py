@@ -158,6 +158,22 @@ def test_normal_forms_missing_file_exit_three():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "element, expect",
+    [
+        ("x,1", "comma-separated integers"),
+        ("1", "rank 2"),
+        ("1,2,3", "rank 2"),
+    ],
+)
+def test_normal_forms_bad_element_exit_three(element, expect):
+    proc = run_cli("normal-forms", fixture_path("cartan_t3.json"), f"--element={element}")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: --element:")
+    assert expect in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_selftest():
     assert run_cli("selftest").returncode == 0
 
@@ -270,3 +286,21 @@ def test_env_precision_override():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["config"]["precision_cap_bits"] == 8192
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("chambers",), ("normal-forms", "--element=1,0")],
+)
+def test_precision_cap_exit_two(tmp_path, argv):
+    # at a 32-bit cap the proportionality of two cartan_t3 functionals stays
+    # undecided: a precision-cap error is "undecided" (2), not an input error
+    doc = _cartan_doc()
+    doc["options"] = {"precision_cap_bits": 32}
+    p = tmp_path / "cap32.json"
+    p.write_text(json.dumps(doc))
+    proc = run_cli(argv[0], str(p), *argv[1:])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("undecided: UndecidedProportionality:")
+    assert "32 bits" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -21,6 +21,16 @@ SAMPLES = {
     errors.SizeCap: (500, 400),
     errors.RankUnsupported: (1,),
     errors.UndecidedBoundary: (4096,),
+    errors.UndecidedAtCap: ("search gave up at its cap",),
+}
+
+# errors that the command line reports as undecided (exit 2)
+AT_CAP = {
+    errors.PrecisionExhausted,
+    errors.UndecidedProportionality,
+    errors.UndecidedBoundary,
+    errors.WitnessSearchExhausted,
+    errors.LPInfeasibleAtPrecision,
 }
 
 
@@ -40,3 +50,7 @@ def test_every_error_survives_pickling():
         assert str(back) == str(exc)
         assert back.args == exc.args
         assert vars(back) == vars(exc)
+
+
+def test_precision_cap_errors_share_a_base():
+    assert set(_subclasses(errors.UndecidedAtCap)) == AT_CAP

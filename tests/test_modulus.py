@@ -1,46 +1,11 @@
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anosov_forge.intpoly import IntPolynomial
-from anosov_forge.modulus import (
-    Ordering,
-    certify_multiplicative_relation,
-    compare_moduli,
-    has_unit_modulus_root,
-    root_modulus_classes,
-)
+from anosov_forge.modulus import has_unit_modulus_root
 
 FIB = IntPolynomial((-1, -1, 1))
 CARTAN = IntPolynomial((1, -3, 0, 1))  # x^3 - 3x + 1, all roots real units
-
-
-def test_fibonacci_two_classes():
-    classes = root_modulus_classes(FIB)
-    assert len(classes) == 2
-    assert [c.multiplicity for c in classes] == [1, 1]
-    # moduli are 1/phi and phi
-    lo, hi = classes[0].log_enclosure(64)
-    phi = (1 + math.sqrt(5)) / 2
-    assert abs(float((lo + hi) / 2) + math.log(phi)) < 1e-12
-
-
-def test_classes_sorted_and_sum_to_degree():
-    p = FIB * CARTAN
-    classes = root_modulus_classes(p)
-    assert sum(c.multiplicity for c in classes) == p.degree
-    for a, b in zip(classes, classes[1:]):
-        assert compare_moduli(a, b) is Ordering.LESS
-
-
-def test_complex_pair_shares_class():
-    # x^2 - x + 1: primitive 6th roots of unity, both on the unit circle
-    p = IntPolynomial((1, -1, 1))
-    classes = root_modulus_classes(p)
-    assert len(classes) == 1
-    assert classes[0].multiplicity == 2
-    assert classes[0].msq.as_rational() == 1
 
 
 def test_has_unit_modulus_root_cyclotomics():
@@ -69,38 +34,9 @@ def test_no_unit_modulus_root_pisot():
     assert not has_unit_modulus_root(IntPolynomial((-1, -1, 0, 1)))
 
 
-def test_multiplicative_relation_squares():
-    classes_a = root_modulus_classes(FIB)
-    sq = IntPolynomial((1, -3, 1))  # x^2 - 3x + 1, roots phi^2 and phi^-2
-    classes_b = root_modulus_classes(sq)
-    rel = certify_multiplicative_relation(classes_a[1], classes_b[1])
-    assert rel == (2, 1)  # phi^2 = (phi^2)^1
-
-
-def test_multiplicative_relation_absent():
-    a = root_modulus_classes(FIB)[1]
-    b = root_modulus_classes(IntPolynomial((-2, 1)))[0]  # modulus 2
-    assert certify_multiplicative_relation(a, b, max_den=8) is None
-
-
 @given(st.integers(2, 40))
 @settings(max_examples=30, deadline=None)
 def test_unit_root_detection_linear(n):
     # x - n has no unit-modulus root; x^2 - 1 does
     assert not has_unit_modulus_root(IntPolynomial((-n, 1)))
     assert has_unit_modulus_root(IntPolynomial((-1, 0, 1)))
-
-
-@given(st.integers(1, 6), st.integers(1, 6))
-@settings(max_examples=20, deadline=None)
-def test_power_relation_certified(p_exp, q_exp):
-    # |phi^a| and |phi^b| always satisfy the relation with exponents (b, a)
-    from anosov_forge.intpoly import power_poly, squarefree_part
-
-    a_cls = root_modulus_classes(squarefree_part(power_poly(FIB, p_exp)))[-1]
-    b_cls = root_modulus_classes(squarefree_part(power_poly(FIB, q_exp)))[-1]
-    rel = certify_multiplicative_relation(a_cls, b_cls, max_den=12)
-    assert rel is not None
-    p, q = rel
-    g = math.gcd(p_exp, q_exp)
-    assert (p, q) == (q_exp // g, p_exp // g)

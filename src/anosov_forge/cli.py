@@ -223,23 +223,40 @@ def _analyze_one(path: str, args) -> dict:
     return audit_action(obj, cfg)
 
 
+def _analyze_entry(path: str, args) -> tuple[dict, int]:
+    """One file of a batch: its report, or an error entry, with its exit code."""
+    try:
+        rep = _analyze_one(path, args)
+    except AnosovForgeError as exc:
+        code = EXIT_UNDECIDED if isinstance(exc, UndecidedAtCap) else EXIT_INPUT
+        return {"file": path, "error": f"{exc.__class__.__name__}: {exc}"}, code
+    return rep, exit_code_for(rep)
+
+
 def cmd_analyze(args) -> int:
-    reports = []
-    if args.jobs > 1 and len(args.files) > 1:
+    if len(args.files) == 1:
+        rep = _analyze_one(args.files[0], args)
+        entries = [(rep, exit_code_for(rep))]
+    elif args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_analyze_one, args.files, [args] * len(args.files)))
+            entries = list(pool.map(_analyze_entry, args.files, [args] * len(args.files)))
     else:
-        reports = [_analyze_one(p, args) for p in args.files]
+        entries = [_analyze_entry(p, args) for p in args.files]
+    reports = [rep for rep, _ in entries]
+    for rep, code in entries:
+        if "error" in rep:
+            label = "undecided" if code == EXIT_UNDECIDED else "error"
+            print(f"{label}: {rep['file']}: {rep['error']}", file=sys.stderr)
     payload = reports[0] if len(reports) == 1 else {"reports": reports}
     if args.json is not None:
         _emit(report_to_json(payload), args.json or None)
     else:
         for rep in reports:
-            _print_summary(rep)
-    codes = [exit_code_for(r) for r in reports]
-    return max(codes)
+            if "error" not in rep:
+                _print_summary(rep)
+    return max(code for _, code in entries)
 
 
 def _print_summary(rep: dict) -> None:
@@ -405,8 +422,18 @@ def cmd_selftest(args) -> int:
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means "undecided at the
+    cap", so usage errors exit 3 like every other input error.  Subparsers
+    are created with the class of their parent and inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="anosov-forge",
         description="Certified checks for higher-rank actions by toral and "
         "nilmanifold automorphisms.",

@@ -3,6 +3,8 @@
 Coefficients are stored lowest degree first.  Factorisation, gcds and
 resultants are delegated to sympy over ZZ/QQ; the Sturm machinery is done
 directly on integer coefficient lists so that sign counts stay exact.
+Signs at rational points come from `sign_at`, one integer Horner pass with
+no `Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -124,6 +126,22 @@ class IntPolynomial:
         coeffs = [sympy.Rational(c) for c in p.all_coeffs()]
         den = math.lcm(*[int(c.q) for c in coeffs]) if coeffs else 1
         return cls([int(c * den) for c in reversed(coeffs)])
+
+
+def sign_at(coeffs: Sequence[int], x) -> int:
+    """Sign of the polynomial with these coefficients at the rational x.
+
+    For x = n/d with d > 0 this is the sign of sum(c_i n^i d^(deg-i)),
+    evaluated by Horner on integers; it is 0 exactly at a root.
+    """
+    if not coeffs:
+        return 0
+    n, d = x.numerator, x.denominator
+    acc, dpow = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        dpow *= d
+        acc = acc * n + c * dpow
+    return (acc > 0) - (acc < 0)
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -253,12 +271,8 @@ def sturm_count(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     if p.is_zero:
         raise ValueError("zero polynomial")
     chain = sturm_chain(p.coeffs)
-    at_lo, at_hi = [], []
-    for row in chain:
-        poly = IntPolynomial(row)
-        vlo, vhi = poly(Fraction(lo)), poly(Fraction(hi))
-        at_lo.append(-1 if vlo < 0 else (1 if vlo > 0 else 0))
-        at_hi.append(-1 if vhi < 0 else (1 if vhi > 0 else 0))
+    at_lo = [sign_at(row, lo) for row in chain]
+    at_hi = [sign_at(row, hi) for row in chain]
     if at_lo[0] == 0 or at_hi[0] == 0:
         raise EndpointRoot(f"root at endpoint of ({lo}, {hi})")
     return _sign_changes(at_lo) - _sign_changes(at_hi)
@@ -273,7 +287,7 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
 
 
 def _safe_endpoint(p: IntPolynomial, v: Fraction, step: Fraction) -> Fraction:
-    while p(v) == 0:
+    while sign_at(p.coeffs, v) == 0:
         v += step
     return v
 

@@ -3,7 +3,9 @@
 A value is pinned down by its minimal polynomial over Q (primitive integer
 coefficients, positive leading coefficient) and the index of the root among
 the ascending real roots of that polynomial.  Equality is therefore a tuple
-comparison; ordering and enclosures come from bisection refinement.
+comparison.  Ordering and enclosures come from dyadic cells of the isolating
+interval: a fixed-point Newton approximation picks the cell, and exact
+integer signs at its two ends certify it, with bisection as the fallback.
 """
 
 from __future__ import annotations
@@ -20,8 +22,17 @@ from .intpoly import (
     inverse_poly,
     isolate_real_roots,
     power_poly,
+    sign_at,
     sturm_count,
 )
+
+# extra bits of the Newton approximation below the target cell width
+_GUARD_BITS = 32
+# a jump is tried only when more halvings than this remain; fewer are
+# bisected, and so are this many after a jump that failed
+_MIN_NEWTON_HALVINGS = 32
+# Newton steps at the low precision before a jump is given up
+_MAX_SETTLING_STEPS = 64
 
 
 @lru_cache(maxsize=4096)
@@ -30,7 +41,14 @@ def _isolations(coeffs: tuple[int, ...]) -> tuple[tuple[Fraction, Fraction], ...
 
 
 class RealAlgebraic:
-    """A real algebraic number with exact comparisons and refinable enclosure."""
+    """A real algebraic number with exact comparisons and refinable enclosure.
+
+    `poly` is always irreducible over Q: the only constructors are
+    `from_rational` (degree 1) and `_locate` on an irreducible factor.  So
+    no rational point other than a degree-1 root is a root of `poly`, and
+    the dyadic cells of the isolating interval never have a root on their
+    boundary.
+    """
 
     __slots__ = ("poly", "index", "_lo", "_hi")
 
@@ -106,29 +124,36 @@ class RealAlgebraic:
 
     # -- enclosure ---------------------------------------------------------
     def interval(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Enclosure of width <= 2^-bits; refinements are kept."""
+        """Enclosure of width <= 2^-bits; refinements are kept.
+
+        The result is the cell that halving the stored interval until it is
+        narrow enough would reach.  That cell is unique, since no cell
+        boundary is a root, so it is the same whichever path finds it.
+        """
         if self.is_rational:
             v = self.as_rational()
             return v, v
-        target = Fraction(1, 2**bits)
         lo, hi = self._lo, self._hi
-        if hi - lo <= target:
+        m = _halvings(hi - lo, bits)
+        if not m:
             return lo, hi
-        # bisect on sign: isolating intervals of simple real roots of the
-        # squarefree minimal polynomial always show a sign change
-        p = self.poly
-        slo = 1 if p(lo) > 0 else -1
-        while hi - lo > target:
-            mid = (lo + hi) / 2
-            v = p(mid)
-            if v == 0:
-                eps = (hi - lo) / 1024
-                lo, hi = mid - eps, mid + eps
-                break
-            if (1 if v > 0 else -1) == slo:
-                lo = mid
-            else:
-                hi = mid
+        # isolating intervals of simple real roots of the irreducible
+        # minimal polynomial always show a sign change
+        coeffs = self.poly.coeffs
+        slo = sign_at(coeffs, lo)
+        while m:
+            if m > _MIN_NEWTON_HALVINGS:
+                cell = _newton_cell(coeffs, lo, hi, slo, m)
+                if cell is not None:
+                    lo, hi = cell
+                    break
+            for _ in range(min(m, _MIN_NEWTON_HALVINGS)):
+                mid = (lo + hi) / 2
+                if sign_at(coeffs, mid) == slo:
+                    lo = mid
+                else:
+                    hi = mid
+                m -= 1
         self._lo, self._hi = lo, hi
         return lo, hi
 
@@ -240,8 +265,91 @@ def _interval_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
 def _nudge(p: IntPolynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Move endpoints off roots of p without leaving (lo-eps, hi+eps) wide."""
     eps = (hi - lo) / 65537
-    while p(lo) == 0:
+    while sign_at(p.coeffs, lo) == 0:
         lo -= eps
-    while p(hi) == 0:
+    while sign_at(p.coeffs, hi) == 0:
         hi += eps
     return lo, hi
+
+
+def _halvings(width: Fraction, bits: int) -> int:
+    """Least m >= 0 with width / 2^m <= 2^-bits."""
+    num, den = width.numerator << bits, width.denominator
+    m = max(0, num.bit_length() - den.bit_length())
+    while num > den << m:
+        m += 1
+    while m and num <= den << (m - 1):
+        m -= 1
+    return m
+
+
+def _newton_cell(
+    coeffs: tuple[int, ...], lo: Fraction, hi: Fraction, slo: int, m: int
+) -> tuple[Fraction, Fraction] | None:
+    """The depth-m dyadic cell of (lo, hi) holding the root, or None.
+
+    `slo` is the sign of the polynomial at lo, and -slo its sign at hi.
+    Newton in integer fixed point approximates the root to well below the
+    cell width w = (hi - lo)/2^m: first at a low precision until the steps
+    are small, then once at each precision of a doubling schedule.  The cell
+    of that approximation and its two neighbours are tested by exact signs
+    at their ends, so a poor approximation costs time, never correctness:
+    the caller bisects when None comes back.
+    """
+    width = hi - lo
+    wn, wd = width.numerator, width.denominator
+    # the midpoint is good to about `start` bits after the binary point
+    start = max(wd.bit_length() - wn.bit_length(), 0)
+    low = start + 2 * _GUARD_BITS
+    precs = []
+    s = start + m + _GUARD_BITS
+    while s > low:
+        precs.append(s)
+        s = s // 2 + _GUARD_BITS // 2
+    precs.reverse()
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    ln, ld = lo.numerator, lo.denominator
+    hn, hd = hi.numerator, hi.denominator
+
+    def step(x: int, s: int) -> int | None:
+        one = 1 << s
+        pv, dv = coeffs[-1] * one, dcoeffs[-1] * one
+        for c in reversed(coeffs[:-1]):
+            pv = ((pv * x) >> s) + c * one
+        for c in reversed(dcoeffs[:-1]):
+            dv = ((dv * x) >> s) + c * one
+        if not dv:
+            return None
+        x -= (pv << s) // dv
+        if x * ld < ln << s or x * hd > hn << s:
+            return None
+        return x
+
+    mid = (lo + hi) / 2
+    x = (mid.numerator << low) // mid.denominator
+    for _ in range(_MAX_SETTLING_STEPS):
+        nx = step(x, low)
+        if nx is None:
+            return None
+        settled = abs(nx - x) < 1 << _GUARD_BITS
+        x = nx
+        if settled:
+            break
+    else:
+        return None
+    s = low
+    for prec in precs:
+        x = step(x << (prec - s), prec)
+        if x is None:
+            return None
+        s = prec
+    # index of the depth-m cell holding x / 2^s
+    j = (((x * ld - (ln << s)) * wd) << m) // ((ld * wn) << s)
+    last = (1 << m) - 1
+    for k in (j, j - 1, j + 1):
+        if 0 <= k <= last:
+            a = lo + Fraction(k * wn, wd << m)
+            b = lo + Fraction((k + 1) * wn, wd << m)
+            if sign_at(coeffs, a) == slo and sign_at(coeffs, b) == -slo:
+                return a, b
+    return None

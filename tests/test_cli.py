@@ -304,3 +304,55 @@ def test_precision_cap_exit_two(tmp_path, argv):
     assert proc.stderr.startswith("undecided: UndecidedProportionality:")
     assert "32 bits" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", "--bogus", "CARTAN"), ("analyze", "--json", "CARTAN")],
+)
+def test_usage_error_exit_three(argv):
+    # `--json` takes an optional PATH, so it swallows the file and `files`
+    # is missing; both calls are usage errors, not "undecided" (2)
+    argv = [fixture_path("cartan_t3.json") if a == "CARTAN" else a for a in argv]
+    proc = run_cli(*argv)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("usage: anosov-forge")
+    assert "error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_help_exit_zero():
+    proc = run_cli("analyze", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: anosov-forge analyze")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_analyze_batch_keeps_good_reports(jobs):
+    good = fixture_path("cartan_t3.json")
+    single = run_cli("analyze", good, "--json")
+    proc = run_cli("analyze", good, "/nonexistent.json", "--jobs", jobs, "--json")
+    assert proc.returncode == 3
+    reports = json.loads(proc.stdout)["reports"]
+    assert reports[0] == json.loads(single.stdout)
+    assert reports[1] == {
+        "file": "/nonexistent.json",
+        "error": "InputError: /nonexistent.json: No such file or directory",
+    }
+    assert "Traceback" not in proc.stderr
+
+
+def test_analyze_batch_cap_error_counts_two(tmp_path):
+    # at a 16-bit cap a log-linear sign of cartan_t3 stays unresolved and
+    # aborts that file's audit; in a batch it becomes an entry, exit 2
+    doc = _cartan_doc()
+    doc["options"] = {"precision_cap_bits": 16}
+    p = tmp_path / "cap16.json"
+    p.write_text(json.dumps(doc))
+    proc = run_cli("analyze", fixture_path("cartan_t3.json"), str(p), "--json")
+    assert proc.returncode == 2
+    reports = json.loads(proc.stdout)["reports"]
+    assert reports[0]["theorem_1_1_hypotheses"]["kind"] == "true"
+    assert reports[1]["file"] == str(p)
+    assert reports[1]["error"].startswith("PrecisionExhausted: ")
+    assert proc.stderr.startswith(f"undecided: {p}: PrecisionExhausted: ")

@@ -12,9 +12,11 @@ from anosov_forge.intpoly import (
     isolate_real_roots,
     pair_product_poly,
     power_poly,
+    sign_at,
     squarefree_part,
     sturm_count,
 )
+from anosov_forge.errors import EndpointRoot
 
 X2_MINUS_2 = IntPolynomial((-2, 0, 1))
 FIB = IntPolynomial((-1, -1, 1))  # x^2 - x - 1
@@ -112,3 +114,43 @@ def test_real_root_isolations_disjoint_and_contain_roots(coeffs):
         assert sturm_count(p, lo, hi) == 1
         for lo2, hi2 in intervals[i + 1 :]:
             assert hi <= lo2 or hi2 <= lo
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=0, max_size=8),
+    st.integers(-1000, 1000),
+    st.integers(1, 1000),
+)
+@settings(max_examples=200, deadline=None)
+def test_sign_at_agrees_with_fraction_evaluation(coeffs, n, d):
+    p = IntPolynomial(tuple(coeffs))
+    x = Fraction(n, d)
+    assert sign_at(p.coeffs, x) == _sign(p(x))
+
+
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=6),
+    st.integers(-300, 300),
+    st.integers(1, 300),
+)
+@settings(max_examples=100, deadline=None)
+def test_sign_at_is_zero_at_rational_roots(coeffs, n, d):
+    q = IntPolynomial(tuple(coeffs))
+    assume(not q.is_zero)
+    x = Fraction(n, d)
+    p = IntPolynomial((-x.numerator, x.denominator)) * q
+    assert sign_at(p.coeffs, x) == 0
+    assert sign_at(p.coeffs, x + Fraction(1, 10**9)) == _sign(p(x + Fraction(1, 10**9)))
+
+
+def test_sturm_count_raises_at_endpoint_root():
+    p = IntPolynomial((-1, 0, 1))  # roots -1 and 1
+    with pytest.raises(EndpointRoot):
+        sturm_count(p, Fraction(1), Fraction(2))
+    with pytest.raises(EndpointRoot):
+        sturm_count(p, Fraction(-3), Fraction(-1))
+    assert sturm_count(p, Fraction(-2), Fraction(2)) == 2

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from anosov_forge.intpoly import IntPolynomial
+from anosov_forge import realalg
+from anosov_forge.intpoly import IntPolynomial, factor_rational
 from anosov_forge.realalg import RealAlgebraic
 
 
@@ -85,3 +88,60 @@ def test_from_enclosure_rejects_rootless_interval():
         RealAlgebraic.from_enclosure(
             IntPolynomial((-2, 0, 1)), lambda bits: (Fraction(5), Fraction(6))
         )
+
+
+def reference_bisection(p, lo, hi, bits):
+    """Halve (lo, hi) on exact Fraction signs until it is 2^-bits wide."""
+    target = Fraction(1, 2**bits)
+    slo = 1 if p(lo) > 0 else -1
+    while hi - lo > target:
+        mid = (lo + hi) / 2
+        if (1 if p(mid) > 0 else -1) == slo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _refinements_match_bisection(x: RealAlgebraic, bit_sequence):
+    lo, hi = x._lo, x._hi
+    for bits in bit_sequence:
+        lo, hi = reference_bisection(x.poly, lo, hi, bits)
+        assert x.interval(bits) == (lo, hi)
+
+
+@given(
+    st.lists(st.integers(-12, 12), min_size=2, max_size=9),
+    st.integers(1, 5),
+    st.integers(0, 8),
+    st.lists(st.integers(1, 1024), min_size=1, max_size=5, unique=True),
+)
+@settings(max_examples=40, deadline=None)
+def test_interval_equals_bisection(low, lead, pick, bit_sequence):
+    # irreducible factors of degree 2..9, refined along increasing precisions
+    factors = [
+        f for f, _ in factor_rational(IntPolynomial(low + [lead])) if f.degree >= 2
+    ]
+    roots = [
+        RealAlgebraic(f, i)
+        for f in factors
+        for i in range(len(realalg._isolations(f.coeffs)))
+    ]
+    assume(roots)
+    _refinements_match_bisection(roots[pick % len(roots)], sorted(bit_sequence))
+
+
+def test_cartan_t3_root_at_4096_bits():
+    # the largest root of x^3 - 3x + 1, refined in one call
+    _refinements_match_bisection(RealAlgebraic(IntPolynomial((1, -3, 0, 1)), 2), [4096])
+
+
+def test_bisection_fallback_gives_the_same_cell(monkeypatch):
+    # with every Newton jump refused, refinement is plain bisection
+    def fresh():
+        return RealAlgebraic(IntPolynomial((-1, 2, 0, -3, 1)), 1)
+
+    expected = fresh().interval(300)
+    monkeypatch.setattr(realalg, "_newton_cell", lambda *args: None)
+    assert fresh().interval(300) == expected
+    _refinements_match_bisection(fresh(), [40, 100, 300])

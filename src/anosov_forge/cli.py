@@ -76,12 +76,6 @@ def _read_json(path: str):
         raise InputError(f"{path}: invalid JSON ({exc})")
 
 
-def load_action_file(path: str):
-    """Parse an ActionFile; returns ValidatedAction or GradedAlgebraAction.
-    Use load_action_file_with_options to also read the embedded options."""
-    return load_action_file_with_options(path)[0]
-
-
 def load_action_file_with_options(path: str):
     """Parse an ActionFile; returns (action, options dict).
 
@@ -197,6 +191,8 @@ def _config_from_args(args, file_options: dict | None = None) -> ToolkitConfig:
     cfg = DEFAULT_CONFIG.with_env_override()
     kwargs = dict(file_options or {})
     if getattr(args, "bits", None) is not None:
+        if args.bits < 1:
+            raise InputError(f"--bits must be a positive integer, got {args.bits}")
         kwargs["initial_bits"] = args.bits
     if getattr(args, "max_den", None) is not None:
         kwargs["max_den"] = args.max_den

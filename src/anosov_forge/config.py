@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from .errors import InputError
+
 ENV_BITS = "ANOSOV_FORGE_BITS"
 
 
@@ -33,9 +35,11 @@ class ToolkitConfig:
         try:
             bits = int(raw)
         except ValueError:
-            return self
+            bits = 0
+        # LogLinearValue.sign refines from 32 bits up, so a lower cap leaves
+        # every irrational sign undecided
         if bits < 32:
-            return self
+            raise InputError(f"{ENV_BITS} must be an integer >= 32, got {raw!r}")
         return replace(self, precision_cap_bits=bits)
 
 

@@ -8,12 +8,13 @@ certified midpoints, and no timestamps are embedded.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
 from .actions import ValidatedAction, is_semisimple, is_totally_reducible
 from .config import DEFAULT_CONFIG, ToolkitConfig
-from .errors import NotAnosovAction, UndecidedProportionality
+from .errors import NotAnosovAction, PrecisionExhausted, UndecidedProportionality
 from .graded import GradedAlgebraAction, degree_one_action, is_totally_reducible_graded
 from .verdict import Verdict3
 from .weyl import (
@@ -62,11 +63,26 @@ def class_json(c: CoarseClass) -> dict:
 
 
 def chamber_json(ch: WeylChamber) -> dict:
+    # strict certified signs make the witness Anosov (anosov_in_every_chamber)
     return {
         "signs": list(ch.signs),
         "witness": list(ch.witness),
-        "witness_anosov": ch.witness_anosov,
+        "witness_anosov": 0 not in ch.signs,
     }
+
+
+def _joint_contraction_witness(
+    chambers: list[WeylChamber], i: int, j: int, config: ToolkitConfig
+) -> list[int]:
+    """Witness of the first chamber negative on classes i and j.  One exists
+    for non-proportional classes unless the enumeration dropped cells at
+    the precision cap."""
+    for ch in chambers:
+        if ch.signs[i] < 0 and ch.signs[j] < 0:
+            return list(ch.witness)
+    raise PrecisionExhausted(
+        "joint contraction witness not found", config.precision_cap_bits
+    )
 
 
 def audit_action(
@@ -136,26 +152,20 @@ def audit_action(
 
     report["arrangement"]["classes"] = [class_json(c) for c in classes]
     tns_verdict, tns_info = is_tns(classes, config)
+    chambers = weyl_chambers(classes, action.rank, config)
     hyp["tns"] = verdict_json(tns_verdict)
     if tns_verdict.kind == "true":
         hyp["tns"]["joint_contraction_witnesses"] = {
-            f"{i},{j}": list(w) for (i, j), w in sorted(tns_info["witnesses"].items())
+            f"{i},{j}": _joint_contraction_witness(chambers, i, j, config)
+            for i, j in itertools.combinations(range(len(classes)), 2)
         }
     elif tns_verdict.kind == "false":
         hyp["tns"]["negative_pair"] = list(tns_info["negative_pair"])
         if tns_info.get("ratio") is not None:
             hyp["tns"]["ratio"] = frac_str(tns_info["ratio"])
 
-    chambers = weyl_chambers(classes, action.rank, config)
-    ok, table = anosov_in_every_chamber(action, chambers, config)
-    report["arrangement"]["chambers"] = [
-        {
-            "signs": list(row["signs"]),
-            "witness": list(row["witness"]),
-            "witness_anosov": row["anosov"],
-        }
-        for row in table
-    ]
+    report["arrangement"]["chambers"] = [chamber_json(ch) for ch in chambers]
+    ok = anosov_in_every_chamber(chambers)
     hyp["anosov_in_every_chamber"] = {"kind": "true" if ok else "false"}
 
     aggregate = "true"

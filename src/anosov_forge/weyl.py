@@ -12,7 +12,10 @@ values with exact vanishing tests and refinable signs.
 
 Chamber combinatorics then reduce to certified sign decisions: angular
 sorting of oriented kernel lines for rank 2, exact rational LP with interval
-margins for rank >= 3.
+margins for rank >= 3.  TNS is decided by proportionality alone.  The
+certified chamber signs are the one certificate for the rest: a witness
+with strict signs is an Anosov element (eigenvalue moduli exp chi(b)), and
+a chamber negative on two classes contracts both.
 """
 
 from __future__ import annotations
@@ -118,7 +121,6 @@ class WeylChamber:
 
     signs: tuple[int, ...]
     witness: tuple[int, ...]
-    witness_anosov: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -311,8 +313,11 @@ def _proportionality(
     if not idx:
         return "pos", Fraction(1)
     cap = config.precision_cap_bits
-    fs = [f.values[i].sign(cap) for i in idx]
-    gs = [g.values[i].sign(cap) for i in idx]
+    try:
+        fs = [f.values[i].sign(cap) for i in idx]
+        gs = [g.values[i].sign(cap) for i in idx]
+    except PrecisionExhausted:
+        return "undecided", None
     if gs == fs:
         sigma = 1
     elif gs == [-s for s in fs]:
@@ -393,6 +398,31 @@ def coarse_classes(
 # -- TNS ----------------------------------------------------------------------
 
 
+def is_tns(
+    classes: list[CoarseClass], config: ToolkitConfig = DEFAULT_CONFIG
+) -> tuple[Verdict3, dict]:
+    """Totally non-symplectic: no two classes negatively proportional.
+
+    Decided by proportionality alone.  info is {} when true, names the
+    negative pair (and the ratio when rational) when false, and the pair
+    when undecided.  Non-proportional classes have intersecting negative
+    half-spaces, so an element contracting both is read off any chamber
+    negative on the two (see report.audit_action)."""
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            rel, ratio = _proportionality(
+                classes[i].hyperplane_normal, classes[j].hyperplane_normal, config
+            )
+            if rel == "neg":
+                return VERDICT_FALSE, {"negative_pair": (i, j), "ratio": ratio}
+            if rel == "undecided":
+                return undecided(config.precision_cap_bits), {"pair": (i, j)}
+    return VERDICT_TRUE, {}
+
+
+# -- chambers -----------------------------------------------------------------
+
+
 def _rounded_integer_witness(x, predicate, cap: int) -> tuple[int, ...]:
     """Round an exact LP interior point (huge denominators) to a nearby
     lattice direction whose signs still certify."""
@@ -416,58 +446,6 @@ def _integer_scale(vec: list[Fraction], cap: int) -> tuple[int, ...]:
     if max(abs(v) for v in ints) > cap:
         raise WitnessSearchExhausted(cap)
     return tuple(ints)
-
-
-def _joint_negative_witness(
-    a: CoarseClass, b: CoarseClass, config: ToolkitConfig
-) -> tuple[int, ...]:
-    """Integer b with chi_a(b) < 0 and chi_b(b) < 0 for certified
-    non-proportional classes (the cones always intersect then)."""
-    k = a.rank
-    bits = config.initial_bits
-    while bits <= config.precision_cap_bits:
-        rows, widths = zip(*(_approx_row(cls.hyperplane_normal, bits, k) for cls in (a, b)))
-        margin, x = _feasible_signs(rows, widths, (-1, -1), k)
-        if margin > 0:
-
-            def contracts_both(w) -> bool:
-                return all(
-                    cls.value_at(w).sign(config.precision_cap_bits) < 0
-                    for cls in (a, b)
-                )
-
-            try:
-                return _rounded_integer_witness(x, contracts_both, config.witness_cap)
-            except WitnessSearchExhausted:
-                pass
-        bits *= 2
-    raise PrecisionExhausted("joint contraction witness not found", config.precision_cap_bits)
-
-
-def is_tns(
-    classes: list[CoarseClass], config: ToolkitConfig = DEFAULT_CONFIG
-) -> tuple[Verdict3, dict]:
-    """Totally non-symplectic: no two classes negatively proportional.
-
-    Also emits, for each non-proportional pair, an integer element contracting
-    both (the negative half-spaces intersect)."""
-    witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            rel, ratio = _proportionality(
-                classes[i].hyperplane_normal, classes[j].hyperplane_normal, config
-            )
-            if rel == "neg":
-                return VERDICT_FALSE, {"negative_pair": (i, j), "ratio": ratio}
-            if rel == "undecided":
-                return undecided(config.precision_cap_bits), {"pair": (i, j)}
-            witnesses[(i, j)] = _joint_negative_witness(
-                classes[i], classes[j], config
-            )
-    return VERDICT_TRUE, {"witnesses": witnesses}
-
-
-# -- chambers -----------------------------------------------------------------
 
 
 def _product_diff_sign(x1, y1, x2, y2, config: ToolkitConfig) -> int:
@@ -594,8 +572,8 @@ def _feasible_signs(rows, widths, signs, k):
     for every assigned m?  Returns (margin, x) with margin > 0 iff certified.
 
     Maximizes t subject to -sign_m * row_m . x + t <= -width_m, |x_i| <= 1
-    and t <= 1; this is the only LP the chamber, TNS and fast-stable
-    searches solve."""
+    and t <= 1; this is the only LP the chamber and fast-stable searches
+    solve."""
     c = [Fraction(0)] * k + [Fraction(1)]
     cons, cb = [], []
     for row, w, s in zip(rows, widths, signs):
@@ -669,20 +647,14 @@ def weyl_chambers(
     return _chambers_high_rank(classes, k, config)
 
 
-def anosov_in_every_chamber(
-    action: ValidatedAction,
-    chambers: list[WeylChamber],
-    config: ToolkitConfig = DEFAULT_CONFIG,
-) -> tuple[bool, list[dict]]:
-    """Check every chamber witness gives an Anosov product matrix."""
-    from .actions import is_anosov_matrix, product_matrix
+def anosov_in_every_chamber(chambers: list[WeylChamber]) -> bool:
+    """Every chamber witness is an Anosov element.
 
-    table = []
-    for ch in chambers:
-        mat = product_matrix(action, ch.witness)
-        ok = is_anosov_matrix(mat)
-        table.append({"witness": ch.witness, "signs": ch.signs, "anosov": ok})
-    return all(row["anosov"] for row in table), table
+    The eigenvalue moduli of the product matrix at b are exp(chi(b)) over
+    the Lyapunov functionals chi, and each chi is a positive multiple of its
+    class normal.  So a witness whose class signs are certified strict has
+    no eigenvalue of modulus 1: the certified signs are the certificate."""
+    return all(0 not in ch.signs for ch in chambers)
 
 
 # -- stable sets, splittings, fast stable elements ----------------------------

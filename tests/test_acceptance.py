@@ -27,6 +27,7 @@ from anosov_forge.freenil import free_nilpotent_lift, hall_basis, lift_is_anosov
 from anosov_forge.intpoly import IntPolynomial
 from anosov_forge.normalforms import ContractionSpectrum, sr_group_dimension
 from anosov_forge.numutil import certified_root_disks, modulus_squared_bounds
+from anosov_forge.report import audit_action
 from anosov_forge.weyl import (
     LyapunovFunctional,
     coarse_classes,
@@ -221,11 +222,12 @@ def test_criterion_6_cartan_t3_end_to_end():
         classes = coarse_classes(lyapunov_data(action, CFG), CFG)
         assert len(classes) == 3
 
-        verdict, info = is_tns(classes, CFG)
+        verdict, _ = is_tns(classes, CFG)
         assert verdict.kind == "true"
-        for (i, j), w in info["witnesses"].items():
-            assert classes[i].value_at(w).sign(CFG.precision_cap_bits) < 0
-            assert classes[j].value_at(w).sign(CFG.precision_cap_bits) < 0
+        tns = audit_action(action, CFG)["hypotheses"]["tns"]
+        for key, w in tns["joint_contraction_witnesses"].items():
+            for c in map(int, key.split(",")):
+                assert classes[c].value_at(w).sign(CFG.precision_cap_bits) < 0
 
         chambers = weyl_chambers(classes, 2, CFG)
         assert len(chambers) == 6
@@ -365,6 +367,7 @@ def test_criterion_9_byte_identical_reports():
         c2, out2 = _run(["analyze", fixture_path(name), "--json"])
         assert c1 == c2
         assert out1 == out2 and out1
-    s1 = _run(["chambers", fixture_path("cartan_t3.json"), "--format", "svg"])
-    s2 = _run(["chambers", fixture_path("cartan_t3.json"), "--format", "svg"])
-    assert s1 == s2 and s1[0] == 0
+    for fmt in ("svg", "json"):
+        s1 = _run(["chambers", fixture_path("cartan_t3.json"), "--format", fmt])
+        s2 = _run(["chambers", fixture_path("cartan_t3.json"), "--format", fmt])
+        assert s1 == s2 and s1[0] == 0

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -276,8 +277,6 @@ def test_lift_step_below_two_exit_three():
 
 
 def test_env_precision_override():
-    import os
-
     env = dict(os.environ, ANOSOV_FORGE_BITS="8192")
     proc = subprocess.run(
         [sys.executable, "-m", "anosov_forge.cli", "analyze",
@@ -343,16 +342,58 @@ def test_analyze_batch_keeps_good_reports(jobs):
 
 
 def test_analyze_batch_cap_error_counts_two(tmp_path):
-    # at a 16-bit cap a log-linear sign of cartan_t3 stays unresolved and
-    # aborts that file's audit; in a batch it becomes an entry, exit 2
+    # with integer witnesses capped at 4 no chamber witness of cartan_t3 is
+    # found, which aborts that file's audit; in a batch it becomes an entry,
+    # exit 2
     doc = _cartan_doc()
-    doc["options"] = {"precision_cap_bits": 16}
-    p = tmp_path / "cap16.json"
+    doc["options"] = {"witness_cap": 4}
+    p = tmp_path / "wcap4.json"
     p.write_text(json.dumps(doc))
     proc = run_cli("analyze", fixture_path("cartan_t3.json"), str(p), "--json")
     assert proc.returncode == 2
     reports = json.loads(proc.stdout)["reports"]
     assert reports[0]["theorem_1_1_hypotheses"]["kind"] == "true"
     assert reports[1]["file"] == str(p)
-    assert reports[1]["error"].startswith("PrecisionExhausted: ")
-    assert proc.stderr.startswith(f"undecided: {p}: PrecisionExhausted: ")
+    assert reports[1]["error"].startswith("WitnessSearchExhausted: ")
+    assert proc.stderr.startswith(f"undecided: {p}: WitnessSearchExhausted: ")
+
+
+def test_analyze_cap_in_sign_step_gives_undecided_report(tmp_path):
+    # at a 16-bit cap the signs that start the proportionality test of
+    # cartan_t3 stay unresolved: the report names the pair, exit 2
+    doc = _cartan_doc()
+    doc["options"] = {"precision_cap_bits": 16}
+    p = tmp_path / "cap16.json"
+    p.write_text(json.dumps(doc))
+    proc = run_cli("analyze", str(p), "--json")
+    assert proc.returncode == 2
+    rep = json.loads(proc.stdout)
+    assert rep["hypotheses"]["tns"] == {
+        "kind": "undecided",
+        "pair": [0, 1],
+        "precision_bits": 16,
+    }
+    assert rep["theorem_1_1_hypotheses"]["kind"] == "undecided"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, env, named",
+    [
+        (("--bits", "-1"), {}, "--bits"),
+        (("--bits", "0"), {}, "--bits"),
+        ((), {"ANOSOV_FORGE_BITS": "abc"}, "ANOSOV_FORGE_BITS"),
+        ((), {"ANOSOV_FORGE_BITS": "8"}, "ANOSOV_FORGE_BITS"),
+    ],
+)
+def test_bad_precision_setting_exit_three(argv, env, named):
+    # a --bits of 0 never leaves the `bits *= 2` loops: the timeout bounds
+    # the test if the check is lost
+    proc = subprocess.run(
+        [sys.executable, "-m", "anosov_forge.cli", "analyze",
+         fixture_path("cartan_t3.json"), "--json", *argv],
+        capture_output=True, text=True, env=dict(os.environ, **env), timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"error: {named} must be")
+    assert proc.stdout == ""

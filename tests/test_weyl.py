@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anosov_forge.actions import validate
+from conftest import cartan_generators, fixture_path
+
+from anosov_forge.actions import is_anosov_matrix, product_matrix, validate
+from anosov_forge.cli import load_action_file_with_options
 from anosov_forge.config import DEFAULT_CONFIG
 from anosov_forge.errors import NotAnosovAction, NotTNS, SingularElement
+from anosov_forge.freenil import free_nilpotent_lift
+from anosov_forge.report import audit_action
 from anosov_forge.weyl import (
     LyapunovFunctional,
     anosov_in_every_chamber,
@@ -102,10 +107,13 @@ def test_tns_detects_negative_proportionality():
 def test_tns_true_with_witnesses(cartan_action):
     classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
     verdict, info = is_tns(classes, CFG)
-    assert verdict.kind == "true"
-    for (i, j), w in info["witnesses"].items():
-        assert classes[i].value_at(w).sign(4096) < 0
-        assert classes[j].value_at(w).sign(4096) < 0
+    assert verdict.kind == "true" and info == {}
+    tns = audit_action(cartan_action, CFG)["hypotheses"]["tns"]
+    pairs = tns["joint_contraction_witnesses"]
+    assert sorted(pairs) == ["0,1", "0,2", "1,2"]
+    for key, w in pairs.items():
+        for c in map(int, key.split(",")):
+            assert classes[c].value_at(w).sign(4096) < 0
 
 
 def test_symplectic_pair_not_tns():
@@ -152,8 +160,31 @@ def test_cartan_six_chambers(cartan_action):
     # opposite chambers both present
     for s in signs:
         assert tuple(-x for x in s) in signs
-    ok, table = anosov_in_every_chamber(cartan_action, chambers, CFG)
-    assert ok and len(table) == 6
+    assert anosov_in_every_chamber(chambers)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["cartan_t3.json", "fibonacci.json", "example82.json", "symplectic_pair.json", "lift2"],
+)
+def test_audit_witnesses_are_anosov_matrices(source):
+    # independent of the signs the audit read its verdicts from: the product
+    # matrix at every chamber and TNS witness has no eigenvalue of modulus 1
+    if source == "lift2":
+        base = validate(list(cartan_generators()))
+        action = free_nilpotent_lift(base, 2, CFG).to_validated()
+    else:
+        action = load_action_file_with_options(fixture_path(source))[0]
+    report = audit_action(action, CFG)
+    classes = coarse_classes(lyapunov_data(action, CFG), CFG)
+    chambers = report["arrangement"]["chambers"]
+    pairs = report["hypotheses"]["tns"].get("joint_contraction_witnesses", {})
+    assert chambers
+    for w in [ch["witness"] for ch in chambers] + list(pairs.values()):
+        assert is_anosov_matrix(product_matrix(action, w)), w
+    for key, w in pairs.items():
+        for c in map(int, key.split(",")):
+            assert classes[c].value_at(w).sign(CFG.precision_cap_bits) < 0
 
 
 def test_synthetic_three_lines_six_chambers():

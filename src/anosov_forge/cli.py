@@ -61,8 +61,11 @@ def _parse_options(doc: dict, path: str) -> dict:
         raise InputError(f"{path}: options must be an object")
     _reject_unknown(opts, OPTION_FIELDS, f"{path}: options")
     for key, val in opts.items():
-        if not isinstance(val, int) or val < 0:
-            raise InputError(f"{path}: options.{key} must be a non-negative integer")
+        # a cap below 1 empties its search; precision_cap_bits may be low
+        least = 1 if key in ("max_den", "witness_cap") else 0
+        if not isinstance(val, int) or val < least:
+            what = "a positive" if least else "a non-negative"
+            raise InputError(f"{path}: options.{key} must be {what} integer")
     return dict(opts)
 
 
@@ -190,9 +193,12 @@ def _config_from_args(args, file_options: dict | None = None) -> ToolkitConfig:
 
     cfg = DEFAULT_CONFIG.with_env_override()
     kwargs = dict(file_options or {})
+    for flag in ("bits", "max_den", "witness_cap"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            name = "--" + flag.replace("_", "-")
+            raise InputError(f"{name} must be a positive integer, got {value}")
     if getattr(args, "bits", None) is not None:
-        if args.bits < 1:
-            raise InputError(f"--bits must be a positive integer, got {args.bits}")
         kwargs["initial_bits"] = args.bits
     if getattr(args, "max_den", None) is not None:
         kwargs["max_den"] = args.max_den
@@ -406,6 +412,15 @@ def cmd_selftest(args) -> int:
     checks.append(("cartan T^3 is TNS", verdict.kind == "true"))
     checks.append(
         ("cartan T^3 chamber count", len(weyl_chambers(classes, 2, cfg)) == 6)
+    )
+    t4 = [
+        [[0, 0, 0, 1], [1, 0, 0, 5], [0, 1, 0, 1], [0, 0, 1, -5]],
+        [[-1, 0, 0, -1], [-1, -1, 0, -5], [0, -1, -1, -1], [0, 0, -1, 4]],
+        [[0, 0, -1, 6], [1, 0, -5, 29], [-1, 1, -1, 1], [0, -1, 6, -31]],
+    ]
+    classes = coarse_classes(lyapunov_data(validate(t4, name="cartan-t4"), cfg), cfg)
+    checks.append(
+        ("cartan T^4 chamber count", len(weyl_chambers(classes, 3, cfg)) == 14)
     )
     checks.append(
         ("free 2-step Hall dimensions on 3 generators",

@@ -15,10 +15,10 @@ class ToolkitConfig:
     """Precision and search limits used by every certified routine.
 
     initial_bits/precision_cap_bits bound the doubling refinement loops;
-    max_den bounds the exponent search when certifying multiplicative
-    relations between root moduli; witness_cap bounds integer witness
-    scaling; size_cap bounds free nilpotent lift dimensions; seed drives
-    the reproducible generic-plane draw.
+    max_den bounds the numerator and denominator of the ratios p/q that
+    certify two Lyapunov functionals proportional; witness_cap bounds
+    integer witness scaling; size_cap bounds free nilpotent lift
+    dimensions; seed drives the reproducible generic-plane draw.
     """
 
     initial_bits: int = 64

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .actions import ValidatedAction, is_semisimple, is_totally_reducible
 from .config import DEFAULT_CONFIG, ToolkitConfig
-from .errors import NotAnosovAction, PrecisionExhausted, UndecidedProportionality
+from .errors import NotAnosovAction, UndecidedProportionality
 from .graded import GradedAlgebraAction, degree_one_action, is_totally_reducible_graded
 from .verdict import Verdict3
 from .weyl import (
@@ -72,16 +72,12 @@ def chamber_json(ch: WeylChamber) -> dict:
 
 
 def _joint_contraction_witness(
-    chambers: list[WeylChamber], i: int, j: int, config: ToolkitConfig
+    chambers: list[WeylChamber], i: int, j: int
 ) -> list[int]:
-    """Witness of the first chamber negative on classes i and j.  One exists
-    for non-proportional classes unless the enumeration dropped cells at
-    the precision cap."""
-    for ch in chambers:
-        if ch.signs[i] < 0 and ch.signs[j] < 0:
-            return list(ch.witness)
-    raise PrecisionExhausted(
-        "joint contraction witness not found", config.precision_cap_bits
+    """Witness of the first chamber negative on classes i and j; one exists
+    for classes that are not negatively proportional."""
+    return next(
+        list(ch.witness) for ch in chambers if ch.signs[i] < 0 and ch.signs[j] < 0
     )
 
 
@@ -156,7 +152,7 @@ def audit_action(
     hyp["tns"] = verdict_json(tns_verdict)
     if tns_verdict.kind == "true":
         hyp["tns"]["joint_contraction_witnesses"] = {
-            f"{i},{j}": _joint_contraction_witness(chambers, i, j, config)
+            f"{i},{j}": _joint_contraction_witness(chambers, i, j)
             for i, j in itertools.combinations(range(len(classes)), 2)
         }
     elif tns_verdict.kind == "false":

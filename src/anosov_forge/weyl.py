@@ -10,17 +10,18 @@ C, so joint eigenvalue tuples are polynomial images of the roots of the
 as canonical real algebraic numbers, so functional values are log-linear
 values with exact vanishing tests and refinable signs.
 
-Chamber combinatorics then reduce to certified sign decisions: angular
-sorting of oriented kernel lines for rank 2, exact rational LP with interval
-margins for rank >= 3.  TNS is decided by proportionality alone.  The
-certified chamber signs are the one certificate for the rest: a witness
-with strict signs is an Anosov element (eigenvalue moduli exp chi(b)), and
-a chamber negative on two classes contracts both.
+Chambers are read off the certified signs of the minors of the class
+normals, in every rank: a sign vector is a chamber iff no signed circuit
+matches it, and its witness is built from the vertices of the arrangement.
+TNS is decided by proportionality alone.  The certified chamber signs are
+the one certificate for the rest: a witness with strict signs is an Anosov
+element (eigenvalue moduli exp chi(b)), and a chamber negative on two
+classes contracts both.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -424,8 +425,8 @@ def is_tns(
 
 
 def _rounded_integer_witness(x, predicate, cap: int) -> tuple[int, ...]:
-    """Round an exact LP interior point (huge denominators) to a nearby
-    lattice direction whose signs still certify."""
+    """Round an interior point to a nearby lattice direction whose signs
+    still certify."""
     den = 4
     while den <= cap:
         vec = [Fraction(round(v * den), den) for v in x]
@@ -448,186 +449,46 @@ def _integer_scale(vec: list[Fraction], cap: int) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _product_diff_sign(x1, y1, x2, y2, config: ToolkitConfig) -> int:
-    """Sign of x1*y2 - y1*x2 for log-linear values, known nonzero."""
-    bits = config.initial_bits
-    while bits <= config.precision_cap_bits:
-        ivs = [v.interval(bits) for v in (x1, y2, y1, x2)]
-        lo1, hi1 = _interval_mul(ivs[0], ivs[1])
-        lo2, hi2 = _interval_mul(ivs[2], ivs[3])
-        if lo1 - hi2 > 0:
-            return 1
-        if hi1 - lo2 < 0:
-            return -1
-        bits *= 2
-    raise PrecisionExhausted("cross product sign unresolved", config.precision_cap_bits)
+def _interval_det(ivs):
+    """Enclosure of the determinant of a square matrix of intervals, by
+    Laplace expansion along the first row; exact on exact entries."""
+    if not ivs:
+        return Fraction(1), Fraction(1)
+    lo = hi = Fraction(0)
+    for j, a in enumerate(ivs[0]):
+        if a != (0, 0):
+            minor = _interval_det([r[:j] + r[j + 1 :] for r in ivs[1:]])
+            plo, phi = _interval_mul(a, minor)
+            if j % 2:
+                plo, phi = -phi, -plo
+            lo, hi = lo + plo, hi + phi
+    return lo, hi
 
 
-def _chambers_rank1(classes, config) -> list[WeylChamber]:
-    cap = config.precision_cap_bits
-    pos = tuple(c.value_at((1,)).sign(cap) for c in classes)
-    return [
-        WeylChamber(pos, (1,)),
-        WeylChamber(tuple(-s for s in pos), (-1,)),
-    ]
+def _minor_sign(rows, config: ToolkitConfig, what: str) -> tuple[int, Fraction]:
+    """Certified sign of the determinant of a square matrix of log-linear
+    values, with the midpoint of the enclosure that decided it.
 
-
-def _line_groups_rank2(classes, config) -> list[list[int]]:
-    groups: list[list[int]] = []
-    for i, cls in enumerate(classes):
-        placed = False
-        for grp in groups:
-            rel, _ = _proportionality(
-                classes[grp[0]].hyperplane_normal, cls.hyperplane_normal, config
-            )
-            if rel == "undecided":
-                raise UndecidedProportionality((grp[0], i), config.precision_cap_bits)
-            if rel == "neg":
-                grp.append(i)
-                placed = True
-                break
-        if not placed:
-            groups.append([i])
-    return groups
-
-
-def _chambers_rank2(classes, config) -> list[WeylChamber]:
-    cap = config.precision_cap_bits
-    groups = _line_groups_rank2(classes, config)
-    # oriented direction of each kernel line, canonicalized to angle in [0, pi)
-    dirs = []
-    for grp in groups:
-        c1, c2 = classes[grp[0]].hyperplane_normal.values
-        dx, dy = -c2, c1
-        sy = dy.sign(cap)
-        if sy < 0 or (sy == 0 and dx.sign(cap) < 0):
-            dx, dy = -dx, -dy
-        dirs.append((dx, dy))
-
-    def cmp(a, b):
-        if a is b:
-            return 0
-        return -_product_diff_sign(a[1][0], a[1][1], b[1][0], b[1][1], config)
-
-    order = sorted(enumerate(dirs), key=functools.cmp_to_key(cmp))
-    sorted_dirs = [d for _, d in order]
-    n = len(sorted_dirs)
-
-    bits = config.initial_bits
-    den = 64
+    The minor is exactly 0 when its enclosure is [0, 0], when it is a single
+    entry that is exactly zero, or when its two rows are proportional.  Any
+    other minor refines up to the cap and then raises PrecisionExhausted."""
+    bits, cap = config.initial_bits, config.precision_cap_bits
     while True:
-        angles = []
-        for dx, dy in sorted_dirs:
-            ax, ay = float(dx.midpoint(bits)), float(dy.midpoint(bits))
-            ang = math.atan2(ay, ax) % math.pi
-            angles.append(ang)
-        bounds = angles + [a + math.pi for a in angles]
-        if all(bounds[i] < bounds[i + 1] for i in range(2 * n - 1)):
-            chambers = []
-            seen = set()
-            ok = True
-            for s in range(2 * n):
-                lo = bounds[s]
-                hi = bounds[(s + 1) % (2 * n)] + (2 * math.pi if s == 2 * n - 1 else 0)
-                mid = (lo + hi) / 2
-                vec = [
-                    Fraction(round(math.cos(mid) * den), den),
-                    Fraction(round(math.sin(mid) * den), den),
-                ]
-                if all(v == 0 for v in vec):
-                    ok = False
-                    break
-                witness = _integer_scale(vec, config.witness_cap)
-                try:
-                    signs = tuple(c.value_at(witness).sign(cap) for c in classes)
-                except PrecisionExhausted:
-                    ok = False
-                    break
-                if 0 in signs or signs in seen:
-                    ok = False
-                    break
-                seen.add(signs)
-                chambers.append(WeylChamber(signs, witness))
-            if ok and len(chambers) == 2 * n:
-                return chambers
-        bits *= 2
-        den *= 16
-        if den > config.witness_cap:
-            raise WitnessSearchExhausted(config.witness_cap)
-
-
-def _approx_row(f: LyapunovFunctional, bits: int, k: int) -> tuple[list[Fraction], Fraction]:
-    """Midpoints of f's values at `bits`, and k times the widest enclosure:
-    a bound on |mids . x - f(x)| over the unit box."""
-    mids, w = [], Fraction(0)
-    for v in f.values:
-        lo, hi = v.interval(bits)
-        mids.append((lo + hi) / 2)
-        w = max(w, hi - lo)
-    return mids, Fraction(k) * w
-
-
-def _feasible_signs(rows, widths, signs, k):
-    """Exact LP: is there x in the unit box with sign_m * (row_m . x) > width_m
-    for every assigned m?  Returns (margin, x) with margin > 0 iff certified.
-
-    Maximizes t subject to -sign_m * row_m . x + t <= -width_m, |x_i| <= 1
-    and t <= 1; this is the only LP the chamber and fast-stable searches
-    solve."""
-    c = [Fraction(0)] * k + [Fraction(1)]
-    cons, cb = [], []
-    for row, w, s in zip(rows, widths, signs):
-        cons.append([-Fraction(s) * v for v in row] + [Fraction(1)])
-        cb.append(-w)
-    for i in range(k):
-        for unit in (1, -1):
-            e = [Fraction(0)] * (k + 1)
-            e[i] = Fraction(unit)
-            cons.append(e)
-            cb.append(Fraction(1))
-    cons.append([Fraction(0)] * k + [Fraction(1)])
-    cb.append(Fraction(1))
-    res = maximize(c, cons, cb)
-    if res is None:
-        return Fraction(-1), None
-    return res[0], res[1][:k]
-
-
-def _chambers_high_rank(classes, k, config) -> list[WeylChamber]:
-    cap = config.precision_cap_bits
-    bits = config.initial_bits
-    while True:
-        rows, widths = zip(*(_approx_row(c.hyperplane_normal, bits, k) for c in classes))
-        exact = not any(widths)
-        partial: list[tuple[tuple[int, ...], list[Fraction]]] = [((), None)]
-        unresolved = False
-        for m in range(len(classes)):
-            nxt = []
-            for signs, _ in partial:
-                for s in (1, -1):
-                    cand = signs + (s,)
-                    margin, x = _feasible_signs(
-                        rows[: m + 1], widths[: m + 1], cand, k
-                    )
-                    if margin > 0:
-                        nxt.append((cand, x))
-                    elif not exact:
-                        unresolved = True
-            partial = nxt
-        if not unresolved or exact or bits >= cap:
-            chambers = []
-            for signs, x in partial:
-                def matches(w, signs=signs) -> bool:
-                    try:
-                        got = tuple(c.value_at(w).sign(cap) for c in classes)
-                    except PrecisionExhausted:
-                        return False
-                    return got == signs
-
-                witness = _rounded_integer_witness(x, matches, config.witness_cap)
-                chambers.append(WeylChamber(signs, witness))
-            return chambers
-        bits *= 2
+        lo, hi = _interval_det([[v.interval(bits) for v in row] for row in rows])
+        if lo > 0 or hi < 0:
+            return (1 if lo > 0 else -1), (lo + hi) / 2
+        if lo == hi == 0:
+            return 0, Fraction(0)
+        if bits == config.initial_bits:  # the exact zero tests, once
+            if len(rows) == 1 and rows[0][0].is_exactly_zero():
+                return 0, Fraction(0)
+            if len(rows) == 2:
+                f, g = (LyapunovFunctional(tuple(row), 1) for row in rows)
+                if _proportionality(f, g, config)[0] in ("pos", "neg"):
+                    return 0, Fraction(0)
+        if bits >= cap:
+            raise PrecisionExhausted(f"sign of {what} unresolved", cap)
+        bits = min(2 * bits, cap)
 
 
 def weyl_chambers(
@@ -636,15 +497,83 @@ def weyl_chambers(
     config: ToolkitConfig = DEFAULT_CONFIG,
 ) -> list[WeylChamber]:
     """Connected components of R^k minus the union of Lyapunov kernels,
-    each with an integer witness carrying certified strict signs."""
+    each with an integer witness carrying certified strict signs.
+
+    Read off the signs chi(S) of the k x k minors of the rows (the n class
+    normals, then the k unit vectors, which make every circuit a Cramer
+    vector and every vertex a cofactor vector even when the normals span
+    less than R^k).  A sign vector is a chamber iff no signed circuit of the
+    normals agrees with it or its negative on the circuit's support
+    (Gordan/Farkas); its witness is the sum of the vertices below it."""
     if not classes:
         raise NotAnosovAction("no coarse classes")
     k = rank if rank is not None else classes[0].rank
-    if k == 1:
-        return _chambers_rank1(classes, config)
-    if k == 2:
-        return _chambers_rank2(classes, config)
-    return _chambers_high_rank(classes, k, config)
+    n, cap = len(classes), config.precision_cap_bits
+    normals = [c.hyperplane_normal.values for c in classes]
+    chi: dict[tuple[int, ...], tuple[int, Fraction]] = {}
+    for rows in itertools.combinations(range(n + k), k):
+        cls = [r for r in rows if r < n]
+        units = [r - n for r in rows if r >= n]
+        cols = [j for j in range(k) if j not in units]
+        # moving the unit columns last leaves the minor on the other columns
+        flip = (-1) ** sum(v > u for u in units for v in cols)
+        what = f"the minor of classes {tuple(cls)} on coordinates {tuple(cols)}"
+        minor = [[normals[c][j] for j in cols] for c in cls]
+        sign, mid = _minor_sign(minor, config, what)
+        chi[rows] = flip * sign, flip * mid
+
+    def entry(rows: tuple[int, ...], e: int) -> tuple[int, Fraction]:
+        # chi of rows + (e,) with e in last position, and its midpoint
+        if e in rows:
+            return 0, Fraction(0)
+        sign, mid = chi[tuple(sorted(rows + (e,)))]
+        flip = (-1) ** sum(r > e for r in rows)
+        return flip * sign, flip * mid
+
+    # signed circuits of the normals (Cramer), keyed by their last class
+    circuits: dict[int, set[tuple[tuple[int, int], ...]]] = {}
+    for rows in itertools.combinations(range(n + k), k + 1):
+        signs = [(-1) ** i * chi[rows[:i] + rows[i + 1 :]][0] for i in range(k + 1)]
+        support = [(r, s) for r, s in zip(rows, signs) if s]
+        if support and support[-1][0] < n:
+            circuits.setdefault(support[-1][0], set()).add(tuple(support))
+    # extend sign prefixes class by class, dropping those a circuit matches
+    cells: list[tuple[int, ...]] = [()]
+    for m in range(n):
+        last = circuits.get(m, ())
+        cells = [
+            c
+            for c in (cell + (s,) for cell in cells for s in (1, -1))
+            if all(len({c[r] * x for r, x in circ}) > 1 for circ in last)
+        ]
+
+    # vertices: cofactor vectors with their class signs, scaled to max norm 1
+    vertices = []
+    for rows in itertools.combinations(range(n + k), k - 1):
+        covector = tuple(entry(rows, e)[0] for e in range(n))
+        if any(covector):
+            vec = [entry(rows, n + j)[1] for j in range(k)]
+            top = max(abs(v) for v in vec)
+            vertices.append((covector, [v / top for v in vec]))
+    chambers = []
+    for cell in cells:
+        x = [Fraction(0)] * k
+        for covector, vec in vertices:
+            agree = {c * s for c, s in zip(covector, cell) if c}
+            if len(agree) == 1:
+                (o,) = agree
+                x = [xi + o * v for xi, v in zip(x, vec)]
+
+        def matches(w, cell=cell) -> bool:
+            try:
+                got = tuple(c.value_at(w).sign(cap) for c in classes)
+            except PrecisionExhausted:
+                return False
+            return got == cell
+
+        witness = _rounded_integer_witness(x, matches, config.witness_cap)
+        chambers.append(WeylChamber(cell, witness))
+    return chambers
 
 
 def anosov_in_every_chamber(chambers: list[WeylChamber]) -> bool:
@@ -726,9 +655,10 @@ def complementary_splitting(
             for j, cls in enumerate(classes):
                 if j == t:
                     continue
-                cross = _product_diff_sign(
-                    traces[t][0], traces[t][1], traces[j][0], traces[j][1], config
-                )
+                what = f"the traces of classes {t} and {j}"
+                cross, _ = _minor_sign([traces[t], traces[j]], config, what)
+                if cross == 0:
+                    raise DegeneratePlane("coincident line traces")
                 (e2 if cross > 0 else e1).append(j)
             # in-plane normal angles, for witness placement only (the
             # classification above is exact)
@@ -791,6 +721,43 @@ def complementary_splitting(
         except (DegeneratePlane, PrecisionExhausted, WitnessSearchExhausted):
             continue
     raise DegeneratePlane("no generic plane found within retry budget")
+
+
+def _approx_row(f: LyapunovFunctional, bits: int, k: int) -> tuple[list[Fraction], Fraction]:
+    """Midpoints of f's values at `bits`, and k times the widest enclosure:
+    a bound on |mids . x - f(x)| over the unit box."""
+    mids, w = [], Fraction(0)
+    for v in f.values:
+        lo, hi = v.interval(bits)
+        mids.append((lo + hi) / 2)
+        w = max(w, hi - lo)
+    return mids, Fraction(k) * w
+
+
+def _feasible_signs(rows, widths, signs, k):
+    """Exact LP: is there x in the unit box with sign_m * (row_m . x) > width_m
+    for every assigned m?  Returns (margin, x) with margin > 0 iff certified.
+
+    Maximizes t subject to -sign_m * row_m . x + t <= -width_m, |x_i| <= 1
+    and t <= 1; this is the only LP, and only the fast-stable search
+    solves it."""
+    c = [Fraction(0)] * k + [Fraction(1)]
+    cons, cb = [], []
+    for row, w, s in zip(rows, widths, signs):
+        cons.append([-Fraction(s) * v for v in row] + [Fraction(1)])
+        cb.append(-w)
+    for i in range(k):
+        for unit in (1, -1):
+            e = [Fraction(0)] * (k + 1)
+            e[i] = Fraction(unit)
+            cons.append(e)
+            cb.append(Fraction(1))
+    cons.append([Fraction(0)] * k + [Fraction(1)])
+    cb.append(Fraction(1))
+    res = maximize(c, cons, cb)
+    if res is None:
+        return Fraction(-1), None
+    return res[0], res[1][:k]
 
 
 def fast_stable_element(

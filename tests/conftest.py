@@ -19,6 +19,18 @@ def cartan_generators():
     return a1, a2
 
 
+def cartan_t4_generators():
+    # (A, -(A + I), A - A^2) for A the companion matrix of
+    # x^4 + 5x^3 - x^2 - 5x - 1: rank 3 on T^4, four classes whose normals
+    # sum to zero
+    flat = [
+        [0, 0, 0, 1, 1, 0, 0, 5, 0, 1, 0, 1, 0, 0, 1, -5],
+        [-1, 0, 0, -1, -1, -1, 0, -5, 0, -1, -1, -1, 0, 0, -1, 4],
+        [0, 0, -1, 6, 1, 0, -5, 29, -1, 1, -1, 1, 0, -1, 6, -31],
+    ]
+    return [[g[4 * r : 4 * r + 4] for r in range(4)] for g in flat]
+
+
 @pytest.fixture(scope="session")
 def cartan_action():
     return validate(list(cartan_generators()), name="cartan-t3")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import fixture_path
+from conftest import cartan_generators, fixture_path
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -384,6 +384,10 @@ def test_analyze_cap_in_sign_step_gives_undecided_report(tmp_path):
         (("--bits", "0"), {}, "--bits"),
         ((), {"ANOSOV_FORGE_BITS": "abc"}, "ANOSOV_FORGE_BITS"),
         ((), {"ANOSOV_FORGE_BITS": "8"}, "ANOSOV_FORGE_BITS"),
+        (("--max-den", "0"), {}, "--max-den"),
+        (("--max-den", "-3"), {}, "--max-den"),
+        (("--witness-cap", "0"), {}, "--witness-cap"),
+        (("--witness-cap", "-1"), {}, "--witness-cap"),
     ],
 )
 def test_bad_precision_setting_exit_three(argv, env, named):
@@ -397,3 +401,42 @@ def test_bad_precision_setting_exit_three(argv, env, named):
     assert proc.returncode == 3
     assert proc.stderr.startswith(f"error: {named} must be")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("option", ["max_den", "witness_cap"])
+def test_embedded_search_cap_below_one_exit_three(tmp_path, option):
+    # a max_den of 0 empties the p/q search of the proportionality test, so
+    # symplectic_pair would end undecided instead of not TNS
+    with open(fixture_path("symplectic_pair.json")) as fh:
+        doc = json.load(fh)
+    doc["options"] = {option: 0}
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps(doc))
+    proc = run_cli("analyze", str(p), "--json")
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: {p}: options.{option} must be a positive integer\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["chambers", "analyze"])
+def test_coplanar_normals_undecided_at_cap(tmp_path, command):
+    # (A, A - I, A(A - I)): the third class normal is the sum of the other
+    # two, so the 3 x 3 minor of classes (0, 1, 2) is exactly zero, which
+    # intervals cannot show; the enumerator names it instead of dropping cells
+    a, b = cartan_generators()
+    c = [[sum(a[i][m] * b[m][j] for m in range(3)) for j in range(3)] for i in range(3)]
+    doc = {
+        "schema_version": 1,
+        "kind": "torus",
+        "dim": 3,
+        "generators": [[v for row in g for v in row] for g in (a, b, c)],
+        "options": {"precision_cap_bits": 128},
+    }
+    p = tmp_path / "coplanar.json"
+    p.write_text(json.dumps(doc))
+    proc = run_cli(command, str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("undecided: PrecisionExhausted:")
+    assert "classes (0, 1, 2)" in proc.stderr
+    assert "128 bits" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,17 +1,20 @@
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import cartan_generators, fixture_path
+from conftest import cartan_generators, cartan_t4_generators, fixture_path
 
 from anosov_forge.actions import is_anosov_matrix, product_matrix, validate
 from anosov_forge.cli import load_action_file_with_options
 from anosov_forge.config import DEFAULT_CONFIG
 from anosov_forge.errors import NotAnosovAction, NotTNS, SingularElement
 from anosov_forge.freenil import free_nilpotent_lift
+from anosov_forge.lp import maximize
 from anosov_forge.report import audit_action
 from anosov_forge.weyl import (
     LyapunovFunctional,
@@ -230,6 +233,78 @@ def test_generic_rank2_lines_give_2n_chambers(n_lines, seed):
     chambers = weyl_chambers(classes, 2, CFG)
     assert len(chambers) == 2 * len(angles)
     assert len({ch.signs for ch in chambers}) == 2 * len(angles)
+
+
+def _cell_nonempty(rows, signs) -> bool:
+    """Reference: is there x with signs[i] * (rows[i] . x) > 0 for every i?
+    Exact LP: max t s.t. t <= signs[i] * rows[i] . x, |x_j| <= 1, t <= 1."""
+    k = len(rows[0])
+    cons, rhs = [], []
+    for row, s in zip(rows, signs):
+        cons.append([-s * v for v in row] + [1])
+        rhs.append(0)
+    for j in range(k):
+        for unit in (1, -1):
+            cons.append([unit if i == j else 0 for i in range(k)] + [0])
+            rhs.append(1)
+    cons.append([0] * k + [1])
+    rhs.append(1)
+    res = maximize([0] * k + [1], cons, rhs)
+    return res is not None and res[0] > 0
+
+
+@st.composite
+def planted_arrangements(draw):
+    """Rational normals in ranks 1-4 with planted degeneracies: negatively
+    proportional pairs, a normal in the plane of two others, normals that
+    span less than R^k, and zero coordinates."""
+    k = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    vecs = draw(st.lists(vec, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        vecs.append([-draw(st.integers(1, 3)) * v for v in vecs[0]])
+    if len(vecs) >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        vecs.append([a * x + b * y for x, y in zip(vecs[0], vecs[1])])
+    if k >= 2 and draw(st.booleans()):
+        vecs = [v[:-1] + [0] for v in vecs]
+    vecs = [v for v in vecs if any(v)]
+    assume(vecs)
+    return k, vecs
+
+
+@given(planted_arrangements())
+@settings(max_examples=60, deadline=None)
+def test_chambers_match_lp_reference(arrangement):
+    k, vecs = arrangement
+    classes = rational_classes(vecs)
+    rows = [[v.const for v in c.hyperplane_normal.values] for c in classes]
+    expected = {
+        signs
+        for signs in itertools.product((1, -1), repeat=len(rows))
+        if _cell_nonempty(rows, signs)
+    }
+    chambers = weyl_chambers(classes, k, CFG)
+    assert [ch.signs for ch in chambers] == sorted(expected, reverse=True)
+    for ch in chambers:
+        for cls, s in zip(classes, ch.signs):
+            assert cls.value_at(ch.witness).sign(CFG.precision_cap_bits) == s
+
+
+def test_cartan_t4_chambers_at_default_cap():
+    # the four normals sum to zero: the all-plus and all-minus cells are
+    # empty, which the positive circuit certifies at 64 bits
+    action = validate(list(cartan_t4_generators()), name="cartan-t4")
+    t0 = time.perf_counter()
+    classes = coarse_classes(lyapunov_data(action, CFG), CFG)
+    chambers = weyl_chambers(classes, 3, CFG)
+    assert time.perf_counter() - t0 < 30.0
+    assert len(chambers) == 14
+    assert len({ch.signs for ch in chambers}) == 14
+    assert (1,) * 4 not in {ch.signs for ch in chambers}
+    for ch in chambers:
+        for cls, s in zip(classes, ch.signs):
+            assert cls.value_at(ch.witness).sign(CFG.precision_cap_bits) == s
 
 
 # -- stable sets and splittings -------------------------------------------------

@@ -469,8 +469,8 @@ def _minor_sign(rows, config: ToolkitConfig, what: str) -> tuple[int, Fraction]:
     """Certified sign of the determinant of a square matrix of log-linear
     values, with the midpoint of the enclosure that decided it.
 
-    The minor is exactly 0 when its enclosure is [0, 0], when it is a single
-    entry that is exactly zero, or when its two rows are proportional.  Any
+    The minor is exactly 0 when its enclosure is [0, 0], when one of its
+    rows is exactly zero, or when two of its rows are proportional.  Any
     other minor refines up to the cap and then raises PrecisionExhausted."""
     bits, cap = config.initial_bits, config.precision_cap_bits
     while True:
@@ -480,15 +480,52 @@ def _minor_sign(rows, config: ToolkitConfig, what: str) -> tuple[int, Fraction]:
         if lo == hi == 0:
             return 0, Fraction(0)
         if bits == config.initial_bits:  # the exact zero tests, once
-            if len(rows) == 1 and rows[0][0].is_exactly_zero():
+            fs = [LyapunovFunctional(tuple(row), 1) for row in rows]
+            if any(f.is_zero_functional() for f in fs) or any(
+                _proportionality(f, g, config)[0] in ("pos", "neg")
+                for f, g in itertools.combinations(fs, 2)
+            ):
                 return 0, Fraction(0)
-            if len(rows) == 2:
-                f, g = (LyapunovFunctional(tuple(row), 1) for row in rows)
-                if _proportionality(f, g, config)[0] in ("pos", "neg"):
-                    return 0, Fraction(0)
         if bits >= cap:
             raise PrecisionExhausted(f"sign of {what} unresolved", cap)
         bits = min(2 * bits, cap)
+
+
+def _approx_row(f: LyapunovFunctional, bits: int, k: int) -> tuple[list[Fraction], Fraction]:
+    """Midpoints of f's values at `bits`, and k times the widest enclosure:
+    a bound on |mids . x - f(x)| over the unit box."""
+    mids, w = [], Fraction(0)
+    for v in f.values:
+        lo, hi = v.interval(bits)
+        mids.append((lo + hi) / 2)
+        w = max(w, hi - lo)
+    return mids, Fraction(k) * w
+
+
+def _feasible_signs(rows, widths, signs, k):
+    """Exact LP: is there x in the unit box with sign_m * (row_m . x) > width_m
+    for every assigned m?  Returns (margin, x) with margin > 0 iff certified.
+
+    Maximizes t subject to -sign_m * row_m . x + t <= -width_m, |x_i| <= 1
+    and t <= 1; this is the only LP, and only the fast-stable search
+    solves it."""
+    c = [Fraction(0)] * k + [Fraction(1)]
+    cons, cb = [], []
+    for row, w, s in zip(rows, widths, signs):
+        cons.append([-Fraction(s) * v for v in row] + [Fraction(1)])
+        cb.append(-w)
+    for i in range(k):
+        for unit in (1, -1):
+            e = [Fraction(0)] * (k + 1)
+            e[i] = Fraction(unit)
+            cons.append(e)
+            cb.append(Fraction(1))
+    cons.append([Fraction(0)] * k + [Fraction(1)])
+    cb.append(Fraction(1))
+    res = maximize(c, cons, cb)
+    if res is None:
+        return Fraction(-1), None
+    return res[0], res[1][:k]
 
 
 def weyl_chambers(
@@ -504,7 +541,8 @@ def weyl_chambers(
     vector and every vertex a cofactor vector even when the normals span
     less than R^k).  A sign vector is a chamber iff no signed circuit of the
     normals agrees with it or its negative on the circuit's support
-    (Gordan/Farkas); its witness is the sum of the vertices below it."""
+    (Gordan/Farkas); its witness is the sum of the vertices below it,
+    scaled to max norm 1 and rounded."""
     if not classes:
         raise NotAnosovAction("no coarse classes")
     k = rank if rank is not None else classes[0].rank
@@ -563,6 +601,8 @@ def weyl_chambers(
             if len(agree) == 1:
                 (o,) = agree
                 x = [xi + o * v for xi, v in zip(x, vec)]
+        top = max(abs(v) for v in x)
+        x = [v / top for v in x]
 
         def matches(w, cell=cell) -> bool:
             try:
@@ -721,43 +761,6 @@ def complementary_splitting(
         except (DegeneratePlane, PrecisionExhausted, WitnessSearchExhausted):
             continue
     raise DegeneratePlane("no generic plane found within retry budget")
-
-
-def _approx_row(f: LyapunovFunctional, bits: int, k: int) -> tuple[list[Fraction], Fraction]:
-    """Midpoints of f's values at `bits`, and k times the widest enclosure:
-    a bound on |mids . x - f(x)| over the unit box."""
-    mids, w = [], Fraction(0)
-    for v in f.values:
-        lo, hi = v.interval(bits)
-        mids.append((lo + hi) / 2)
-        w = max(w, hi - lo)
-    return mids, Fraction(k) * w
-
-
-def _feasible_signs(rows, widths, signs, k):
-    """Exact LP: is there x in the unit box with sign_m * (row_m . x) > width_m
-    for every assigned m?  Returns (margin, x) with margin > 0 iff certified.
-
-    Maximizes t subject to -sign_m * row_m . x + t <= -width_m, |x_i| <= 1
-    and t <= 1; this is the only LP, and only the fast-stable search
-    solves it."""
-    c = [Fraction(0)] * k + [Fraction(1)]
-    cons, cb = [], []
-    for row, w, s in zip(rows, widths, signs):
-        cons.append([-Fraction(s) * v for v in row] + [Fraction(1)])
-        cb.append(-w)
-    for i in range(k):
-        for unit in (1, -1):
-            e = [Fraction(0)] * (k + 1)
-            e[i] = Fraction(unit)
-            cons.append(e)
-            cb.append(Fraction(1))
-    cons.append([Fraction(0)] * k + [Fraction(1)])
-    cb.append(Fraction(1))
-    res = maximize(c, cons, cb)
-    if res is None:
-        return Fraction(-1), None
-    return res[0], res[1][:k]
 
 
 def fast_stable_element(

@@ -1,10 +1,12 @@
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from anosov_forge import linalg  # noqa: E402
 from anosov_forge.actions import validate  # noqa: E402
 from anosov_forge.config import DEFAULT_CONFIG  # noqa: E402
 
@@ -29,6 +31,22 @@ def cartan_t4_generators():
         [0, 0, -1, 6, 1, 0, -5, 29, -1, 1, -1, 1, 0, -1, 6, -31],
     ]
     return [[g[4 * r : 4 * r + 4] for r in range(4)] for g in flat]
+
+
+def symplectic_double(gens):
+    # diag(g, g^-T) for each generator: every Lyapunov functional of the
+    # action comes with its negative
+    m = len(gens[0])
+    out = []
+    for g in gens:
+        inv = linalg.inverse([[Fraction(v) for v in row] for row in g])
+        d = [[0] * (2 * m) for _ in range(2 * m)]
+        for i in range(m):
+            for j in range(m):
+                d[i][j] = g[i][j]
+                d[m + i][m + j] = int(inv[j][i])
+        out.append(d)
+    return out
 
 
 @pytest.fixture(scope="session")

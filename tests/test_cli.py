@@ -5,7 +5,12 @@ import sys
 
 import pytest
 
-from conftest import cartan_generators, fixture_path
+from conftest import (
+    cartan_generators,
+    cartan_t4_generators,
+    fixture_path,
+    symplectic_double,
+)
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -216,6 +221,27 @@ def _cartan_doc():
         return json.load(fh)
 
 
+def _torus_doc(gens, options=None):
+    doc = {
+        "schema_version": 1,
+        "kind": "torus",
+        "dim": len(gens[0]),
+        "generators": [[v for row in g for v in row] for g in gens],
+    }
+    if options:
+        doc["options"] = options
+    return doc
+
+
+def _coplanar_doc():
+    # (A, A - I, A(A - I)): the third class normal is the sum of the other
+    # two, so the 3 x 3 minor of classes (0, 1, 2) is exactly zero, which
+    # intervals cannot show; at a cap of 128 bits it ends undecided
+    a, b = cartan_generators()
+    c = [[sum(a[i][m] * b[m][j] for m in range(3)) for j in range(3)] for i in range(3)]
+    return _torus_doc([a, b, c], {"precision_cap_bits": 128})
+
+
 def test_options_block_applied(tmp_path):
     doc = _cartan_doc()
     doc["options"] = {"witness_cap": 5000, "seed": 7}
@@ -342,20 +368,17 @@ def test_analyze_batch_keeps_good_reports(jobs):
 
 
 def test_analyze_batch_cap_error_counts_two(tmp_path):
-    # with integer witnesses capped at 4 no chamber witness of cartan_t3 is
-    # found, which aborts that file's audit; in a batch it becomes an entry,
-    # exit 2
-    doc = _cartan_doc()
-    doc["options"] = {"witness_cap": 4}
-    p = tmp_path / "wcap4.json"
-    p.write_text(json.dumps(doc))
+    # the unsigned minor of the coplanar normals aborts that file's audit; in
+    # a batch it becomes an entry, exit 2
+    p = tmp_path / "coplanar.json"
+    p.write_text(json.dumps(_coplanar_doc()))
     proc = run_cli("analyze", fixture_path("cartan_t3.json"), str(p), "--json")
     assert proc.returncode == 2
     reports = json.loads(proc.stdout)["reports"]
     assert reports[0]["theorem_1_1_hypotheses"]["kind"] == "true"
     assert reports[1]["file"] == str(p)
-    assert reports[1]["error"].startswith("WitnessSearchExhausted: ")
-    assert proc.stderr.startswith(f"undecided: {p}: WitnessSearchExhausted: ")
+    assert reports[1]["error"].startswith("PrecisionExhausted: ")
+    assert proc.stderr.startswith(f"undecided: {p}: PrecisionExhausted: ")
 
 
 def test_analyze_cap_in_sign_step_gives_undecided_report(tmp_path):
@@ -420,23 +443,29 @@ def test_embedded_search_cap_below_one_exit_three(tmp_path, option):
 
 @pytest.mark.parametrize("command", ["chambers", "analyze"])
 def test_coplanar_normals_undecided_at_cap(tmp_path, command):
-    # (A, A - I, A(A - I)): the third class normal is the sum of the other
-    # two, so the 3 x 3 minor of classes (0, 1, 2) is exactly zero, which
-    # intervals cannot show; the enumerator names it instead of dropping cells
-    a, b = cartan_generators()
-    c = [[sum(a[i][m] * b[m][j] for m in range(3)) for j in range(3)] for i in range(3)]
-    doc = {
-        "schema_version": 1,
-        "kind": "torus",
-        "dim": 3,
-        "generators": [[v for row in g for v in row] for g in (a, b, c)],
-        "options": {"precision_cap_bits": 128},
-    }
+    # the enumerator names the unsigned minor instead of dropping cells
     p = tmp_path / "coplanar.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(json.dumps(_coplanar_doc()))
     proc = run_cli(command, str(p))
     assert proc.returncode == 2
     assert proc.stderr.startswith("undecided: PrecisionExhausted:")
     assert "classes (0, 1, 2)" in proc.stderr
     assert "128 bits" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_analyze_rank3_not_tns_exit_one(tmp_path):
+    # diag(g, g^-T) over cartan_t4: eight classes in negatively proportional
+    # pairs with irrational normals, so a minor holding a pair is exactly
+    # zero without a [0, 0] enclosure; it is not TNS, with all 14 chambers
+    gens = symplectic_double(cartan_t4_generators())
+    p = tmp_path / "double.json"
+    p.write_text(json.dumps(_torus_doc(gens, {"precision_cap_bits": 128})))
+    proc = run_cli("analyze", str(p), "--json")
+    assert proc.returncode == 1
+    rep = json.loads(proc.stdout)
+    assert rep["hypotheses"]["tns"]["kind"] == "false"
+    assert rep["hypotheses"]["anosov_in_every_chamber"]["kind"] == "true"
+    assert len(rep["arrangement"]["classes"]) == 8
+    assert len(rep["arrangement"]["chambers"]) == 14
+    assert proc.stderr == ""

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import cartan_generators, cartan_t4_generators, fixture_path
+from conftest import (
+    cartan_generators,
+    cartan_t4_generators,
+    fixture_path,
+    symplectic_double,
+)
 
 from anosov_forge.actions import is_anosov_matrix, product_matrix, validate
 from anosov_forge.cli import load_action_file_with_options
@@ -305,6 +310,30 @@ def test_cartan_t4_chambers_at_default_cap():
     for ch in chambers:
         for cls, s in zip(classes, ch.signs):
             assert cls.value_at(ch.witness).sign(CFG.precision_cap_bits) == s
+
+
+def test_symplectic_double_chambers_match_cartan_t4():
+    # diag(g, g^-T) has the hyperplanes of cartan_t4, each twice with
+    # opposite normals: minors holding such a pair are exactly zero with
+    # irrational entries, and the chambers are those of cartan_t4
+    quad = coarse_classes(
+        lyapunov_data(validate(list(cartan_t4_generators()), name="t4"), CFG), CFG
+    )
+    double = validate(symplectic_double(cartan_t4_generators()), name="t4-double")
+    classes = coarse_classes(lyapunov_data(double, CFG), CFG)
+    assert len(classes) == 8
+    assert is_tns(classes, CFG)[0].kind == "false"
+    cap = CFG.precision_cap_bits
+    expected = {
+        tuple(c.value_at(ch.witness).sign(cap) for c in classes)
+        for ch in weyl_chambers(quad, 3, CFG)
+    }
+    chambers = weyl_chambers(classes, 3, CFG)
+    assert {ch.signs for ch in chambers} == expected
+    assert len(chambers) == 14
+    for ch in chambers:
+        for cls, s in zip(classes, ch.signs):
+            assert cls.value_at(ch.witness).sign(cap) == s
 
 
 # -- stable sets and splittings -------------------------------------------------

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
+from functools import lru_cache
 
 from . import linalg
 from .errors import NonCommuting, NotInvariant, NotUnimodular, ShapeMismatch
-from .intpoly import IntPolynomial, factor_cached, poly_gcd
+from .intpoly import IntPolynomial, factor_cached, squarefree_part
 from .linalg import Mat
 
 
@@ -105,19 +104,33 @@ def minimal_polynomial(a: Mat | list) -> IntPolynomial:
 
 
 def is_semisimple(action: ValidatedAction) -> bool:
-    """True iff every generator's minimal polynomial is squarefree over Q."""
-    for g in action.generator_mats():
-        mp = minimal_polynomial(g)
-        if poly_gcd(mp, mp.derivative()).degree > 0:
-            return False
-    return True
+    """True iff every generator's minimal polynomial is squarefree over Q,
+    that is iff its eigen-span E(A) = ker prod P_i(A) is all of Q^d."""
+    return all(
+        rational_primary_decomposition(g)[1].dimension == action.dim
+        for g in action.generators
+    )
+
+
+def _frozen(a) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(v) for v in row) for row in a)
 
 
 def rational_primary_decomposition(
     a: Mat | list,
-) -> tuple[list[tuple[IntPolynomial, int, RationalSubspace]], RationalSubspace]:
-    """Primary components ker P_i(A)^{d_i} and the eigen-span E(A) = ker prod P_i(A)."""
-    m = linalg.to_mat(a)
+) -> tuple[tuple[tuple[IntPolynomial, int, RationalSubspace], ...], RationalSubspace]:
+    """Primary components ker P_i(A)^{d_i} and the eigen-span E(A) = ker prod P_i(A).
+
+    Computed once per matrix; the result is immutable and shared.
+    """
+    return _primary_decomposition(_frozen(a))
+
+
+@lru_cache(maxsize=256)
+def _primary_decomposition(
+    a: tuple[tuple[Fraction, ...], ...],
+) -> tuple[tuple[tuple[IntPolynomial, int, RationalSubspace], ...], RationalSubspace]:
+    m = [list(row) for row in a]
     n = len(m)
     char = linalg.charpoly(m)
     parts = []
@@ -133,16 +146,17 @@ def rational_primary_decomposition(
         kernel = linalg.nullspace(power)
         parts.append((factor, mult, RationalSubspace.from_vectors(kernel)))
     e_a = RationalSubspace.from_vectors(linalg.nullspace(prod_eval))
-    return parts, e_a
+    return tuple(parts), e_a
 
 
 def semisimple_part(a: Mat) -> Mat:
-    """Jordan-Chevalley semisimple summand, computed by Newton iteration in Q[A]."""
-    mp = minimal_polynomial(a)
-    sqf = poly_gcd(mp, mp.derivative())
-    if sqf.degree == 0:
-        return [row[:] for row in a]
-    m0 = IntPolynomial.from_sympy(sympy.div(mp.to_sympy(), sqf.to_sympy())[0]).primitive()
+    """Jordan-Chevalley semisimple summand, computed by Newton iteration in Q[A].
+
+    The iteration runs on m0, the product of the distinct irreducible
+    factors of the characteristic polynomial (the squarefree part of the
+    minimal polynomial); A is semisimple iff m0(A) = 0.
+    """
+    m0 = squarefree_part(linalg.charpoly(a))
     s = [row[:] for row in a]
     deriv = m0.derivative()
     for _ in range(len(a).bit_length() + 2):
@@ -224,61 +238,61 @@ def invariant_complement(
     return RationalSubspace.from_vectors(kernel)
 
 
-def joint_primary_components(action: ValidatedAction) -> list[dict]:
+@dataclass(frozen=True)
+class PrimaryComponent:
+    """A joint primary component: its ambient basis, the restrictions of all
+    generators in that basis, and one (factor, multiplicity) label per
+    generator refined so far."""
+
+    basis: tuple[tuple[Fraction, ...], ...]
+    mats: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    labels: tuple[tuple[IntPolynomial, int], ...]
+
+
+@lru_cache(maxsize=64)
+def joint_primary_components(action: ValidatedAction) -> tuple[PrimaryComponent, ...]:
     """Simultaneous primary decomposition, refining one generator at a time.
 
-    Returns dicts with keys: basis (ambient vectors), mats (restrictions of
-    all generators), labels (list of (factor, multiplicity) per generator).
+    Computed once per action; the result is immutable and shared.
     """
-    mats = action.generator_mats()
     d = action.dim
-    comps = [
-        {
-            "basis": [list(row) for row in linalg.identity(d)],
-            "mats": mats,
-            "labels": [],
-        }
-    ]
+    identity = _frozen(linalg.identity(d))
+    comps = [PrimaryComponent(identity, tuple(_frozen(g) for g in action.generators), ())]
     for gi in range(action.rank):
         refined = []
         for comp in comps:
-            b = comp["mats"][gi]
-            parts, _ = rational_primary_decomposition(b)
+            parts, _ = rational_primary_decomposition(comp.mats[gi])
             for factor, mult, sub in parts:
                 local = sub.basis_vectors()
                 # ambient basis of the refined component
-                ambient = [
-                    [
-                        sum(comp["basis"][t][j] * v[t] for t in range(len(v)))
+                ambient = tuple(
+                    tuple(
+                        sum(comp.basis[t][j] * v[t] for t in range(len(v)))
                         for j in range(d)
-                    ]
+                    )
                     for v in local
-                ]
-                new_mats = [
-                    linalg.restrict_to_invariant(m, local) for m in comp["mats"]
-                ]
+                )
+                new_mats = tuple(
+                    _frozen(linalg.restrict_to_invariant(m, local))
+                    for m in comp.mats
+                )
                 refined.append(
-                    {
-                        "basis": ambient,
-                        "mats": new_mats,
-                        "labels": comp["labels"] + [(factor, mult)],
-                    }
+                    PrimaryComponent(ambient, new_mats, comp.labels + ((factor, mult),))
                 )
         comps = refined
-    return comps
+    return tuple(comps)
 
 
-def is_totally_reducible(action: ValidatedAction) -> tuple[bool, list[dict] | None]:
+def is_totally_reducible(
+    action: ValidatedAction,
+) -> tuple[bool, tuple[PrimaryComponent, ...] | None]:
     """Totally reducible <=> semisimple; returns a witness decomposition when true.
 
     The witness is the joint primary component list; each component is
     invariant under every generator and they span Q^d.
     """
-    mats = action.generator_mats()
-    for g in mats:
-        _, e_a = rational_primary_decomposition(g)
-        if e_a.dimension != action.dim:
-            return False, None
+    if not is_semisimple(action):
+        return False, None
     return True, joint_primary_components(action)
 
 

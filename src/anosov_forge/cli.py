@@ -206,7 +206,15 @@ def _config_from_args(args, file_options: dict | None = None) -> ToolkitConfig:
         kwargs["seed"] = args.seed
     if getattr(args, "witness_cap", None) is not None:
         kwargs["witness_cap"] = args.witness_cap
-    return dataclasses.replace(cfg, **kwargs) if kwargs else cfg
+    cfg = dataclasses.replace(cfg, **kwargs) if kwargs else cfg
+    # the refinement loops run from initial_bits up to the cap, so a start
+    # above the cap would end undecided without refining at all
+    bits = getattr(args, "bits", None)
+    if bits is not None and bits > cfg.precision_cap_bits:
+        raise InputError(
+            f"--bits {bits} exceeds the precision cap of {cfg.precision_cap_bits} bits"
+        )
+    return cfg
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -1,7 +1,9 @@
 """Dense integer polynomials and exact Sturm-chain root counting.
 
 Coefficients are stored lowest degree first.  Factorisation, gcds and
-resultants are delegated to sympy over ZZ/QQ; the Sturm machinery is done
+general resultants are delegated to sympy over ZZ/QQ.  Polynomials of
+images of roots (pair products here, q(root) in `weyl`) come from power
+sums by Newton's identities in integers.  The Sturm machinery is done
 directly on integer coefficient lists so that sign counts stay exact.
 Signs at rational points come from `sign_at`, one integer Horner pass with
 no `Fraction` arithmetic.
@@ -180,15 +182,58 @@ def resultant_y(p: IntPolynomial, other: sympy.Expr) -> IntPolynomial:
     return IntPolynomial.from_sympy(sympy.Poly(sympy.expand(r), _y))
 
 
+def scaled_monic(p: IntPolynomial) -> tuple[int, ...]:
+    """lc^(d-1) p(x/lc): monic with integer coefficients, and its roots are
+    lc times the roots of p (lc the leading coefficient, d >= 1 the degree)."""
+    d, lc = p.degree, p.leading
+    return tuple(c * lc ** (d - 1 - i) for i, c in enumerate(p.coeffs[:-1])) + (1,)
+
+
+def power_sums(monic: Sequence[int], n: int) -> list[int]:
+    """Power sums t_0..t_n of the roots of a monic integer polynomial,
+    with multiplicity, by Newton's identities."""
+    d = len(monic) - 1
+    e = monic[::-1]  # e[i] is the coefficient of x^(d-i)
+    t = [d]
+    for k in range(1, n + 1):
+        acc = k * e[k] if k <= d else 0
+        for i in range(1, min(k - 1, d) + 1):
+            acc += e[i] * t[k - i]
+        t.append(-acc)
+    return t
+
+
+def poly_from_power_sums(sums: Sequence[int], scale: int) -> IntPolynomial:
+    """Primitive polynomial of the D = len(sums) - 1 numbers theta, given
+    the power sums sums[k] of scale*theta (integers, since scale*theta are
+    algebraic integers).  Newton's identities give the monic polynomial of
+    scale*theta, whose integer coefficients are scaled back."""
+    big_d = len(sums) - 1
+    e = [1]
+    for k in range(1, big_d + 1):
+        acc = sums[k]
+        for i in range(1, k):
+            acc += e[i] * sums[k - i]
+        q, r = divmod(-acc, k)
+        assert r == 0, "power sums of non-integral values"
+        e.append(q)
+    # prod (y - scale*theta) = sum e[k] y^(D-k), with y = scale*x
+    coeffs, power = [], 1
+    for j in range(big_d + 1):
+        coeffs.append(e[big_d - j] * power)
+        power *= scale
+    return IntPolynomial(coeffs).primitive()
+
+
 def pair_product_poly(p: IntPolynomial) -> IntPolynomial:
     """Polynomial whose roots are all products of ordered pairs of roots of p.
 
     Contains lambda * conj(lambda) = |lambda|^2 for every root lambda since
-    integer polynomials are conjugation closed.
+    integer polynomials are conjugation closed.  The d^2 products r*s have
+    power sums (sum r^k)^2 (Bostan-Flajolet-Salvy-Schost).
     """
-    d = p.degree
-    expr = sum(c * _y**i * _x ** (d - i) for i, c in enumerate(p.coeffs))
-    return resultant_y(p, expr).primitive()
+    t = power_sums(scaled_monic(p), p.degree**2)
+    return poly_from_power_sums([v * v for v in t], p.leading**2)
 
 
 def power_poly(p: IntPolynomial, n: int) -> IntPolynomial:

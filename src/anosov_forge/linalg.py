@@ -202,14 +202,23 @@ def charpoly_rational(a: Mat) -> tuple[IntPolynomial, list[Fraction]]:
 
 
 def poly_at_matrix(p: IntPolynomial, a: Mat) -> Mat:
+    """p(A), by Horner in integers: A = B/den with B integral, and
+    den^deg p(A) = sum c_k den^(deg-k) B^k."""
     n = len(a)
-    out = zeros(n, n)
-    acc = identity(n)
-    for c in p.coeffs:
+    if p.is_zero:
+        return zeros(n, n)
+    den = math.lcm(*(Fraction(x).denominator for row in a for x in row))
+    b = [[int(x * den) for x in row] for row in a]
+    cols = list(zip(*b))
+    h = [[p.leading * (i == j) for j in range(n)] for i in range(n)]
+    scale = 1
+    for c in reversed(p.coeffs[:-1]):
+        scale *= den
+        h = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in h]
         if c:
-            out = mat_add(out, mat_scale(acc, Fraction(c)))
-        acc = mat_mul(acc, a)
-    return out
+            for i in range(n):
+                h[i][i] += c * scale
+    return [[Fraction(x, scale) for x in row] for row in h]
 
 
 def columns(a: Mat) -> list[Vec]:

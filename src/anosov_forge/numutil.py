@@ -2,6 +2,9 @@
 
 Everything here returns rational (Fraction) bounds that provably contain the
 true value; mpmath supplies fast approximations, the certification is exact.
+Root disks use the Newton inclusion radius d*|f(z)/f'(z)|, evaluated exactly
+at the mpmath approximations, which are computed only a few dozen bits past
+the requested accuracy; square roots are rounded on the requested grid.
 """
 
 from __future__ import annotations
@@ -30,35 +33,15 @@ def mpf_to_fraction(v) -> Fraction:
     return _raw_mpf_to_fraction(v._mpf_)
 
 
-def sqrt_bounds(v: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(v) <= hi, reasonably tight."""
+def sqrt_bounds(v: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Rational lo <= sqrt(v) <= hi on the grid 2^-bits, so hi - lo <= 2^-bits."""
     if v < 0:
         raise ValueError("negative radicand")
     if v == 0:
         return Fraction(0), Fraction(0)
-    # integer sqrt of scaled value gives directed bounds
-    scale = 1 << 128
-    n = (v.numerator * scale * scale) // v.denominator
-    r = math.isqrt(n)
-    lo = Fraction(r, scale)
-    hi = Fraction(r + 1, scale)
-    return lo, hi
-
-
-def nth_root_upper(v: Fraction, n: int) -> Fraction:
-    """Rational u with u >= v^(1/n), v >= 0."""
-    if v == 0:
-        return Fraction(0)
-    with mpmath.workprec(64):
-        approx = mpmath.root(
-            mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator), n
-        )
-    guess = mpf_to_fraction(approx) * Fraction((1 << 32) + 1, 1 << 32)
-    if guess <= 0:
-        guess = Fraction(1)
-    while guess**n < v:
-        guess *= Fraction((1 << 20) + 1, 1 << 20)
-    return guess
+    # integer sqrt of the scaled value gives directed bounds
+    r = math.isqrt((v.numerator << (2 * bits)) // v.denominator)
+    return Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
 
 
 def log_interval(lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -93,45 +76,73 @@ def certified_root_disks(
 
     The polynomial must be squarefree.  Each disk provably contains exactly
     one root; radii are at most 2^-bits.  Deterministic for fixed inputs.
+
+    A disk of radius d*|f(z)/f'(z)| around any z holds a root of the
+    degree-d polynomial f (Newton's inclusion bound), so d pairwise
+    disjoint such disks hold exactly one root each.
     """
     p = IntPolynomial(coeffs)
     d = p.degree
     if d < 1:
         return ()
-    lc = abs(p.leading)
-    prec = max(64, 4 * bits)
+    dcoeffs = p.derivative().coeffs
+    # absolute accuracy 2^-bits needs the roots' size and log d on top
+    size = max(abs(c) for c in coeffs[:-1]) // abs(p.leading) + 2
+    guard = size.bit_length() + 2 * d.bit_length() + 16
+    prec, extra = bits + guard, guard
     target = Fraction(1, 1 << bits)
-    while True:
+    while prec <= 1 << 22:
         with mpmath.workprec(prec):
-            roots = mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(p.coeffs)],
-                maxsteps=200,
-                extraprec=prec,
-            )
-        disks = []
-        for z in roots:
-            re = mpf_to_fraction(z.real)
-            im = mpf_to_fraction(z.imag)
-            # |f(z)| >= (min distance to a root)^d * |lc|, so the nearest
-            # root lies within (|f(z)|/|lc|)^(1/d) of z
-            fre, fim = _eval_complex(p, re, im)
-            mag2 = Fraction(fre * fre + fim * fim, lc * lc)
-            radius = nth_root_upper(mag2, 2 * d)
-            disks.append((re, im, radius))
-        ok = all(r <= target for _, _, r in disks) and _pairwise_disjoint(disks)
-        if ok:
-            disks.sort(key=lambda t: (t[0], t[1]))
-            return tuple(disks)
-        prec *= 2
-        if prec > 1 << 22:
-            raise RuntimeError("root refinement failed to converge")
+            try:
+                # roots 2^-k apart need about k extra bits to converge
+                roots = mpmath.polyroots(
+                    [mpmath.mpf(c) for c in reversed(coeffs)],
+                    maxsteps=200,
+                    extraprec=extra,
+                )
+            except mpmath.mp.NoConvergence:
+                roots = None
+        if roots is not None:
+            disks = []
+            for z in roots:
+                re = mpf_to_fraction(z.real)
+                im = mpf_to_fraction(z.imag)
+                radius = _newton_radius(coeffs, dcoeffs, re, im, prec)
+                if radius is None or radius > target:
+                    break
+                disks.append((re, im, radius))
+            else:
+                if _pairwise_disjoint(disks):
+                    disks.sort(key=lambda t: (t[0], t[1]))
+                    return tuple(disks)
+        prec, extra = 2 * prec, 2 * extra
+    raise RuntimeError("root refinement failed to converge")
 
 
-def _eval_complex(p: IntPolynomial, re: Fraction, im: Fraction):
-    are, aim = Fraction(0), Fraction(0)
-    for c in reversed(p.coeffs):
-        are, aim = are * re - aim * im + c, are * im + aim * re
-    return are, aim
+def _newton_radius(
+    coeffs: tuple[int, ...], dcoeffs: tuple[int, ...], re: Fraction, im: Fraction, grid: int
+) -> Fraction | None:
+    """Upper bound on d*|f(z)/f'(z)| on the grid 2^-grid, or None if f'(z) = 0.
+
+    z = (a + ib)/2^s is dyadic, so 2^(s*deg) f(z) is a Gaussian integer.
+    """
+    s = max(re.denominator.bit_length(), im.denominator.bit_length()) - 1
+    a = re.numerator << (s - re.denominator.bit_length() + 1)
+    b = im.numerator << (s - im.denominator.bit_length() + 1)
+
+    def scaled_norm(cs):
+        fr, fi = cs[-1], 0
+        for k, c in enumerate(reversed(cs[:-1]), start=1):
+            fr, fi = fr * a - fi * b + (c << (s * k)), fr * b + fi * a
+        return fr * fr + fi * fi
+
+    d = len(coeffs) - 1
+    fd2 = scaled_norm(dcoeffs)
+    if not fd2:
+        return None
+    # (d|f|/|f'|)^2 = d^2 |F|^2 / (|F'|^2 4^s) with F = 2^(s d) f(z)
+    n = ((d * d * scaled_norm(coeffs)) << (2 * grid)) // (fd2 << (2 * s))
+    return Fraction(math.isqrt(n) + 1, 1 << grid)
 
 
 def _pairwise_disjoint(disks) -> bool:
@@ -146,11 +157,12 @@ def _pairwise_disjoint(disks) -> bool:
 
 
 def modulus_squared_bounds(
-    re: Fraction, im: Fraction, radius: Fraction
+    re: Fraction, im: Fraction, radius: Fraction, bits: int
 ) -> tuple[Fraction, Fraction]:
-    """Enclosure of |z|^2 over the disk around (re, im)."""
+    """Enclosure of |z|^2 over the disk around (re, im); the centre's
+    modulus is rounded on the grid 2^-bits."""
     c2 = re * re + im * im
-    c_lo, c_hi = sqrt_bounds(c2)
+    c_lo, c_hi = sqrt_bounds(c2, bits)
     lo = max(Fraction(0), c_lo - radius)
     hi = c_hi + radius
     return lo * lo, hi * hi

@@ -110,10 +110,10 @@ def audit_action(
         if witness is None
         else [
             {
-                "dimension": len(comp["basis"]),
+                "dimension": len(comp.basis),
                 "labels": [
                     [frac_str(c) for c in factor.coeffs]
-                    for factor, _ in comp["labels"]
+                    for factor, _ in comp.labels
                 ],
             }
             for comp in witness

@@ -27,10 +27,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from . import linalg
-from .actions import ValidatedAction, joint_primary_components, semisimple_part
+from .actions import (
+    PrimaryComponent,
+    ValidatedAction,
+    joint_primary_components,
+    semisimple_part,
+)
 from .config import DEFAULT_CONFIG, ToolkitConfig
 from .errors import (
     DegeneratePlane,
@@ -42,7 +45,15 @@ from .errors import (
     UndecidedProportionality,
     WitnessSearchExhausted,
 )
-from .intpoly import IntPolynomial, factor_cached, squarefree_part, pair_product_poly
+from .intpoly import (
+    IntPolynomial,
+    factor_cached,
+    pair_product_poly,
+    poly_from_power_sums,
+    power_sums,
+    scaled_monic,
+    squarefree_part,
+)
 from .logval import LogLinearValue
 from .lp import maximize
 from .numutil import certified_root_disks, modulus_squared_bounds, sqrt_bounds
@@ -182,22 +193,46 @@ def _cyclic_generator(semis: list) -> tuple[list, list[list[Fraction]]]:
 
 
 def _image_poly(p: IntPolynomial, q: list[Fraction]) -> IntPolynomial:
-    """Integer polynomial whose roots include {q(r) : p(r) = 0}."""
-    x, y = sympy.symbols("x y")
-    qx = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(q))
-    r = sympy.resultant(p.to_sympy(x).as_expr(), y - qx, x)
-    return IntPolynomial.from_sympy(sympy.Poly(sympy.expand(r), y))
+    """Primitive polynomial of {q(r) : p(r) = 0}, with multiplicity.
+
+    Its power sums are the traces of q(C)^k for C the companion matrix of
+    p, computed in Z[u]/(m) with u = lc*x and m the scaled monic p: there
+    Q(u) = den * lc^e * q(x) has integer coefficients, and the trace of u^j
+    is the j-th power sum of the roots of m.
+    """
+    d, lc = p.degree, p.leading
+    e = len(q) - 1
+    den = math.lcm(*(c.denominator for c in q))
+    big_q = [c.numerator * (den // c.denominator) * lc ** (e - t) for t, c in enumerate(q)]
+    m = scaled_monic(p)
+    traces = power_sums(m, d - 1)
+    sums, h = [d], [1]
+    for _ in range(d):
+        prod = [0] * (len(h) + len(big_q) - 1)
+        for i, a in enumerate(h):
+            if a:
+                for j, b in enumerate(big_q):
+                    prod[i + j] += a * b
+        # reduce modulo the monic m from the top
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = prod[k]
+            if c:
+                for i in range(d):
+                    prod[k - d + i] -= c * m[i]
+        h = prod[:d]
+        sums.append(sum(a * b for a, b in zip(h, traces)))
+    return poly_from_power_sums(sums, den * lc**e)
 
 
 def _eval_poly_on_disk(
-    q: list[Fraction], re: Fraction, im: Fraction, rad: Fraction
+    q: list[Fraction], re: Fraction, im: Fraction, rad: Fraction, bits: int
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Rigorous disk enclosure of q(z) over the disk around re + i*im."""
     are, aim = Fraction(0), Fraction(0)
     for c in reversed(q):
         are, aim = are * re - aim * im + c, are * im + aim * re
     # |q(z) - q(center)| <= rad * sum_t t |q_t| R^(t-1), R >= |center| + rad
-    _, chi = sqrt_bounds(re * re + im * im)
+    _, chi = sqrt_bounds(re * re + im * im, bits)
     big_r = chi + rad
     deriv_bound = sum(
         Fraction(t) * abs(c) * big_r ** (t - 1) for t, c in enumerate(q) if t
@@ -216,12 +251,13 @@ def _msq_enclosure(p: IntPolynomial, base_disk, q: list[Fraction]):
 
     def enclosure(bits: int) -> tuple[Fraction, Fraction]:
         lo = hi = None
-        for re, im, rad in certified_root_disks(p.coeffs, max(bits, 64)):
+        bits = max(bits, 64)
+        for re, im, rad in certified_root_disks(p.coeffs, bits):
             d2 = (re - bre) ** 2 + (im - bim) ** 2
             if d2 > (rad + brad) ** 2:
                 continue
-            gre, gim, grad = _eval_poly_on_disk(q, re, im, rad)
-            a, b = modulus_squared_bounds(gre, gim, grad)
+            gre, gim, grad = _eval_poly_on_disk(q, re, im, rad, bits)
+            a, b = modulus_squared_bounds(gre, gim, grad, bits)
             lo = a if lo is None else min(lo, a)
             hi = b if hi is None else max(hi, b)
         assert lo is not None
@@ -231,9 +267,9 @@ def _msq_enclosure(p: IntPolynomial, base_disk, q: list[Fraction]):
 
 
 def _component_functionals(
-    comp: dict, origin: int, config: ToolkitConfig
+    comp: PrimaryComponent, origin: int, config: ToolkitConfig
 ) -> list[tuple[tuple[RealAlgebraic, ...], int]]:
-    semis = [semisimple_part(b) for b in comp["mats"]]
+    semis = [semisimple_part(linalg.to_mat(b)) for b in comp.mats]
     cyc, qs = _cyclic_generator(semis)
     cp, _ = linalg.charpoly_rational(cyc)
     out = []

@@ -315,7 +315,7 @@ def msq_intervals(p: IntPolynomial, bits: int):
     out = []
     for factor, mult in factor_rational(p):
         for re, im, rad in certified_root_disks(factor.coeffs, bits):
-            out.extend([modulus_squared_bounds(re, im, rad)] * mult)
+            out.extend([modulus_squared_bounds(re, im, rad, bits)] * mult)
     return sorted(out)
 
 

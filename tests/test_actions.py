@@ -19,6 +19,7 @@ from anosov_forge.actions import (
     validate,
 )
 from anosov_forge.errors import NonCommuting, NotUnimodular, ShapeMismatch
+from anosov_forge.intpoly import poly_gcd
 
 CAT = [[2, 1], [1, 1]]
 JORDAN = [[1, 1], [0, 1]]
@@ -69,7 +70,7 @@ def test_semisimple_part_annihilates_nilpotent():
 
 def test_joint_primary_components_span(cartan_action):
     comps = joint_primary_components(cartan_action)
-    assert sum(len(c["basis"]) for c in comps) == cartan_action.dim
+    assert sum(len(c.basis) for c in comps) == cartan_action.dim
 
 
 def test_totally_reducible_matches_semisimple(cartan_action):
@@ -150,3 +151,64 @@ def test_primary_decomposition_dimensions_sum(m):
 @settings(max_examples=40, deadline=None)
 def test_anosov_invariant_under_inversion(m):
     assert is_anosov_matrix(m) == is_anosov_matrix(linalg.inverse(m))
+
+
+# blocks with unit determinant; the last three are not semisimple
+_BLOCKS = [
+    [[2, 1], [1, 1]],
+    [[0, -1], [1, 3]],
+    [[-1]],
+    [[1, 1], [0, 1]],
+    [[-1, 1], [0, -1]],
+    [[0, -1, 1, 0], [1, 3, 0, 1], [0, 0, 0, -1], [0, 0, 1, 3]],
+]
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(row)] = row
+        at += len(b)
+    return out
+
+
+@st.composite
+def commuting_tuples(draw):
+    """Generators diag(+-B_1^e_1, ..., +-B_k^e_k) over one list of blocks,
+    conjugated by one unimodular matrix: they commute, and a generator is
+    semisimple iff no Jordan-type block has a nonzero exponent."""
+    picks = draw(st.lists(st.integers(0, len(_BLOCKS) - 1), min_size=1, max_size=3))
+    blocks = [_BLOCKS[i] for i in picks]
+    n = sum(len(b) for b in blocks)
+    u = linalg.identity(n)
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        e = linalg.identity(n)
+        e[i][j] = Fraction(draw(st.integers(-2, 2)))
+        u = linalg.mat_mul(u, e)
+    u_inv = linalg.inverse(u)
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        parts = []
+        for b in blocks:
+            sign = draw(st.sampled_from([1, -1]))
+            power = linalg.mat_pow(linalg.to_mat(b), draw(st.integers(-2, 2)))
+            parts.append([[sign * v for v in row] for row in power])
+        g = linalg.mat_mul(linalg.mat_mul(u, linalg.to_mat(_block_diagonal(parts))), u_inv)
+        gens.append([[int(v) for v in row] for row in g])
+    return gens
+
+
+@given(commuting_tuples())
+@settings(max_examples=40, deadline=None)
+def test_is_semisimple_matches_squarefree_minimal_polynomial(gens):
+    action = validate(gens)
+    expected = all(
+        poly_gcd(mp, mp.derivative()).degree == 0
+        for mp in (minimal_polynomial(linalg.to_mat(g)) for g in gens)
+    )
+    assert is_semisimple(action) == expected
+    assert is_totally_reducible(action)[0] == expected

@@ -314,6 +314,45 @@ def test_env_precision_override():
 
 
 @pytest.mark.parametrize(
+    "bits, env, options, cap",
+    [
+        ("8192", {}, None, 4096),
+        ("8192", {"ANOSOV_FORGE_BITS": "4096"}, None, 4096),
+        ("256", {}, {"precision_cap_bits": 128}, 128),
+        ("8192", {"ANOSOV_FORGE_BITS": "16384"}, {"precision_cap_bits": 128}, 128),
+    ],
+)
+def test_bits_above_cap_exit_three(tmp_path, bits, env, options, cap):
+    # no refinement loop runs when the start lies above the cap, so this is
+    # an input error, not an undecided verdict; an embedded cap wins over
+    # the environment
+    doc = _cartan_doc()
+    if options:
+        doc["options"] = options
+    p = tmp_path / "bits.json"
+    p.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "anosov_forge.cli", "analyze", str(p), "--bits", bits],
+        capture_output=True, text=True, env=dict(os.environ, **env),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        f"error: --bits {bits} exceeds the precision cap of {cap} bits\n"
+    )
+    assert proc.stdout == ""
+
+
+def test_bits_at_cap_accepted(tmp_path):
+    doc = _cartan_doc()
+    doc["options"] = {"precision_cap_bits": 128}
+    p = tmp_path / "bits.json"
+    p.write_text(json.dumps(doc))
+    proc = run_cli("analyze", str(p), "--bits", "128", "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["config"]["initial_bits"] == 128
+
+
+@pytest.mark.parametrize(
     "argv",
     [("chambers",), ("normal-forms", "--element=1,0")],
 )

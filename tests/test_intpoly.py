@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from anosov_forge.intpoly import (
     sturm_count,
 )
 from anosov_forge.errors import EndpointRoot
+from anosov_forge.weyl import _image_poly
 
 X2_MINUS_2 = IntPolynomial((-2, 0, 1))
 FIB = IntPolynomial((-1, -1, 1))  # x^2 - x - 1
@@ -154,3 +156,51 @@ def test_sturm_count_raises_at_endpoint_root():
     with pytest.raises(EndpointRoot):
         sturm_count(p, Fraction(-3), Fraction(-1))
     assert sturm_count(p, Fraction(-2), Fraction(2)) == 2
+
+
+# -- composed polynomials from power sums --------------------------------------
+
+
+def _resultant_reference(p: IntPolynomial, other) -> IntPolynomial:
+    """Res_x(p(x), other(x, y)) by sympy, as a primitive polynomial in y."""
+    x, y = sympy.symbols("x y")
+    r = sympy.resultant(p.to_sympy(x).as_expr(), other(x, y), x)
+    return IntPolynomial.from_sympy(sympy.Poly(sympy.expand(r), y)).primitive()
+
+
+@st.composite
+def integer_polys(draw):
+    """Degree 1..8, leading coefficient not always +-1, and a repeated
+    factor in about a third of the draws."""
+    lead = draw(st.sampled_from([1, -1, 2, -3, 5]))
+    if draw(st.integers(0, 2)) == 0:
+        f = IntPolynomial(draw(st.lists(st.integers(-4, 4), min_size=1, max_size=2)) + [lead])
+        g = IntPolynomial(draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)) + [1])
+        return f * f * g
+    return IntPolynomial(draw(st.lists(st.integers(-6, 6), min_size=1, max_size=8)) + [lead])
+
+
+@given(integer_polys())
+@settings(max_examples=40, deadline=None)
+def test_pair_product_poly_matches_resultant(p):
+    d = p.degree
+    reference = _resultant_reference(
+        p, lambda x, y: sum(c * y**i * x ** (d - i) for i, c in enumerate(p.coeffs))
+    )
+    assert pair_product_poly(p) == reference
+
+
+@given(
+    integer_polys(),
+    st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=1, max_size=9
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_image_poly_matches_resultant(p, q):
+    reference = _resultant_reference(
+        p,
+        lambda x, y: y
+        - sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(q)),
+    )
+    assert _image_poly(p, q) == reference

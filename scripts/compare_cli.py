@@ -1,6 +1,6 @@
 """Compare the command line of two source trees byte for byte.
 
-    python3 scripts/compare_cli.py OLD_SRC NEW_SRC [--jobs N] [--list]
+    python3 scripts/compare_cli.py OLD_SRC NEW_SRC
 
 Runs a fixed corpus of CLI calls twice, once with PYTHONPATH=OLD_SRC and
 once with PYTHONPATH=NEW_SRC, each call in a fresh interpreter, and
@@ -13,9 +13,10 @@ four torus fixtures, `normal-forms` on the spectrum fixture; `analyze
 --json` and `chambers` on the seeded spectral pairs of perfbench seeds 1-4,
 on cartan_t4 (embedded 128-bit cap and default cap), the dependent pair
 (A, A^2), the coplanar action (A, A - I, A(A - I)) and one seeded rank-3
-action; `normal-forms --element` on chamber elements of cartan_t3 and of a
-fixed degree-4 pair.  Inputs come from perfbench/inputs.py and are written
-to a temporary directory that both trees read.
+action; the `normal-forms --element` calls of the perfbench `subresonance`
+workload, with the JSON on stdout.  Inputs come from perfbench/inputs.py
+and perfbench/run.py and are written to a temporary directory that both
+trees read.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ import random
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "fixtures")
 TORUS_FIXTURES = ("cartan_t3", "fibonacci", "example82", "symplectic_pair")
 SEEDS = (1, 2, 3, 4)
-# the seeded pairs of the perfbench `spectral` workload
-SPECTRAL_PAIRS = {4: 7, 5: 2, 6: 1, 7: 1, 8: 1}
 RUNNER = "import sys\nfrom anosov_forge.cli import main\nsys.exit(main(sys.argv[1:]))"
 
 
@@ -50,6 +48,7 @@ def corpus(work: str) -> list[list[str]]:
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import inputs
+    import run as bench
 
     calls: list[list[str]] = []
     for name in TORUS_FIXTURES:
@@ -73,7 +72,7 @@ def corpus(work: str) -> list[list[str]]:
         calls.extend([["analyze", path, "--json"], ["chambers", path]])
 
     for seed in SEEDS:
-        for action in inputs.spectral_actions(random.Random(seed), SPECTRAL_PAIRS):
+        for action in inputs.spectral_actions(random.Random(seed), bench.SPECTRAL_PAIRS):
             both(f"s{seed}-{action.name}", action.document())
     t4 = inputs.cartan_t4()
     both("cartan-t4-cap128", t4.document())
@@ -88,18 +87,13 @@ def corpus(work: str) -> list[list[str]]:
     for action in inputs.rank3_actions(random.Random(1), 1):
         both(f"s1-{action.name}", action.document())
 
-    pair = inputs.polynomial_action(
-        "nf-pair-d4", inputs.random_unit_polynomial(random.Random(0), 4), [[0, 1], [-1, 1]]
-    )
-    for action, count in ((inputs.cartan_t3(), 6), (pair, 4)):
-        path = _write(work, action.name, action.document())
-        for b in inputs.chamber_elements(action, count):
-            tag = ",".join(map(str, b))
-            calls.append(["normal-forms", path, f"--element={tag}", "--json"])
+    for op in bench.subresonance_ops(random.Random(0), work):
+        if any(a.startswith("--element=") for a in op.argv):
+            calls.append(op.argv[: op.argv.index("--json") + 1])  # JSON to stdout
     return calls
 
 
-def run(src: str, argv: list[str], work: str) -> tuple[int, bytes, bytes]:
+def run_cli(src: str, argv: list[str], work: str) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     env.pop("ANOSOV_FORGE_BITS", None)
     proc = subprocess.run(
@@ -112,8 +106,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src")
     ap.add_argument("new_src")
-    ap.add_argument("--jobs", type=int, default=2, help="calls run at once")
-    ap.add_argument("--list", action="store_true", help="print the corpus and exit")
     args = ap.parse_args(argv)
     old, new = (os.path.abspath(p) for p in (args.old_src, args.new_src))
     for src in (old, new):
@@ -122,17 +114,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="compare-cli-") as work:
         calls = corpus(work)
-        if args.list:
-            for c in calls:
-                print(" ".join(c))
-            return 0
-
-        def compare(argv: list[str]) -> bool:
-            return run(old, argv, work) == run(new, argv, work)
-
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            same = list(pool.map(compare, calls))
-    differ = [c for c, ok in zip(calls, same) if not ok]
+        differ = [c for c in calls if run_cli(old, c, work) != run_cli(new, c, work)]
     for c in differ:
         print("differs:", " ".join(c))
     print(f"{len(calls) - len(differ)} of {len(calls)} calls byte-identical")

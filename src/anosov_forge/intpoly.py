@@ -1,9 +1,10 @@
 """Dense integer polynomials and exact Sturm-chain root counting.
 
-Coefficients are stored lowest degree first.  Factorisation, gcds and
-general resultants are delegated to sympy over ZZ/QQ.  Polynomials of
-images of roots (pair products here, q(root) in `weyl`) come from power
-sums by Newton's identities in integers.  The Sturm machinery is done
+Coefficients are stored lowest degree first.  Factorisation and gcds are
+delegated to sympy over ZZ/QQ.  Composed polynomials, whose roots are
+products r*s, powers r^n or images q(r) of roots, come from power sums by
+Newton's identities in integers; `resultant_y` computes the same
+polynomials by a sympy resultant, as a reference.  The Sturm machinery is done
 directly on integer coefficient lists so that sign counts stay exact.
 Signs at rational points come from `sign_at`, one integer Horner pass with
 no `Fraction` arithmetic.
@@ -225,29 +226,64 @@ def poly_from_power_sums(sums: Sequence[int], scale: int) -> IntPolynomial:
     return IntPolynomial(coeffs).primitive()
 
 
+def composed_product_poly(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """Polynomial with roots {r*s : p(r) = 0, q(s) = 0}, with multiplicity.
+
+    The products (lc_p r)(lc_q s) of the roots of the scaled monic
+    polynomials have power sums s_k(p) s_k(q) (Bostan-Flajolet-Salvy-Schost).
+    """
+    big_d = p.degree * q.degree
+    sp = power_sums(scaled_monic(p), big_d)
+    sq = power_sums(scaled_monic(q), big_d)
+    return poly_from_power_sums([a * b for a, b in zip(sp, sq)], p.leading * q.leading)
+
+
 def pair_product_poly(p: IntPolynomial) -> IntPolynomial:
     """Polynomial whose roots are all products of ordered pairs of roots of p.
 
     Contains lambda * conj(lambda) = |lambda|^2 for every root lambda since
-    integer polynomials are conjugation closed.  The d^2 products r*s have
-    power sums (sum r^k)^2 (Bostan-Flajolet-Salvy-Schost).
+    integer polynomials are conjugation closed.
     """
-    t = power_sums(scaled_monic(p), p.degree**2)
-    return poly_from_power_sums([v * v for v in t], p.leading**2)
+    return composed_product_poly(p, p)
 
 
 def power_poly(p: IntPolynomial, n: int) -> IntPolynomial:
-    """Polynomial with roots {r^n : p(r) = 0}, n >= 1."""
-    if n == 1:
-        return p.primitive()
-    return resultant_y(p, _y - _x**n).primitive()
+    """Polynomial with roots {r^n : p(r) = 0}, n >= 1: the k-th power sum
+    of (lc r)^n is the (n k)-th power sum of lc r."""
+    t = power_sums(scaled_monic(p), n * p.degree)
+    return poly_from_power_sums(t[::n], p.leading**n)
 
 
-def composed_product_poly(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Polynomial with roots {r*s : p(r) = 0, q(s) = 0}."""
-    d = q.degree
-    expr = sum(c * _y**i * _x ** (d - i) for i, c in enumerate(q.coeffs))
-    return resultant_y(p, expr).primitive()
+def image_poly(p: IntPolynomial, q: Sequence[Fraction]) -> IntPolynomial:
+    """Primitive polynomial of {q(r) : p(r) = 0}, with multiplicity.
+
+    Its power sums are the traces of q(C)^k for C the companion matrix of
+    p, computed in Z[u]/(m) with u = lc*x and m the scaled monic p: there
+    Q(u) = den * lc^e * q(x) has integer coefficients, and the trace of u^j
+    is the j-th power sum of the roots of m.
+    """
+    d, lc = p.degree, p.leading
+    e = len(q) - 1
+    den = math.lcm(*(c.denominator for c in q))
+    big_q = [c.numerator * (den // c.denominator) * lc ** (e - t) for t, c in enumerate(q)]
+    m = scaled_monic(p)
+    traces = power_sums(m, d - 1)
+    sums, h = [d], [1]
+    for _ in range(d):
+        prod = [0] * (len(h) + len(big_q) - 1)
+        for i, a in enumerate(h):
+            if a:
+                for j, b in enumerate(big_q):
+                    prod[i + j] += a * b
+        # reduce modulo the monic m from the top
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = prod[k]
+            if c:
+                for i in range(d):
+                    prod[k - d + i] -= c * m[i]
+        h = prod[:d]
+        sums.append(sum(a * b for a, b in zip(h, traces)))
+    return poly_from_power_sums(sums, den * lc**e)
 
 
 def inverse_poly(p: IntPolynomial) -> IntPolynomial:

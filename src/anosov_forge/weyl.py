@@ -48,10 +48,8 @@ from .errors import (
 from .intpoly import (
     IntPolynomial,
     factor_cached,
+    image_poly,
     pair_product_poly,
-    poly_from_power_sums,
-    power_sums,
-    scaled_monic,
     squarefree_part,
 )
 from .logval import LogLinearValue
@@ -192,38 +190,6 @@ def _cyclic_generator(semis: list) -> tuple[list, list[list[Fraction]]]:
     raise RuntimeError("no cyclic generator found for semisimple algebra")
 
 
-def _image_poly(p: IntPolynomial, q: list[Fraction]) -> IntPolynomial:
-    """Primitive polynomial of {q(r) : p(r) = 0}, with multiplicity.
-
-    Its power sums are the traces of q(C)^k for C the companion matrix of
-    p, computed in Z[u]/(m) with u = lc*x and m the scaled monic p: there
-    Q(u) = den * lc^e * q(x) has integer coefficients, and the trace of u^j
-    is the j-th power sum of the roots of m.
-    """
-    d, lc = p.degree, p.leading
-    e = len(q) - 1
-    den = math.lcm(*(c.denominator for c in q))
-    big_q = [c.numerator * (den // c.denominator) * lc ** (e - t) for t, c in enumerate(q)]
-    m = scaled_monic(p)
-    traces = power_sums(m, d - 1)
-    sums, h = [d], [1]
-    for _ in range(d):
-        prod = [0] * (len(h) + len(big_q) - 1)
-        for i, a in enumerate(h):
-            if a:
-                for j, b in enumerate(big_q):
-                    prod[i + j] += a * b
-        # reduce modulo the monic m from the top
-        for k in range(len(prod) - 1, d - 1, -1):
-            c = prod[k]
-            if c:
-                for i in range(d):
-                    prod[k - d + i] -= c * m[i]
-        h = prod[:d]
-        sums.append(sum(a * b for a, b in zip(h, traces)))
-    return poly_from_power_sums(sums, den * lc**e)
-
-
 def _eval_poly_on_disk(
     q: list[Fraction], re: Fraction, im: Fraction, rad: Fraction, bits: int
 ) -> tuple[Fraction, Fraction, Fraction]:
@@ -277,7 +243,7 @@ def _component_functionals(
         if p.degree < 1:
             continue
         cands = [
-            squarefree_part(pair_product_poly(squarefree_part(_image_poly(p, q))))
+            squarefree_part(pair_product_poly(squarefree_part(image_poly(p, q))))
             for q in qs
         ]
         for disk in certified_root_disks(p.coeffs, config.initial_bits):

@@ -8,17 +8,19 @@ from hypothesis import strategies as st
 from anosov_forge.intpoly import (
     IntPolynomial,
     cauchy_root_bound,
+    composed_product_poly,
     factor_rational,
+    image_poly,
     inverse_poly,
     isolate_real_roots,
     pair_product_poly,
     power_poly,
+    resultant_y,
     sign_at,
     squarefree_part,
     sturm_count,
 )
 from anosov_forge.errors import EndpointRoot
-from anosov_forge.weyl import _image_poly
 
 X2_MINUS_2 = IntPolynomial((-2, 0, 1))
 FIB = IntPolynomial((-1, -1, 1))  # x^2 - x - 1
@@ -164,8 +166,13 @@ def test_sturm_count_raises_at_endpoint_root():
 def _resultant_reference(p: IntPolynomial, other) -> IntPolynomial:
     """Res_x(p(x), other(x, y)) by sympy, as a primitive polynomial in y."""
     x, y = sympy.symbols("x y")
-    r = sympy.resultant(p.to_sympy(x).as_expr(), other(x, y), x)
-    return IntPolynomial.from_sympy(sympy.Poly(sympy.expand(r), y)).primitive()
+    return resultant_y(p, other(x, y)).primitive()
+
+
+def _homogenised(q: IntPolynomial):
+    """(x, y) -> x^deg q(y / x): its resultant with p has roots r*s."""
+    d = q.degree
+    return lambda x, y: sum(c * y**i * x ** (d - i) for i, c in enumerate(q.coeffs))
 
 
 @st.composite
@@ -183,11 +190,19 @@ def integer_polys(draw):
 @given(integer_polys())
 @settings(max_examples=40, deadline=None)
 def test_pair_product_poly_matches_resultant(p):
-    d = p.degree
-    reference = _resultant_reference(
-        p, lambda x, y: sum(c * y**i * x ** (d - i) for i, c in enumerate(p.coeffs))
-    )
-    assert pair_product_poly(p) == reference
+    assert pair_product_poly(p) == _resultant_reference(p, _homogenised(p))
+
+
+@given(integer_polys(), integer_polys())
+@settings(max_examples=30, deadline=None)
+def test_composed_product_poly_matches_resultant(p, q):
+    assert composed_product_poly(p, q) == _resultant_reference(p, _homogenised(q))
+
+
+@given(integer_polys(), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_power_poly_matches_resultant(p, n):
+    assert power_poly(p, n) == _resultant_reference(p, lambda x, y: y - x**n)
 
 
 @given(
@@ -203,4 +218,4 @@ def test_image_poly_matches_resultant(p, q):
         lambda x, y: y
         - sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(q)),
     )
-    assert _image_poly(p, q) == reference
+    assert image_poly(p, q) == reference

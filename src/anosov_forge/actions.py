@@ -76,33 +76,6 @@ def validate(generators, name: str = "") -> ValidatedAction:
     )
 
 
-def minimal_polynomial(a: Mat | list) -> IntPolynomial:
-    """Least-degree monic-up-to-content integer polynomial killing the matrix."""
-    m = linalg.to_mat(a)
-    char = linalg.charpoly(m)
-    result = IntPolynomial([1])
-    for factor, mult in factor_cached(char):
-        if factor.degree < 1:
-            continue
-        # exponent in the minimal polynomial = smallest e at which the rank
-        # of factor(A)^e stabilises
-        base = linalg.poly_at_matrix(factor, m)
-        e = 1
-        power = base
-        prev_rank = linalg.rank(power)
-        while e < mult:
-            nxt = linalg.mat_mul(power, base)
-            nrank = linalg.rank(nxt)
-            if nrank == prev_rank:
-                break
-            power, prev_rank, e = nxt, nrank, e + 1
-        piece = factor
-        for _ in range(e - 1):
-            piece = piece * factor
-        result = result * piece
-    return result.primitive()
-
-
 def is_semisimple(action: ValidatedAction) -> bool:
     """True iff every generator's minimal polynomial is squarefree over Q,
     that is iff its eigen-span E(A) = ker prod P_i(A) is all of Q^d."""

@@ -51,14 +51,23 @@ class HallBasis:
         return lo, lo + self.degree_dimensions()[degree - 1]
 
 
+def _mobius(n: int) -> int:
+    """Moebius function, by trial division."""
+    out, q = 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            out = -out
+        q += 1
+    return -out if n > 1 else out
+
+
 def witt_dimension(d: int, m: int) -> int:
     """Dimension of the degree-m component of the free Lie algebra on d
     generators: (1/m) sum_{e | m} mu(e) d^(m/e)."""
-    import sympy
-
-    total = sum(
-        int(sympy.mobius(e)) * d ** (m // e) for e in range(1, m + 1) if m % e == 0
-    )
+    total = sum(_mobius(e) * d ** (m // e) for e in range(1, m + 1) if m % e == 0)
     assert total % m == 0
     return total // m
 

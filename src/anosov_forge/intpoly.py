@@ -1,13 +1,14 @@
 """Dense integer polynomials and exact Sturm-chain root counting.
 
-Coefficients are stored lowest degree first.  Factorisation and gcds are
-delegated to sympy over ZZ/QQ.  Composed polynomials, whose roots are
-products r*s, powers r^n or images q(r) of roots, come from power sums by
-Newton's identities in integers; `resultant_y` computes the same
-polynomials by a sympy resultant, as a reference.  The Sturm machinery is done
-directly on integer coefficient lists so that sign counts stay exact.
-Signs at rational points come from `sign_at`, one integer Horner pass with
-no `Fraction` arithmetic.
+Coefficients are stored lowest degree first.  Gcds are primitive
+pseudo-remainder sequences over Z; factorisation over Q is Zassenhaus's
+(zassenhaus.py), on the squarefree part.  Composed polynomials, whose roots
+are products r*s, powers r^n or images q(r) of roots, come from power sums
+by Newton's identities in integers; `resultant_y` computes the same
+polynomials by a sympy resultant, as a reference for tests.  The Sturm
+machinery is done directly on integer coefficient lists so that sign counts
+stay exact.  Signs at rational points come from `sign_at`, one integer
+Horner pass with no `Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import sympy
-from sympy.abc import x as _x, y as _y
-
 from .errors import EndpointRoot
+from .zassenhaus import exact_quotient, factor_squarefree, gcd_mod
 
 
 def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -118,18 +117,6 @@ class IntPolynomial:
                 parts.append(f"{c}*x^{i}" if i else f"{c}")
         return " + ".join(parts)
 
-    # -- sympy bridge ------------------------------------------------------
-    def to_sympy(self, sym=_x) -> sympy.Poly:
-        return sympy.Poly(list(reversed(self.coeffs)) or [0], sym, domain="ZZ")
-
-    @classmethod
-    def from_sympy(cls, poly) -> "IntPolynomial":
-        p = sympy.Poly(poly, _x) if not isinstance(poly, sympy.Poly) else poly
-        p = p.as_poly(p.gens[0])
-        coeffs = [sympy.Rational(c) for c in p.all_coeffs()]
-        den = math.lcm(*[int(c.q) for c in coeffs]) if coeffs else 1
-        return cls([int(c * den) for c in reversed(coeffs)])
-
 
 def sign_at(coeffs: Sequence[int], x) -> int:
     """Sign of the polynomial with these coefficients at the rational x.
@@ -147,24 +134,87 @@ def sign_at(coeffs: Sequence[int], x) -> int:
     return (acc > 0) - (acc < 0)
 
 
+# a prime for the coprimality test of poly_gcd
+_GCD_PRIME = (1 << 61) - 1
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) * a mod b, in Z[x]."""
+    n, lc = len(b) - 1, b[-1]
+    r = list(a)
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r[k]
+        r = [x * lc for x in r[:k]]
+        if c:
+            for i in range(n):
+                r[k - n + i] -= c * b[i]
+    return list(_strip(r))
+
+
+def _coprime_mod_prime(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True when a and b are coprime modulo _GCD_PRIME, which does not
+    divide lc(a): then they are coprime over Q."""
+    p = _GCD_PRIME
+    bp = list(_strip([c % p for c in b]))
+    if a[-1] % p == 0 or not bp:
+        return False
+    return len(gcd_mod([c % p for c in a], bp, p)) == 1
+
+
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Q, returned with integer coefficients."""
-    g = sympy.gcd(p.to_sympy(), q.to_sympy())
-    return IntPolynomial.from_sympy(g).primitive()
+    """Primitive gcd over Q with a positive leading coefficient, by the
+    primitive pseudo-remainder sequence; a gcd of 1 modulo a large prime
+    ends it at once."""
+    a, b = p.primitive().coeffs, q.primitive().coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return IntPolynomial(a)
+    if _coprime_mod_prime(a, b):
+        return IntPolynomial([1])
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _pseudo_remainder(a, b)
+        if b:
+            g = math.gcd(*b)
+            b = [c // g for c in b]
+    return IntPolynomial(a).primitive()
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     g = poly_gcd(p, p.derivative())
     if g.degree <= 0:
         return p.primitive()
-    q, _ = sympy.div(p.to_sympy(), g.to_sympy())
-    return IntPolynomial.from_sympy(q).primitive()
+    return IntPolynomial(exact_quotient(p.coeffs, g.coeffs)).primitive()
 
 
 def factor_rational(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Irreducible factorisation over Q (primitive integer factors)."""
-    _, factors = p.to_sympy().factor_list()
-    return [(IntPolynomial.from_sympy(f).primitive(), int(m)) for f, m in factors]
+    """Irreducible factorisation over Q: primitive integer factors with
+    positive leading coefficients and their multiplicities, sorted by
+    degree, then multiplicity, then the coefficients from the top down (the
+    order of sympy's factor_list)."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no factorisation")
+    whole = p.primitive()
+    v, f = whole.shift_down()
+    out = [((0, 1), v)] if v else []
+    if f.degree >= 1:
+        sf = squarefree_part(f)
+        for g in factor_squarefree(list(sf.coeffs)):
+            mult = 1
+            if sf != f:
+                rest = exact_quotient(f.coeffs, g)
+                while (rest := exact_quotient(rest, g)) is not None:
+                    mult += 1
+            out.append((tuple(g), mult))
+    out.sort(key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
+    factors = [(IntPolynomial(c), m) for c, m in out]
+    product = IntPolynomial([1])
+    for g, m in factors:
+        for _ in range(m):
+            product = product * g
+    assert product == whole, "factorisation does not multiply back"
+    return factors
 
 
 @lru_cache(maxsize=4096)
@@ -177,10 +227,17 @@ def factor_cached(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     return [(IntPolynomial(c), m) for c, m in _factor_cached(p.coeffs)]
 
 
-def resultant_y(p: IntPolynomial, other: sympy.Expr) -> IntPolynomial:
-    """Res_x(p(x), other(x, y)) as an integer polynomial in y."""
-    r = sympy.resultant(p.to_sympy(_x).as_expr(), other, _x)
-    return IntPolynomial.from_sympy(sympy.Poly(sympy.expand(r), _y))
+def resultant_y(p: IntPolynomial, other) -> IntPolynomial:
+    """Res_x(p(x), other(x, y)) as an integer polynomial in y, for a sympy
+    expression `other`; sympy is imported here, for the reference tests."""
+    import sympy
+    from sympy.abc import x, y
+
+    px = sympy.Poly(list(reversed(p.coeffs)) or [0], x).as_expr()
+    r = sympy.Poly(sympy.expand(sympy.resultant(px, other, x)), y)
+    coeffs = [sympy.Rational(c) for c in reversed(r.all_coeffs())]
+    den = math.lcm(*(int(c.q) for c in coeffs))
+    return IntPolynomial(int(c * den) for c in coeffs)
 
 
 def scaled_monic(p: IntPolynomial) -> tuple[int, ...]:
@@ -238,13 +295,24 @@ def composed_product_poly(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return poly_from_power_sums([a * b for a, b in zip(sp, sq)], p.leading * q.leading)
 
 
-def pair_product_poly(p: IntPolynomial) -> IntPolynomial:
-    """Polynomial whose roots are all products of ordered pairs of roots of p.
+def pair_product_parts(p: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """Polynomials of the squares r_i^2 and of the cross products r_i r_j
+    (i < j) of the roots of p, with multiplicity.
 
-    Contains lambda * conj(lambda) = |lambda|^2 for every root lambda since
-    integer polynomials are conjugation closed.
+    Their roots hold lambda * conj(lambda) = |lambda|^2 for every root
+    lambda, since integer polynomials are conjugation closed.  With S_k the
+    power sums of the scaled roots lc*r, the squares have power sums S_2k
+    and the cross products (S_k^2 - S_2k)/2.
     """
-    return composed_product_poly(p, p)
+    d = p.degree
+    big_d = d * (d - 1) // 2
+    s = power_sums(scaled_monic(p), max(2 * d, 2 * big_d))
+    scale = p.leading**2
+    squares = poly_from_power_sums(s[: 2 * d + 1 : 2], scale)
+    cross = poly_from_power_sums(
+        [(s[k] * s[k] - s[2 * k]) // 2 for k in range(big_d + 1)], scale
+    )
+    return squares, cross
 
 
 def power_poly(p: IntPolynomial, n: int) -> IntPolynomial:

@@ -1,11 +1,13 @@
-"""Exact linear algebra over Q (lists of lists of Fraction)."""
+"""Exact linear algebra over Q (lists of lists of Fraction).
+
+Characteristic polynomials come from Berkowitz's division-free algorithm
+(Inf. Proc. Lett. 18, 1984) on the integer matrix den * A.
+"""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import sympy
 
 from .intpoly import IntPolynomial
 
@@ -170,6 +172,33 @@ def mat_pow(a: Mat, n: int) -> Mat:
     return out
 
 
+def _berkowitz(b: list[list[int]]) -> list[int]:
+    """Coefficients of det(x I - B), highest degree first, for an integer
+    matrix B.  The leading r x r blocks B_r are taken in turn: with R the
+    row and C the column that border B_r and a the corner, the polynomial
+    of B_(r+1) is the lower triangular Toeplitz matrix of
+    (1, -a, -R C, -R B_r C, ..., -R B_r^(r-1) C) times that of B_r."""
+    poly = [1]
+    for r in range(len(b)):
+        row, col = b[r][:r], [b[i][r] for i in range(r)]
+        toeplitz = [1, -b[r][r]]
+        for _ in range(r):
+            toeplitz.append(-sum(x * y for x, y in zip(row, col)))
+            col = [sum(x * y for x, y in zip(b[i][:r], col)) for i in range(r)]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
+            for i in range(r + 2)
+        ]
+    return poly
+
+
+def _scaled_charpoly(a: Mat) -> tuple[list[int], int]:
+    """(e, den): det(x I - A) = sum_k e[k] den^-k x^(n-k), with den the
+    common denominator of A and e from Berkowitz on den * A."""
+    den = math.lcm(*(Fraction(x).denominator for row in a for x in row))
+    return _berkowitz([[int(x * den) for x in row] for row in a]), den
+
+
 def charpoly(a: Mat) -> IntPolynomial:
     """Characteristic polynomial; must have integer coefficients.
 
@@ -177,12 +206,14 @@ def charpoly(a: Mat) -> IntPolynomial:
     invariant rational subspaces (monic rational divisors of integer monic
     polynomials are integral).
     """
-    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a])
-    poly = m.charpoly()
-    coeffs = list(reversed(poly.all_coeffs()))
-    if any(sympy.Rational(c).q != 1 for c in coeffs):
-        raise ValueError("characteristic polynomial is not integral")
-    return IntPolynomial([int(c) for c in coeffs])
+    e, den = _scaled_charpoly(a)
+    coeffs = []
+    for k, c in enumerate(e):
+        q, r = divmod(c, den**k)
+        if r:
+            raise ValueError("characteristic polynomial is not integral")
+        coeffs.append(q)
+    return IntPolynomial(reversed(coeffs))
 
 
 def charpoly_rational(a: Mat) -> tuple[IntPolynomial, list[Fraction]]:
@@ -192,13 +223,12 @@ def charpoly_rational(a: Mat) -> tuple[IntPolynomial, list[Fraction]]:
     integer polynomial with the same roots and multiplicities (denominators
     cleared).
     """
-    m = sympy.Matrix(
-        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a]
-    )
-    coeffs = [sympy.Rational(c) for c in reversed(m.charpoly().all_coeffs())]
-    fracs = [Fraction(int(c.p), int(c.q)) for c in coeffs]
-    den = math.lcm(*[f.denominator for f in fracs])
-    return IntPolynomial([int(f * den) for f in fracs]).primitive(), fracs
+    e, den = _scaled_charpoly(a)
+    n = len(e) - 1
+    fracs = [Fraction(c, den**k) for k, c in enumerate(e)][::-1]
+    # den^n det(x I - A) = sum_k e[k] den^(n-k) x^(n-k)
+    ints = [c * den ** (n - k) for k, c in enumerate(e)][::-1]
+    return IntPolynomial(ints).primitive(), fracs
 
 
 def poly_at_matrix(p: IntPolynomial, a: Mat) -> Mat:

@@ -4,24 +4,25 @@ has_unit_modulus_root decides whether some complex root of p has modulus
 one: roots on the unit circle come in reciprocal pairs, so they are roots of
 gcd(p, reciprocal p); after stripping x = +-1 that gcd is palindromic, and
 x + 1/x maps its unit-circle roots onto real roots in [-2, 2], which a Sturm
-count detects.
+count detects.  Everything is exact integer polynomial arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
 from .intpoly import IntPolynomial, poly_gcd, squarefree_part, sturm_count
 
 
 def _strip_unit_factors(g: IntPolynomial) -> IntPolynomial:
+    """Divide out every factor x - 1 and x + 1, by synthetic division."""
     for root in (1, -1):
-        lin = IntPolynomial([-root, 1])
-        while g.degree >= 1 and g(Fraction(root)) == 0:
-            q, _ = sympy.div(g.to_sympy(), lin.to_sympy())
-            g = IntPolynomial.from_sympy(q)
+        while g.degree >= 1 and g(root) == 0:
+            quotient, acc = [], 0
+            for c in reversed(g.coeffs[1:]):
+                acc = acc * root + c
+                quotient.append(acc)
+            g = IntPolynomial(reversed(quotient))
     return g
 
 

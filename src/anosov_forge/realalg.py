@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import PrecisionExhausted
 from .intpoly import (
@@ -69,7 +69,7 @@ class RealAlgebraic:
     @classmethod
     def from_enclosure(
         cls,
-        candidates: IntPolynomial,
+        candidates: IntPolynomial | Sequence[IntPolynomial],
         enclosure: Callable[[int], tuple[Fraction, Fraction]],
         start_bits: int = 64,
         cap_bits: int = 1 << 20,
@@ -78,9 +78,12 @@ class RealAlgebraic:
 
         `enclosure(bits)` must return a rational interval that always contains
         the target value, with width shrinking as bits grows; the target must
-        be a root of `candidates`.
+        be a root of `candidates`, a polynomial or a sequence of them (whose
+        irreducible factors are then taken once each).
         """
-        factors = [f for f, _ in factor_cached(candidates)]
+        if isinstance(candidates, IntPolynomial):
+            candidates = (candidates,)
+        factors = list(dict.fromkeys(f for c in candidates for f, _ in factor_cached(c)))
         bits = start_bits
         while bits <= cap_bits:
             lo, hi = enclosure(bits)

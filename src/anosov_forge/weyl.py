@@ -49,7 +49,7 @@ from .intpoly import (
     IntPolynomial,
     factor_cached,
     image_poly,
-    pair_product_poly,
+    pair_product_parts,
     squarefree_part,
 )
 from .logval import LogLinearValue
@@ -160,30 +160,47 @@ def _cyclic_generator(semis: list) -> tuple[list, list[list[Fraction]]]:
     with every generator a polynomial in C; returns (C, poly coefficients).
 
     A generic linear combination works because the algebra is etale over Q.
+    The coefficients q of s = q(C) solve q(C) e_j = s e_j, stacked for
+    e_1, e_2, ... until the Krylov vectors C^i e_j span Q^m: one m x m
+    system when e_1 is a cyclic vector of C.  That is enough, since s
+    commutes with C: q(C) p(C) e_j = p(C) s e_j = s p(C) e_j for every p.
     """
     m = len(semis[0])
 
     def try_candidate(c):
-        pows = [linalg.identity(m)]
-        for _ in range(m - 1):
-            pows.append(linalg.mat_mul(pows[-1], c))
-        cols = [[p[i][j] for p in pows] for i in range(m) for j in range(m)]
+        # Krylov vectors of the integer matrix B = den*C: B^i e_j = den^i C^i e_j
+        den = math.lcm(*(x.denominator for row in c for x in row))
+        b = [[int(x * den) for x in row] for row in c]
+        rows: list[list[Fraction]] = []
+        rhs: list[list[Fraction]] = [[] for _ in semis]
+        krylov: list[list[int]] = []
+        for j in range(m):
+            vecs = [[int(i == j) for i in range(m)]]
+            for _ in range(m - 1):
+                vecs.append([sum(x * y for x, y in zip(row, vecs[-1])) for row in b])
+            rows += [[Fraction(v[i]) for v in vecs] for i in range(m)]
+            for r, s in zip(rhs, semis):
+                r += [s[i][j] for i in range(m)]
+            krylov += vecs
+            if linalg.rank(linalg.to_mat(krylov)) == m:
+                break
         qs = []
-        for s in semis:
-            rhs = [s[i][j] for i in range(m) for j in range(m)]
-            sol = linalg.solve([list(row) for row in cols], rhs)
+        for r in rhs:
+            sol = linalg.solve(rows, r)
             if sol is None:
                 return None
-            qs.append(sol)
+            qs.append([x * den**i for i, x in enumerate(sol)])
         return qs
 
-    candidates = list(semis)
-    for t in range(1, 64):
-        acc = semis[0]
-        for i, s in enumerate(semis[1:], start=1):
-            acc = linalg.mat_add(acc, linalg.mat_scale(s, Fraction(t**i)))
-        candidates.append(acc)
-    for c in candidates:
+    def candidates():
+        yield from semis
+        for t in range(1, 64):
+            acc = semis[0]
+            for i, s in enumerate(semis[1:], start=1):
+                acc = linalg.mat_add(acc, linalg.mat_scale(s, Fraction(t**i)))
+            yield acc
+
+    for c in candidates():
         qs = try_candidate(c)
         if qs is not None:
             return c, qs
@@ -242,10 +259,7 @@ def _component_functionals(
     for p, mult in factor_cached(cp):
         if p.degree < 1:
             continue
-        cands = [
-            squarefree_part(pair_product_poly(squarefree_part(image_poly(p, q))))
-            for q in qs
-        ]
+        cands = [pair_product_parts(squarefree_part(image_poly(p, q))) for q in qs]
         for disk in certified_root_disks(p.coeffs, config.initial_bits):
             msqs = tuple(
                 RealAlgebraic.from_enclosure(
@@ -663,6 +677,14 @@ def _plane_witness(
     return _integer_scale(vec, cap)
 
 
+def _vanishes(value: LogLinearValue, config: ToolkitConfig) -> bool:
+    """Exact zero test, run only when the enclosure at the initial precision
+    holds 0: a value that separates from 0 there never builds the product
+    of algebraic powers that the exact test multiplies out."""
+    lo, hi = value.interval(config.initial_bits)
+    return lo <= 0 <= hi and value.is_exactly_zero()
+
+
 def complementary_splitting(
     classes: list[CoarseClass],
     target: CoarseClass,
@@ -689,7 +711,7 @@ def complementary_splitting(
             for cls in classes:
                 gx = cls.value_at(p)
                 gy = cls.value_at(q)
-                if gx.is_exactly_zero() and gy.is_exactly_zero():
+                if _vanishes(gx, config) and _vanishes(gy, config):
                     raise DegeneratePlane("class vanishes on the plane")
                 traces.append((gx, gy))
             t = target.index

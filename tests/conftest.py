@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 from fractions import Fraction
@@ -66,3 +67,26 @@ def config():
 
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
+
+
+# -- sympy references ------------------------------------------------------------
+# sympy is a test dependency: the command line never imports it.
+
+
+def to_sympy(p):
+    """An IntPolynomial as a sympy Poly in x over ZZ."""
+    import sympy
+
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], sympy.Symbol("x"), domain="ZZ")
+
+
+def from_sympy(poly):
+    """A sympy Poly with rational coefficients as an IntPolynomial, with the
+    denominators cleared."""
+    import sympy
+
+    from anosov_forge.intpoly import IntPolynomial
+
+    coeffs = [sympy.Rational(c) for c in poly.all_coeffs()]
+    den = math.lcm(*[int(c.q) for c in coeffs]) if coeffs else 1
+    return IntPolynomial([int(c * den) for c in reversed(coeffs)])

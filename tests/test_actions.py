@@ -12,17 +12,37 @@ from anosov_forge.actions import (
     is_semisimple,
     is_totally_reducible,
     joint_primary_components,
-    minimal_polynomial,
     product_matrix,
     rational_primary_decomposition,
     semisimple_part,
     validate,
 )
 from anosov_forge.errors import NonCommuting, NotUnimodular, ShapeMismatch
-from anosov_forge.intpoly import poly_gcd
+from anosov_forge.intpoly import IntPolynomial, factor_rational, poly_gcd
 
 CAT = [[2, 1], [1, 1]]
 JORDAN = [[1, 1], [0, 1]]
+
+
+def minimal_polynomial(a) -> IntPolynomial:
+    """Reference: least-degree monic-up-to-content integer polynomial
+    killing the matrix, as the product of the factors of the
+    characteristic polynomial, each to the power at which the rank of its
+    powers at A stabilises."""
+    m = linalg.to_mat(a)
+    result = IntPolynomial([1])
+    for factor, mult in factor_rational(linalg.charpoly(m)):
+        base = linalg.poly_at_matrix(factor, m)
+        e, power, prev_rank = 1, base, linalg.rank(base)
+        while e < mult:
+            nxt = linalg.mat_mul(power, base)
+            nrank = linalg.rank(nxt)
+            if nrank == prev_rank:
+                break
+            power, prev_rank, e = nxt, nrank, e + 1
+        for _ in range(e):
+            result = result * factor
+    return result.primitive()
 
 
 def test_validate_rejects_noncommuting():

@@ -13,7 +13,7 @@ from anosov_forge.intpoly import (
     image_poly,
     inverse_poly,
     isolate_real_roots,
-    pair_product_poly,
+    pair_product_parts,
     power_poly,
     resultant_y,
     sign_at,
@@ -68,10 +68,11 @@ def test_isolate_real_roots_cubic():
 
 
 def test_pair_product_poly_contains_products():
-    # roots of x^2-2 are +-sqrt2; pairwise products are +-2 and -2, 2
-    q = pair_product_poly(X2_MINUS_2)
-    assert q(2) == 0
-    assert q(-2) == 0
+    # roots of x^2-2 are +-sqrt2: the squares are 2, 2 and the cross
+    # product is -2
+    squares, cross = pair_product_parts(X2_MINUS_2)
+    assert squares == IntPolynomial((-2, 1)) * IntPolynomial((-2, 1))
+    assert cross == IntPolynomial((2, 1))
 
 
 def test_power_poly_squares_roots():
@@ -190,7 +191,9 @@ def integer_polys(draw):
 @given(integer_polys())
 @settings(max_examples=40, deadline=None)
 def test_pair_product_poly_matches_resultant(p):
-    assert pair_product_poly(p) == _resultant_reference(p, _homogenised(p))
+    # the ordered pairs are the squares once and each cross product twice
+    squares, cross = pair_product_parts(p)
+    assert (squares * cross * cross).primitive() == _resultant_reference(p, _homogenised(p))
 
 
 @given(integer_polys(), integer_polys())

@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 import time
 from fractions import Fraction
 
@@ -372,6 +373,36 @@ def test_splitting_identities(cartan_action):
         assert stable(sp.a2) == set(sp.e2_classes) | {target.index}
         assert stable(sp.c1) == set(sp.e1_classes)
         assert stable(sp.a1) == set(sp.e1_classes) | {target.index}
+
+
+# x^6 + 3x^5 - 3x^4 + 2x^3 - x^2 - 2x + 1, lowest degree first: the seeded
+# degree-6 pair (A, A - I) of the benchmark's seed 1, whose moduli have
+# degree 15.  An exact zero test before the interval test multiplies
+# algebraic powers for minutes on it.
+PAIR_D6 = (1, -2, -1, 2, -3, 3, 1)
+
+
+def test_splitting_on_the_degree_six_pair_within_seconds():
+    d = len(PAIR_D6) - 1
+    a = [[int(i == j + 1) for j in range(d - 1)] + [-PAIR_D6[i]] for i in range(d)]
+    b = [[a[i][j] - (i == j) for j in range(d)] for i in range(d)]
+
+    def expire(signum, frame):
+        raise TimeoutError("splitting the degree-6 pair took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        classes = coarse_classes(lyapunov_data(validate([a, b]), CFG), CFG)
+        for target in classes:
+            sp = complementary_splitting(classes, target, CFG)
+            others = {c.index for c in classes if c.index != target.index}
+            assert set(sp.e1_classes) | set(sp.e2_classes) == others
+            stable = {c.index for c in stable_set(classes, sp.a1, CFG)}
+            assert stable == set(sp.e1_classes) | {target.index}
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_splitting_requires_tns():

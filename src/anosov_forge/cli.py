@@ -244,6 +244,8 @@ def _analyze_entry(path: str, args) -> tuple[dict, int]:
 
 
 def cmd_analyze(args) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be a positive integer, got {args.jobs}")
     if len(args.files) == 1:
         rep = _analyze_one(args.files[0], args)
         entries = [(rep, exit_code_for(rep))]

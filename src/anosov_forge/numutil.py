@@ -2,9 +2,11 @@
 
 Everything here returns rational (Fraction) bounds that provably contain the
 true value; mpmath supplies fast approximations, the certification is exact.
-Root disks use the Newton inclusion radius d*|f(z)/f'(z)|, evaluated exactly
-at the mpmath approximations, which are computed only a few dozen bits past
-the requested accuracy; square roots are rounded on the requested grid.
+Interval logs are directed-rounding libmp bounds, memoised per endpoint
+pair and working precision.  Root disks use the Newton inclusion radius
+d*|f(z)/f'(z)|, evaluated exactly at the mpmath approximations, which are
+computed only a few dozen bits past the requested accuracy; square roots
+are rounded on the requested grid.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+from mpmath.libmp import from_rational, mpf_log, round_ceiling, round_floor
 
 from .intpoly import IntPolynomial
 
@@ -48,24 +51,24 @@ def log_interval(lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fract
     """Certified enclosure of [log lo, log hi] for 0 < lo <= hi."""
     if lo <= 0:
         raise ValueError("log of non-positive interval")
-    prec = max(
-        bits + 16,
-        lo.numerator.bit_length() + lo.denominator.bit_length() + 16,
-        hi.numerator.bit_length() + hi.denominator.bit_length() + 16,
+    # the result depends on (lo, hi, prec) alone; requests for fewer bits
+    # than the endpoints already carry meet at one prec and one memo entry
+    prec = 16 + max(
+        bits,
+        lo.numerator.bit_length() + lo.denominator.bit_length(),
+        hi.numerator.bit_length() + hi.denominator.bit_length(),
     )
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = prec
-        a = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
-        b = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
-        la = iv.log(a)
-        lb = iv.log(b)
-        lo_mpf, _ = la._mpi_
-        _, hi_mpf = lb._mpi_
-        return _raw_mpf_to_fraction(lo_mpf), _raw_mpf_to_fraction(hi_mpf)
-    finally:
-        iv.prec = old
+    return _log_bounds(lo, hi, prec)
+
+
+@lru_cache(maxsize=1024)
+def _log_bounds(lo: Fraction, hi: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    """log lo rounded down and log hi rounded up, each after a quotient
+    rounded the same way: the two bounds that interval division and log
+    keep, without the two they discard."""
+    a = mpf_log(from_rational(lo.numerator, lo.denominator, prec, round_floor), prec, round_floor)
+    b = mpf_log(from_rational(hi.numerator, hi.denominator, prec, round_ceiling), prec, round_ceiling)
+    return _raw_mpf_to_fraction(a), _raw_mpf_to_fraction(b)
 
 
 @lru_cache(maxsize=1024)

@@ -98,8 +98,8 @@ class LyapunovFunctional:
             out = out + v.scale(Fraction(bi))
         return out
 
-    def is_zero_functional(self) -> bool:
-        return all(v.is_exactly_zero() for v in self.values)
+    def is_zero_functional(self, config: ToolkitConfig = DEFAULT_CONFIG) -> bool:
+        return all(_vanishes(v, config) for v in self.values)
 
     def approx(self, bits: int = 64) -> list[float]:
         return [float(v.midpoint(bits)) for v in self.values]
@@ -322,8 +322,8 @@ def _proportionality(
     """Decide whether g = c*f for real c: ("pos"|"neg", |c| if rational and
     certified), ("none", None), or ("undecided", None)."""
     k = f.rank
-    fz = [v.is_exactly_zero() for v in f.values]
-    gz = [v.is_exactly_zero() for v in g.values]
+    fz = [_vanishes(v, config) for v in f.values]
+    gz = [_vanishes(v, config) for v in g.values]
     if fz != gz:
         return "none", None
     idx = [i for i in range(k) if not fz[i]]
@@ -368,8 +368,7 @@ def _proportionality(
                     continue
                 tried.add(c)
                 if all(
-                    (g.values[i] - f.values[i].scale(c)).is_exactly_zero()
-                    for i in idx
+                    _vanishes(g.values[i] - f.values[i].scale(c), config) for i in idx
                 ):
                     return ("pos" if sigma > 0 else "neg"), Fraction(p, q)
         bits *= 2
@@ -383,7 +382,7 @@ def coarse_classes(
     """Partition functionals into maximal positively proportional groups."""
     n = len(functionals)
     for f in functionals:
-        if f.is_zero_functional():
+        if f.is_zero_functional(config):
             raise NotAnosovAction("action carries an identically zero Lyapunov functional")
     parent = list(range(n))
 
@@ -497,7 +496,7 @@ def _minor_sign(rows, config: ToolkitConfig, what: str) -> tuple[int, Fraction]:
             return 0, Fraction(0)
         if bits == config.initial_bits:  # the exact zero tests, once
             fs = [LyapunovFunctional(tuple(row), 1) for row in rows]
-            if any(f.is_zero_functional() for f in fs) or any(
+            if any(f.is_zero_functional(config) for f in fs) or any(
                 _proportionality(f, g, config)[0] in ("pos", "neg")
                 for f, g in itertools.combinations(fs, 2)
             ):

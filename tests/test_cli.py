@@ -450,6 +450,8 @@ def test_analyze_cap_in_sign_step_gives_undecided_report(tmp_path):
         (("--max-den", "-3"), {}, "--max-den"),
         (("--witness-cap", "0"), {}, "--witness-cap"),
         (("--witness-cap", "-1"), {}, "--witness-cap"),
+        (("--jobs", "0"), {}, "--jobs"),
+        (("--jobs", "-2"), {}, "--jobs"),
     ],
 )
 def test_bad_precision_setting_exit_three(argv, env, named):

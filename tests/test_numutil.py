@@ -6,7 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anosov_forge.intpoly import IntPolynomial, squarefree_part
-from anosov_forge.numutil import certified_root_disks, modulus_squared_bounds, sqrt_bounds
+from anosov_forge.numutil import (
+    _log_bounds,
+    _raw_mpf_to_fraction,
+    certified_root_disks,
+    log_interval,
+    modulus_squared_bounds,
+    sqrt_bounds,
+)
 from anosov_forge.weyl import _msq_enclosure
 
 CARTAN_P = IntPolynomial((1, -3, 0, 1))  # x^3 - 3x + 1, three real roots
@@ -87,3 +94,87 @@ def test_modulus_enclosures_shrink_with_bits(p, bits):
         for q in ([Fraction(0), Fraction(1)], [Fraction(-1), Fraction(1, 2), Fraction(1)]):
             lo, hi = _msq_enclosure(p, disk, q)(bits)
             assert 0 < hi - lo < width
+
+
+def _iv_log_interval(lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """The enclosure as mpmath.iv builds it: exact interval endpoints,
+    interval division, interval log, and the outer bound of each result."""
+    prec = 16 + max(
+        bits,
+        lo.numerator.bit_length() + lo.denominator.bit_length(),
+        hi.numerator.bit_length() + hi.denominator.bit_length(),
+    )
+    iv = mpmath.iv
+    old = iv.prec
+    try:
+        iv.prec = prec
+        a = iv.log(iv.mpf(lo.numerator) / iv.mpf(lo.denominator))
+        b = iv.log(iv.mpf(hi.numerator) / iv.mpf(hi.denominator))
+        return _raw_mpf_to_fraction(a._mpi_[0]), _raw_mpf_to_fraction(b._mpi_[1])
+    finally:
+        iv.prec = old
+
+
+_positive = st.integers(1, 1 << 4096)
+_rationals = st.one_of(
+    st.builds(lambda n, e: Fraction(n, 1 << e), _positive, st.integers(0, 4100)),
+    st.builds(Fraction, _positive, _positive),
+)
+
+
+@st.composite
+def _log_cases(draw):
+    """(lo, hi, bits): two independent endpoints, or a cell lo + 2^-w as the
+    refinement of an algebraic number hands to the log."""
+    lo = draw(_rationals)
+    if draw(st.booleans()):
+        hi = draw(_rationals)
+        lo, hi = min(lo, hi), max(lo, hi)
+    else:
+        hi = lo + Fraction(1, 1 << draw(st.integers(0, 4096)))
+    return lo, hi, draw(st.integers(16, 4096))
+
+
+def _log_at(x: Fraction, prec: int) -> Fraction:
+    with mpmath.workprec(prec):
+        return _raw_mpf_to_fraction(mpmath.log(mpmath.mpf(x.numerator) / x.denominator)._mpf_)
+
+
+@given(_log_cases())
+@settings(max_examples=40, deadline=None)
+def test_log_interval_encloses_a_log_at_four_times_the_precision(case):
+    lo, hi, bits = case
+    la, lb = log_interval(lo, hi, bits)
+    size = max(x.numerator.bit_length() + x.denominator.bit_length() for x in (lo, hi))
+    prec = 4 * (16 + max(bits, size))
+    # the approximations are off by far less than the rounding of the bounds
+    slack = Fraction(1, 1 << (prec - 64))
+    assert la <= _log_at(lo, prec) + slack
+    assert _log_at(hi, prec) - slack <= lb
+
+
+@given(_log_cases())
+@settings(max_examples=40, deadline=None)
+def test_log_interval_matches_the_interval_arithmetic_reference(case):
+    lo, hi, bits = case
+    assert log_interval(lo, hi, bits) == _iv_log_interval(lo, hi, bits)
+
+
+@given(_log_cases())
+@settings(max_examples=20, deadline=None)
+def test_log_interval_cold_equals_warm(case):
+    lo, hi, bits = case
+    warm = log_interval(lo, hi, bits)
+    assert log_interval(lo, hi, bits) == warm
+    _log_bounds.cache_clear()
+    assert log_interval(lo, hi, bits) == warm
+
+
+def test_log_interval_requests_below_the_cell_share_one_entry():
+    # sign() asks for 32 and then 64 bits; on a cell refined past both the
+    # two requests reach the same working precision and one evaluation
+    lo = Fraction(3, 2) + Fraction(1, 1 << 200)
+    hi = lo + Fraction(1, 1 << 200)
+    _log_bounds.cache_clear()
+    assert log_interval(lo, hi, 32) == log_interval(lo, hi, 64)
+    assert _log_bounds.cache_info().misses == 1

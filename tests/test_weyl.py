@@ -20,6 +20,7 @@ from anosov_forge.cli import load_action_file_with_options
 from anosov_forge.config import DEFAULT_CONFIG
 from anosov_forge.errors import NotAnosovAction, NotTNS, SingularElement
 from anosov_forge.freenil import free_nilpotent_lift
+from anosov_forge.logval import LogLinearValue
 from anosov_forge.lp import maximize
 from anosov_forge.report import audit_action
 from anosov_forge.weyl import (
@@ -375,25 +376,42 @@ def test_splitting_identities(cartan_action):
         assert stable(sp.a1) == set(sp.e1_classes) | {target.index}
 
 
-# x^6 + 3x^5 - 3x^4 + 2x^3 - x^2 - 2x + 1, lowest degree first: the seeded
-# degree-6 pair (A, A - I) of the benchmark's seed 1, whose moduli have
-# degree 15.  An exact zero test before the interval test multiplies
-# algebraic powers for minutes on it.
-PAIR_D6 = (1, -2, -1, 2, -3, 3, 1)
+# The seeded degree-6, 7 and 8 pairs (A, A - I) of the benchmark's seeds 1-4,
+# lowest coefficient first.  Their moduli have degree up to 28; an exact zero
+# test before the interval test multiplies algebraic powers for minutes on
+# seed 1's degree-6 pair.
+SEEDED_PAIRS = {
+    "seed1-d6": (1, -2, -1, 2, -3, 3, 1),
+    "seed1-d7": (-1, 1, -2, -1, 3, -1, 1, 1),
+    "seed1-d8": (1, -3, 2, 1, 2, -1, -2, 0, 1),
+    "seed2-d6": (1, 2, -3, -1, 0, 1, 1),
+    "seed2-d7": (1, 2, -2, 3, -3, -3, 0, 1),
+    "seed2-d8": (-1, 2, 1, 1, 0, -2, -3, 0, 1),
+    "seed3-d6": (-1, 0, -3, 3, 2, -3, 1),
+    "seed3-d7": (1, -3, -2, 1, -3, 2, 2, 1),
+    "seed3-d8": (1, 2, 3, -3, 1, 0, -3, -1, 1),
+    "seed4-d6": (1, -1, 0, 0, -3, 3, 1),
+    "seed4-d7": (-1, 2, -1, 3, 0, 0, -3, 1),
+    "seed4-d8": (1, 3, -1, -1, 1, -3, 2, -2, 1),
+}
 
 
-def test_splitting_on_the_degree_six_pair_within_seconds():
-    d = len(PAIR_D6) - 1
-    a = [[int(i == j + 1) for j in range(d - 1)] + [-PAIR_D6[i]] for i in range(d)]
+def _seeded_pair(p):
+    d = len(p) - 1
+    a = [[int(i == j + 1) for j in range(d - 1)] + [-p[i]] for i in range(d)]
     b = [[a[i][j] - (i == j) for j in range(d)] for i in range(d)]
+    return validate([a, b])
 
+
+@pytest.mark.parametrize("name", list(SEEDED_PAIRS))
+def test_splitting_on_the_seeded_pairs_within_seconds(name):
     def expire(signum, frame):
-        raise TimeoutError("splitting the degree-6 pair took over 5 s")
+        raise TimeoutError(f"splitting {name} took over 5 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(5)
     try:
-        classes = coarse_classes(lyapunov_data(validate([a, b]), CFG), CFG)
+        classes = coarse_classes(lyapunov_data(_seeded_pair(SEEDED_PAIRS[name]), CFG), CFG)
         for target in classes:
             sp = complementary_splitting(classes, target, CFG)
             others = {c.index for c in classes if c.index != target.index}
@@ -403,6 +421,34 @@ def test_splitting_on_the_degree_six_pair_within_seconds():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_exact_zero_tests_reach_only_values_that_intervals_leave_open(
+    monkeypatch, cartan_action
+):
+    # an enclosure that excludes 0 already proves a value nonzero, so the
+    # exact test (a product of algebraic powers) must never run on one
+    exact = LogLinearValue.is_exactly_zero
+    calls, separated = [], []
+
+    def spy(self):
+        lo, hi = self.interval(CFG.initial_bits)
+        calls.append(self)
+        if lo > 0 or hi < 0:
+            separated.append(self)
+        return exact(self)
+
+    monkeypatch.setattr(LogLinearValue, "is_exactly_zero", spy)
+    a = cartan_generators()[0]
+    a2 = [[sum(a[i][k] * a[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    dependent = validate([a, a2])
+    symplectic, _ = load_action_file_with_options(fixture_path("symplectic_pair.json"))
+    for action in (cartan_action, dependent, symplectic, _seeded_pair(SEEDED_PAIRS["seed1-d6"])):
+        audit_action(action, CFG)
+    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
+    complementary_splitting(classes, classes[0], CFG)
+    assert calls
+    assert separated == []
 
 
 def test_splitting_requires_tns():

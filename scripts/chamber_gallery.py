@@ -1,7 +1,7 @@
 """Render the Weyl chamber arrangement of a rank-2 action file as SVG and
 print the chamber/witness table with certified signs.
 
-Options embedded in the file (precision cap, witness cap, seed) apply.
+Options embedded in the file (precision cap, witness cap, max_den) apply.
 
 Example:
     python scripts/chamber_gallery.py fixtures/cartan_t3.json --out cartan.svg

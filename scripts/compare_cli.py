@@ -9,14 +9,15 @@ and exits 1 if any does, 0 if all agree.  OLD_SRC and NEW_SRC are the
 `src/` directories of two checkouts.
 
 The corpus: `analyze` (summary and --json), `chambers` and `lift` on the
-four torus fixtures, `normal-forms` on the spectrum fixture; `analyze
---json` and `chambers` on the seeded spectral pairs of perfbench seeds 1-4,
-on cartan_t4 (embedded 128-bit cap and default cap), the dependent pair
-(A, A^2), the coplanar action (A, A - I, A(A - I)) and one seeded rank-3
-action; the `normal-forms --element` calls of the perfbench `subresonance`
-workload, with the JSON on stdout.  Inputs come from perfbench/inputs.py
-and perfbench/run.py and are written to a temporary directory that both
-trees read.
+four torus fixtures, `normal-forms` on the spectrum fixture, `analyze
+--json` on the graded file that OLD_SRC's `lift --step 2 --out` writes for
+cartan_t3; `analyze --json` and `chambers` on the seeded spectral pairs of
+perfbench seeds 1-4, on cartan_t4 (embedded 128-bit cap and default cap),
+the dependent pair (A, A^2), the coplanar action (A, A - I, A(A - I)) and
+one seeded rank-3 action; the `normal-forms --element` calls of the
+perfbench `subresonance` workload, with the JSON on stdout. Inputs come
+from perfbench/inputs.py and perfbench/run.py and are written to a
+temporary directory that both trees read.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ def _write(work: str, name: str, doc: dict) -> str:
     return path
 
 
-def corpus(work: str) -> list[list[str]]:
-    """The CLI calls, as argument lists."""
+def corpus(work: str, old_src: str) -> list[list[str]]:
+    """The CLI calls, as argument lists.  The graded input is written by
+    old_src, so that both trees parse the same file."""
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import inputs
@@ -60,7 +62,10 @@ def corpus(work: str) -> list[list[str]]:
             ["lift", path, "--step", "2", "--json"],
         ]
     cartan = os.path.join(FIXTURES, "cartan_t3.json")
+    graded = os.path.join(work, "cartan-t3-lift2.json")
+    run_cli(old_src, ["lift", cartan, "--step", "2", "--out", graded], work)
     calls += [
+        ["analyze", graded, "--json"],
         ["chambers", cartan, "--format", "svg"],
         ["analyze", cartan, "--bits", "128", "--json"],
         ["analyze", *(os.path.join(FIXTURES, f"{n}.json") for n in TORUS_FIXTURES), "--json"],
@@ -113,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"{src} holds no anosov_forge package")
 
     with tempfile.TemporaryDirectory(prefix="compare-cli-") as work:
-        calls = corpus(work)
+        calls = corpus(work, old)
         differ = [c for c in calls if run_cli(old, c, work) != run_cli(new, c, work)]
     for c in differ:
         print("differs:", " ".join(c))

@@ -29,11 +29,16 @@ from .report import (
 EXIT_TRUE, EXIT_FALSE, EXIT_UNDECIDED, EXIT_INPUT = 0, 1, 2, 3
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: Python's bool is an int, but JSON true/false are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _frac(x, field: str) -> Fraction:
     try:
         if isinstance(x, str):
             return Fraction(x)
-        if isinstance(x, int):
+        if _is_int(x):
             return Fraction(x)
     except (ValueError, ZeroDivisionError):
         pass
@@ -52,7 +57,7 @@ def _unflatten(flat, dim: int, field: str):
     return [flat[r * dim : (r + 1) * dim] for r in range(dim)]
 
 
-OPTION_FIELDS = {"max_den", "precision_cap_bits", "witness_cap", "seed"}
+OPTION_FIELDS = {"max_den", "precision_cap_bits", "witness_cap"}
 
 
 def _parse_options(doc: dict, path: str) -> dict:
@@ -63,7 +68,7 @@ def _parse_options(doc: dict, path: str) -> dict:
     for key, val in opts.items():
         # a cap below 1 empties its search; precision_cap_bits may be low
         least = 1 if key in ("max_den", "witness_cap") else 0
-        if not isinstance(val, int) or val < least:
+        if not _is_int(val) or val < least:
             what = "a positive" if least else "a non-negative"
             raise InputError(f"{path}: options.{key} must be {what} integer")
     return dict(opts)
@@ -87,7 +92,7 @@ def load_action_file_with_options(path: str):
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
-    if doc.get("schema_version") != 1:
+    if not _is_int(doc.get("schema_version")) or doc["schema_version"] != 1:
         raise InputError(f"{path}: schema_version must be 1")
     kind = doc.get("kind")
     options = _parse_options(doc, path)
@@ -98,7 +103,7 @@ def load_action_file_with_options(path: str):
             path,
         )
         dim = doc.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if not _is_int(dim) or dim < 1:
             raise InputError(f"{path}: dim must be a positive integer")
         gens_raw = doc.get("generators")
         if not isinstance(gens_raw, list) or not gens_raw:
@@ -108,13 +113,13 @@ def load_action_file_with_options(path: str):
             mat = _unflatten(flat, dim, f"{path}: generators[{gi}]")
             for row in mat:
                 for v in row:
-                    if not isinstance(v, int):
+                    if not _is_int(v):
                         raise InputError(
                             f"{path}: generators[{gi}]: entries must be integers"
                         )
             gens.append(mat)
         rank = doc.get("rank")
-        if rank is not None and rank != len(gens):
+        if rank is not None and (not _is_int(rank) or rank != len(gens)):
             raise InputError(
                 f"{path}: rank {rank} does not match {len(gens)} generators"
             )
@@ -135,7 +140,7 @@ def load_action_file_with_options(path: str):
         )
         grading = doc.get("grading")
         if not isinstance(grading, list) or not all(
-            isinstance(g, int) and g >= 0 for g in grading
+            _is_int(g) and g >= 0 for g in grading
         ):
             raise InputError(
                 f"{path}: grading must list the graded component dimensions"
@@ -148,7 +153,7 @@ def load_action_file_with_options(path: str):
                     f"{path}: structure_constants[{qi}] must be [a, b, c, value]"
                 )
             a, b, c, val = quad
-            if not all(isinstance(t, int) for t in (a, b, c)):
+            if not all(_is_int(t) for t in (a, b, c)):
                 raise InputError(
                     f"{path}: structure_constants[{qi}]: indices must be integers"
                 )
@@ -202,8 +207,6 @@ def _config_from_args(args, file_options: dict | None = None) -> ToolkitConfig:
         kwargs["initial_bits"] = args.bits
     if getattr(args, "max_den", None) is not None:
         kwargs["max_den"] = args.max_den
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
     if getattr(args, "witness_cap", None) is not None:
         kwargs["witness_cap"] = args.witness_cap
     cfg = dataclasses.replace(cfg, **kwargs) if kwargs else cfg
@@ -219,8 +222,11 @@ def _config_from_args(args, file_options: dict | None = None) -> ToolkitConfig:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"{out_path}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -350,8 +356,13 @@ def cmd_normal_forms(args) -> int:
         _reject_unknown(
             doc, {"schema_version", "kind", "exponents", "multiplicities"}, args.file
         )
-        exps = [_frac(x, f"{args.file}: exponents") for x in doc.get("exponents", [])]
+        exps = doc.get("exponents")
+        if not isinstance(exps, list):
+            raise InputError(f"{args.file}: exponents must be an array")
         mults = doc.get("multiplicities")
+        if not isinstance(mults, list) or not all(_is_int(m) for m in mults):
+            raise InputError(f"{args.file}: multiplicities must be an array of integers")
+        exps = [_frac(x, f"{args.file}: exponents") for x in exps]
         spec = ContractionSpectrum.build(exps, mults, cfg)
     else:
         if args.element is None:
@@ -464,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--bits", type=int, help="initial working precision")
         sp.add_argument("--max-den", type=int, help="rational search denominator cap")
-        sp.add_argument("--seed", type=int, help="seed for randomized searches")
         sp.add_argument("--witness-cap", type=int, help="integer witness size cap")
         sp.add_argument("--json", metavar="PATH", nargs="?", const="", default=None,
                         help="emit JSON (to PATH, or stdout when no PATH)")

@@ -17,16 +17,13 @@ class ToolkitConfig:
     initial_bits/precision_cap_bits bound the doubling refinement loops;
     max_den bounds the numerator and denominator of the ratios p/q that
     certify two Lyapunov functionals proportional; witness_cap bounds
-    integer witness scaling; size_cap bounds free nilpotent lift
-    dimensions; seed drives the reproducible generic-plane draw.
+    integer witness scaling.
     """
 
     initial_bits: int = 64
     precision_cap_bits: int = 4096
     max_den: int = 12
     witness_cap: int = 10**6
-    size_cap: int = 2000
-    seed: int = 0
 
     def with_env_override(self) -> "ToolkitConfig":
         raw = os.environ.get(ENV_BITS)

@@ -96,12 +96,6 @@ class NotTNS(AnosovForgeError):
     pass
 
 
-class LPInfeasibleAtPrecision(UndecidedAtCap):
-    def __init__(self, bits: int):
-        self.bits = bits
-        super().__init__(f"LP infeasible at working precision {bits} bits")
-
-
 class SizeCap(AnosovForgeError):
     def __init__(self, needed: int, cap: int):
         self.needed, self.cap = needed, cap

@@ -22,6 +22,9 @@ from .errors import SizeCap
 from .graded import GradedAlgebraAction, validate_graded
 from .modulus import has_unit_modulus_root
 
+# the largest lift dimension that hall_basis builds
+SIZE_CAP = 2000
+
 
 @dataclass(frozen=True)
 class HallBasis:
@@ -77,8 +80,8 @@ def hall_basis(d: int, k: int, config: ToolkitConfig = DEFAULT_CONFIG) -> HallBa
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 generators and step k >= 1")
     expected = sum(witt_dimension(d, m) for m in range(1, k + 1))
-    if expected > config.size_cap:
-        raise SizeCap(expected, config.size_cap)
+    if expected > SIZE_CAP:
+        raise SizeCap(expected, SIZE_CAP)
     words: list[tuple[int, int, int]] = [(1, -1, -1) for _ in range(d)]
     by_degree: dict[int, list[int]] = {1: list(range(d))}
     for m in range(2, k + 1):

@@ -3,9 +3,8 @@
 For a contracting element with distinct negative Lyapunov exponents
 chi_1 > ... > chi_l (multiplicities m_1..m_l), a subresonance index (i, s)
 records that degree-s polynomial terms may map into the i-th block:
-chi_i <= sum_j s_j chi_j.  The default convention sums over all j (so the
-identity linear term s = e_i is always admissible); the variant excluding
-j = i is available behind a flag.  Exponents may be exact rationals or
+chi_i <= sum_j s_j chi_j.  The sum runs over all j, so the identity linear
+term s = e_i is always admissible.  Exponents may be exact rationals or
 refinable log-linear values; boundary cases that exact arithmetic cannot
 settle raise UndecidedBoundary.
 """
@@ -75,7 +74,6 @@ class SubresonanceIndex:
 
 def subresonance_indices(
     spec: ContractionSpectrum,
-    exclude_target: bool = False,
     config: ToolkitConfig = DEFAULT_CONFIG,
 ) -> list[SubresonanceIndex]:
     """Complete enumeration of subresonance indices, targets in order and
@@ -116,9 +114,6 @@ def subresonance_indices(
                 if any(s):
                     out.append(SubresonanceIndex(i, tuple(s)))
                 return
-            if exclude_target and j == i:
-                rec(j + 1, total)
-                return
             while True:
                 rec(j + 1, total)
                 total = total + chis[j]
@@ -148,9 +143,8 @@ def _dimension(spec: ContractionSpectrum, indices) -> int:
 
 def sr_group_dimension(
     spec: ContractionSpectrum,
-    exclude_target: bool = False,
     config: ToolkitConfig = DEFAULT_CONFIG,
 ) -> int:
     """Dimension of the space of subresonance polynomial maps:
     sum over indices (i, s) of m_i * prod_j multichoose(m_j, s_j)."""
-    return _dimension(spec, subresonance_indices(spec, exclude_target, config))
+    return _dimension(spec, subresonance_indices(spec, config))

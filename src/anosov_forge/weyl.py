@@ -16,7 +16,9 @@ matches it, and its witness is built from the vertices of the arrangement.
 TNS is decided by proportionality alone.  The certified chamber signs are
 the one certificate for the rest: a witness with strict signs is an Anosov
 element (eigenvalue moduli exp chi(b)), and a chamber negative on two
-classes contracts both.
+classes contracts both.  Splittings and fast stable elements are chamber
+witnesses as well: of the class traces on a plane, and of the differences
+of the side and target functionals.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .actions import (
 from .config import DEFAULT_CONFIG, ToolkitConfig
 from .errors import (
     DegeneratePlane,
-    LPInfeasibleAtPrecision,
     NotAnosovAction,
     NotTNS,
     PrecisionExhausted,
@@ -53,7 +54,6 @@ from .intpoly import (
     squarefree_part,
 )
 from .logval import LogLinearValue
-from .lp import maximize
 from .numutil import certified_root_disks, modulus_squared_bounds, sqrt_bounds
 from .realalg import RealAlgebraic, _interval_mul
 from .verdict import VERDICT_FALSE, VERDICT_TRUE, Verdict3, undecided
@@ -506,43 +506,6 @@ def _minor_sign(rows, config: ToolkitConfig, what: str) -> tuple[int, Fraction]:
         bits = min(2 * bits, cap)
 
 
-def _approx_row(f: LyapunovFunctional, bits: int, k: int) -> tuple[list[Fraction], Fraction]:
-    """Midpoints of f's values at `bits`, and k times the widest enclosure:
-    a bound on |mids . x - f(x)| over the unit box."""
-    mids, w = [], Fraction(0)
-    for v in f.values:
-        lo, hi = v.interval(bits)
-        mids.append((lo + hi) / 2)
-        w = max(w, hi - lo)
-    return mids, Fraction(k) * w
-
-
-def _feasible_signs(rows, widths, signs, k):
-    """Exact LP: is there x in the unit box with sign_m * (row_m . x) > width_m
-    for every assigned m?  Returns (margin, x) with margin > 0 iff certified.
-
-    Maximizes t subject to -sign_m * row_m . x + t <= -width_m, |x_i| <= 1
-    and t <= 1; this is the only LP, and only the fast-stable search
-    solves it."""
-    c = [Fraction(0)] * k + [Fraction(1)]
-    cons, cb = [], []
-    for row, w, s in zip(rows, widths, signs):
-        cons.append([-Fraction(s) * v for v in row] + [Fraction(1)])
-        cb.append(-w)
-    for i in range(k):
-        for unit in (1, -1):
-            e = [Fraction(0)] * (k + 1)
-            e[i] = Fraction(unit)
-            cons.append(e)
-            cb.append(Fraction(1))
-    cons.append([Fraction(0)] * k + [Fraction(1)])
-    cb.append(Fraction(1))
-    res = maximize(c, cons, cb)
-    if res is None:
-        return Fraction(-1), None
-    return res[0], res[1][:k]
-
-
 def weyl_chambers(
     classes: list[CoarseClass],
     rank: int | None = None,
@@ -661,21 +624,6 @@ def stable_set(
     return out
 
 
-def _plane_witness(
-    beta: float,
-    den: int,
-    p: tuple[int, ...],
-    q: tuple[int, ...],
-    cap: int,
-) -> tuple[int, ...]:
-    x1 = Fraction(round(math.cos(beta) * den), den)
-    x2 = Fraction(round(math.sin(beta) * den), den)
-    vec = [x1 * pi_ + x2 * qi for pi_, qi in zip(p, q)]
-    if all(v == 0 for v in vec):
-        raise DegeneratePlane("witness direction collapsed")
-    return _integer_scale(vec, cap)
-
-
 def _vanishes(value: LogLinearValue, config: ToolkitConfig) -> bool:
     """Exact zero test, run only when the enclosure at the initial precision
     holds 0: a value that separates from 0 there never builds the product
@@ -690,15 +638,19 @@ def complementary_splitting(
     config: ToolkitConfig = DEFAULT_CONFIG,
 ) -> Splitting:
     """Split the non-target classes into E1/E2 via a generic rational
-    2-plane, with the four witness elements of the splitting lemma."""
+    2-plane, with the four witness elements of the splitting lemma.
+
+    E1/E2 are the classes whose traces on the plane turn one way or the
+    other from the target's (the sign of a 2 x 2 minor).  Each witness is
+    read off the chamber of the traces with the signs it needs, all of
+    which lie next to the target's trace line."""
     verdict, _ = is_tns(classes, config)
     if verdict.kind == "false":
         raise NotTNS("splitting requires a TNS action")
     if len(classes) < 2:
         raise NotTNS("splitting needs at least two coarse classes")
     k = target.rank
-    rng = random.Random(config.seed)
-    cap = config.precision_cap_bits
+    rng = random.Random(0)
 
     for _attempt in range(64):
         p = tuple(rng.randint(-9, 9) for _ in range(k))
@@ -723,64 +675,31 @@ def complementary_splitting(
                 if cross == 0:
                     raise DegeneratePlane("coincident line traces")
                 (e2 if cross > 0 else e1).append(j)
-            # in-plane normal angles, for witness placement only (the
-            # classification above is exact)
-            angles = [
-                math.atan2(float(gy.midpoint(256)), float(gx.midpoint(256)))
-                for gx, gy in traces
+            # the traces as a rank-2 arrangement: by linearity the class signs
+            # at x*p + y*q are the certified chamber signs at (x, y)
+            lines = [
+                CoarseClass(j, (LyapunovFunctional(tr, 1),), 1)
+                for j, tr in enumerate(traces)
             ]
-            alpha = angles[t]
-            gap = min(
-                min(d, math.pi - d)
-                for j, a in enumerate(angles)
-                if j != t
-                for d in [abs(a - alpha) % math.pi]
+            by_signs = {ch.signs: ch.witness for ch in weyl_chambers(lines, 2, config)}
+            witnesses = {}
+            # signs on (target, E1, E2): a1 (-,-,+), c1 (+,-,+), a2 (-,+,-), c2 (+,+,-)
+            for name, st, s1 in (("a1", -1, -1), ("c1", 1, -1), ("a2", -1, 1), ("c2", 1, 1)):
+                signs = tuple(
+                    st if j == t else s1 if j in e1 else -s1 for j in range(len(classes))
+                )
+                x, y = by_signs[signs]
+                witnesses[name] = _integer_scale(
+                    [x * pi_ + y * qi for pi_, qi in zip(p, q)], config.witness_cap
+                )
+            return Splitting(
+                target=t,
+                e1_classes=tuple(sorted(e1)),
+                e2_classes=tuple(sorted(e2)),
+                plane=(p, q),
+                m=1 + len(e2),
+                **witnesses,
             )
-            if gap <= 0:
-                raise DegeneratePlane("coincident line traces")
-            eps = gap / 4
-            den = 4096
-            expect = {
-                "a1": sorted(e1) + [t],
-                "c1": sorted(e1),
-                "a2": sorted(e2) + [t],
-                "c2": sorted(e2),
-            }
-            offsets = {
-                "a1": math.pi / 2 + eps,
-                "c1": math.pi / 2 - eps,
-                "a2": -math.pi / 2 - eps,
-                "c2": -math.pi / 2 + eps,
-            }
-            for _trial in range(8):
-                witnesses = {}
-                good = True
-                for name, off in offsets.items():
-                    w = _plane_witness(alpha + off, den, p, q, config.witness_cap)
-                    try:
-                        got = sorted(c.index for c in stable_set(classes, w, config))
-                    except SingularElement:
-                        good = False
-                        break
-                    if got != sorted(expect[name]):
-                        good = False
-                        break
-                    witnesses[name] = w
-                if good:
-                    return Splitting(
-                        target=t,
-                        e1_classes=tuple(sorted(e1)),
-                        e2_classes=tuple(sorted(e2)),
-                        a1=witnesses["a1"],
-                        a2=witnesses["a2"],
-                        c1=witnesses["c1"],
-                        c2=witnesses["c2"],
-                        plane=(p, q),
-                        m=1 + len(e2),
-                    )
-                eps /= 2
-                den *= 16
-            raise DegeneratePlane("witness placement failed on this plane")
         except (DegeneratePlane, PrecisionExhausted, WitnessSearchExhausted):
             continue
     raise DegeneratePlane("no generic plane found within retry budget")
@@ -793,7 +712,10 @@ def fast_stable_element(
     config: ToolkitConfig = DEFAULT_CONFIG,
 ) -> tuple[tuple[Fraction, ...], dict]:
     """Rational b with max_{chi in E_side} chi(b) < min_{chi in target}
-    chi(b) < 0, with a certified positive margin."""
+    chi(b) < 0, with a certified positive margin.
+
+    b is the witness of the chamber that is negative on every row: f - g
+    for each side member f and target member g, then each target member g."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     side_idx = splitting.e1_classes if side == 1 else splitting.e2_classes
@@ -809,32 +731,25 @@ def fast_stable_element(
 
     side_members = [f for j in side_idx for f in classes[j].members]
     target_members = list(target.members)
+    rows = [
+        LyapunovFunctional(tuple(a - b for a, b in zip(f.values, g.values)), 1)
+        for f in side_members
+        for g in target_members
+    ] + target_members
+    cells = [CoarseClass(i, (f,), 1) for i, f in enumerate(rows)]
+    negative = [ch.witness for ch in weyl_chambers(cells, k, config) if max(ch.signs) < 0]
+    if not negative:
+        # the chamber signs are exact, so a circuit certifies the cell empty
+        raise DegeneratePlane(f"no element contracts side {side} faster than the target")
+    b = tuple(Fraction(v) for v in negative[0])
     bits = config.initial_bits
-    while bits <= cap:
-        sa = [_approx_row(f, bits, k) for f in side_members]
-        ta = [_approx_row(f, bits, k) for f in target_members]
-        rows = [[a - b_ for a, b_ in zip(su, tu)] for su, _ in sa for tu, _ in ta]
-        widths = [se + te for _, se in sa for _, te in ta]
-        rows += [tu for tu, _ in ta]
-        widths += [te for _, te in ta]
-        lp_value, exact_b = _feasible_signs(rows, widths, [-1] * len(rows), k)
-        if lp_value > 0:
-            den = 4
-            rounded = []
-            while den <= 1 << 16:
-                cand = tuple(Fraction(round(v * den), den) for v in exact_b)
-                if any(cand) and cand not in rounded:
-                    rounded.append(cand)
-                den *= 4
-            rounded.append(tuple(exact_b))
-            for b in rounded:
-                margin = _certify_fast_stable(
-                    b, side_members, target_members, bits
-                )
-                if margin is not None:
-                    return b, {"margin": margin, "lp_value": lp_value, "bits": bits}
-        bits *= 2
-    raise LPInfeasibleAtPrecision(cap)
+    while True:
+        margin = _certify_fast_stable(b, side_members, target_members, bits)
+        if margin is not None:
+            return b, {"margin": margin, "bits": bits}
+        if bits >= cap:
+            raise PrecisionExhausted("margin of the fast stable element unresolved", cap)
+        bits = min(2 * bits, cap)
 
 
 def _certify_fast_stable(b, side_members, target_members, bits) -> Fraction | None:

@@ -244,24 +244,24 @@ def _coplanar_doc():
 
 def test_options_block_applied(tmp_path):
     doc = _cartan_doc()
-    doc["options"] = {"witness_cap": 5000, "seed": 7}
+    doc["options"] = {"witness_cap": 5000, "max_den": 7}
     p = tmp_path / "opts.json"
     p.write_text(json.dumps(doc))
     proc = run_cli("analyze", str(p), "--json")
     assert proc.returncode == 0
     cfg = json.loads(proc.stdout)["config"]
     assert cfg["witness_cap"] == 5000
-    assert cfg["seed"] == 7
+    assert cfg["max_den"] == 7
 
 
 def test_options_cli_flag_wins(tmp_path):
     doc = _cartan_doc()
-    doc["options"] = {"seed": 7}
+    doc["options"] = {"witness_cap": 5000}
     p = tmp_path / "opts.json"
     p.write_text(json.dumps(doc))
-    proc = run_cli("analyze", str(p), "--seed", "11", "--json")
+    proc = run_cli("analyze", str(p), "--witness-cap", "7000", "--json")
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["config"]["seed"] == 11
+    assert json.loads(proc.stdout)["config"]["witness_cap"] == 7000
 
 
 def test_options_unknown_field_exit_three(tmp_path):
@@ -510,3 +510,78 @@ def test_analyze_rank3_not_tns_exit_one(tmp_path):
     assert len(rep["arrangement"]["classes"]) == 8
     assert len(rep["arrangement"]["chambers"]) == 14
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--json"),
+        ("chambers", "--out"),
+        ("lift", "--step", "2", "--out"),
+    ],
+)
+def test_unwritable_output_path_exit_three(tmp_path, argv):
+    # exit 1 would read as "refuted"
+    out = tmp_path / "missing" / "x.json"
+    proc = run_cli(argv[0], fixture_path("cartan_t3.json"), *argv[1:], str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: {out}: No such file or directory\n"
+
+
+def _spectrum_doc(exponents, multiplicities=None):
+    doc = {"schema_version": 1, "kind": "spectrum", "exponents": exponents}
+    if multiplicities is not None:
+        doc["multiplicities"] = multiplicities
+    return doc
+
+
+def _fibonacci_doc():
+    with open(fixture_path("fibonacci.json")) as fh:
+        return json.load(fh)
+
+
+def _cartan_entry_true():
+    doc = _cartan_doc()
+    assert doc["generators"][0][3] == 1
+    doc["generators"][0][3] = True
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, named",
+    [
+        ("normal-forms", _spectrum_doc(["-1", "-2"]), "multiplicities"),
+        ("normal-forms", _spectrum_doc(5, [1]), "exponents"),
+        ("normal-forms", _spectrum_doc(["-1"], ["a"]), "multiplicities"),
+        ("normal-forms", _spectrum_doc(["-1"], [1.5]), "multiplicities"),
+        ("normal-forms", _spectrum_doc(["-1", "-2"], [True, 1]), "multiplicities"),
+        ("normal-forms", _spectrum_doc([True], [1]), "exponents"),
+        (
+            "analyze",
+            {**_cartan_doc(), "options": {"precision_cap_bits": True}},
+            "precision_cap_bits",
+        ),
+        ("analyze", {**_cartan_doc(), "schema_version": True}, "schema_version"),
+        ("analyze", {**_fibonacci_doc(), "rank": True}, "rank"),
+        ("analyze", _cartan_entry_true(), "generators[0]"),
+        (
+            "analyze",
+            {
+                "schema_version": 1,
+                "kind": "graded",
+                "grading": [2, 1],
+                "structure_constants": [[0, True, 2, "1"]],
+                "generators": [["1", "1", "0", "1", "0", "0", "0", "0", "-1"]],
+            },
+            "structure_constants[0]",
+        ),
+    ],
+)
+def test_ill_typed_json_exit_three(tmp_path, command, doc, named):
+    # JSON true is a Python int, and int() truncates 1.5: neither may pass
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps(doc))
+    proc = run_cli(command, str(p))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"error: {p}: ")
+    assert named in proc.stderr

@@ -17,7 +17,6 @@ SAMPLES = {
     errors.WitnessSearchExhausted: (1000,),
     errors.DegeneratePlane: ("kernel traces coincide",),
     errors.NotTNS: ("classes 0 and 1",),
-    errors.LPInfeasibleAtPrecision: (128,),
     errors.SizeCap: (500, 400),
     errors.RankUnsupported: (1,),
     errors.UndecidedBoundary: (4096,),
@@ -30,7 +29,6 @@ AT_CAP = {
     errors.UndecidedProportionality,
     errors.UndecidedBoundary,
     errors.WitnessSearchExhausted,
-    errors.LPInfeasibleAtPrecision,
 }
 
 

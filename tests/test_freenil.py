@@ -50,11 +50,9 @@ def test_hall_basis_dimensions():
 
 
 def test_hall_basis_size_cap():
-    import dataclasses
-
-    small = dataclasses.replace(CFG, size_cap=10)
+    # the free 7-step algebra on 4 generators has dimension 3304 > SIZE_CAP
     with pytest.raises(SizeCap):
-        hall_basis(4, 4, small)
+        hall_basis(4, 7, CFG)
 
 
 def test_structure_constants_antisymmetric_domain():

@@ -24,7 +24,7 @@ CFG = DEFAULT_CONFIG
 F = Fraction
 
 
-def brute_force_indices(exponents, cap=60, exclude_target=False):
+def brute_force_indices(exponents, cap=60):
     """Independent oracle: enumerate admissible (target, degrees) by direct
     search with per-coordinate degree bound cap."""
     out = set()
@@ -32,8 +32,7 @@ def brute_force_indices(exponents, cap=60, exclude_target=False):
     for i, chi in enumerate(exponents):
         bounds = []
         for j, chj in enumerate(exponents):
-            top = 1 if exclude_target and j == i else int(chi / chj) + 2
-            bounds.append(range(0, top))
+            bounds.append(range(0, int(chi / chj) + 2))
         for s in itertools.product(*bounds):
             if sum(s) == 0:
                 continue
@@ -118,16 +117,6 @@ def test_matches_brute_force_oracle():
         assert got == brute_force_indices([F(e) for e in exps])
 
 
-def test_exclude_target_variant():
-    spec = spectrum([-1, -2], [1, 1])
-    got = {
-        (ix.target, ix.degrees)
-        for ix in subresonance_indices(spec, exclude_target=True, config=CFG)
-    }
-    # degrees in the target block itself are not counted toward the relation
-    assert (1, (1, 0)) in got and (1, (2, 0)) in got
-
-
 @given(
     st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
     st.integers(1, 2),
@@ -147,18 +136,14 @@ def test_oracle_agreement_random(neg_exps, mult):
         max_size=4,
         unique=True,
     ),
-    st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_pruned_search_matches_box_scan_in_order(neg_exps, exclude_target):
+def test_pruned_search_matches_box_scan_in_order(neg_exps):
     # targets in order, degree vectors in lexicographic order
     exps = sorted(neg_exps, reverse=True)
     spec = ContractionSpectrum.build(exps, [1] * len(exps), CFG)
-    got = [
-        (ix.target, ix.degrees)
-        for ix in subresonance_indices(spec, exclude_target, CFG)
-    ]
-    assert got == sorted(brute_force_indices(exps, exclude_target=exclude_target))
+    got = [(ix.target, ix.degrees) for ix in subresonance_indices(spec, config=CFG)]
+    assert got == sorted(brute_force_indices(exps))
 
 
 def element_spectrum(classes, b):

@@ -415,9 +415,24 @@ def test_splitting_on_the_seeded_pairs_within_seconds(name):
         for target in classes:
             sp = complementary_splitting(classes, target, CFG)
             others = {c.index for c in classes if c.index != target.index}
-            assert set(sp.e1_classes) | set(sp.e2_classes) == others
-            stable = {c.index for c in stable_set(classes, sp.a1, CFG)}
-            assert stable == set(sp.e1_classes) | {target.index}
+            e1, e2 = set(sp.e1_classes), set(sp.e2_classes)
+            assert e1 | e2 == others
+
+            def stable(b):
+                return {c.index for c in stable_set(classes, b, CFG)}
+
+            assert stable(sp.a1) == e1 | {target.index}
+            assert stable(sp.c1) == e1
+            assert stable(sp.a2) == e2 | {target.index}
+            assert stable(sp.c2) == e2
+            for side, members in ((1, e1), (2, e2)):
+                b, cert = fast_stable_element(sp, side, classes, CFG)
+                assert cert["margin"] > 0
+                tval = target.value_at(b)
+                assert tval.sign(4096) < 0
+                for idx in members:
+                    # chi_j(b) < chi_target(b) < 0
+                    assert (classes[idx].value_at(b) - tval).sign(4096) < 0
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

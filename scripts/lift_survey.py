@@ -11,7 +11,6 @@ import sys
 
 from anosov_forge import linalg, validate
 from anosov_forge.actions import is_anosov_matrix
-from anosov_forge.config import DEFAULT_CONFIG
 from anosov_forge.freenil import free_nilpotent_lift, lift_is_anosov
 
 
@@ -34,7 +33,6 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    cfg = DEFAULT_CONFIG
     anosov_base = 0
     survived = [0] * (args.max_step + 1)
     drawn = 0
@@ -46,7 +44,7 @@ def main() -> int:
         anosov_base += 1
         action = validate([a])
         for k in range(2, args.max_step + 1):
-            lift = free_nilpotent_lift(action, k, cfg)
+            lift = free_nilpotent_lift(action, k)
             if lift_is_anosov(lift, (1,)):
                 survived[k] += 1
 

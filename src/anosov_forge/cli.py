@@ -320,7 +320,7 @@ def cmd_lift(args) -> int:
         raise InputError(f"{args.file}: lift requires a torus action")
     if args.step < 2:
         raise InputError(f"lift step must be at least 2, got {args.step}")
-    lift = free_nilpotent_lift(obj, args.step, cfg)
+    lift = free_nilpotent_lift(obj, args.step)
     if args.out:
         _emit(
             json.dumps(graded_action_file(lift.to_graded()), indent=2, sort_keys=True)
@@ -356,6 +356,8 @@ def cmd_normal_forms(args) -> int:
         _reject_unknown(
             doc, {"schema_version", "kind", "exponents", "multiplicities"}, args.file
         )
+        if not _is_int(doc.get("schema_version")) or doc["schema_version"] != 1:
+            raise InputError(f"{args.file}: schema_version must be 1")
         exps = doc.get("exponents")
         if not isinstance(exps, list):
             raise InputError(f"{args.file}: exponents must be an array")
@@ -445,7 +447,7 @@ def cmd_selftest(args) -> int:
     )
     checks.append(
         ("free 2-step Hall dimensions on 3 generators",
-         hall_basis(3, 2, cfg).degree_dimensions() == (3, 3)),
+         hall_basis(3, 2).degree_dimensions() == (3, 3)),
     )
     ok = True
     for label, passed in checks:

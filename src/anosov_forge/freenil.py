@@ -17,7 +17,6 @@ from functools import lru_cache
 
 from . import linalg
 from .actions import ValidatedAction, validate
-from .config import DEFAULT_CONFIG, ToolkitConfig
 from .errors import SizeCap
 from .graded import GradedAlgebraAction, validate_graded
 from .modulus import has_unit_modulus_root
@@ -75,7 +74,7 @@ def witt_dimension(d: int, m: int) -> int:
     return total // m
 
 
-def hall_basis(d: int, k: int, config: ToolkitConfig = DEFAULT_CONFIG) -> HallBasis:
+def hall_basis(d: int, k: int) -> HallBasis:
     """Classical Hall set up to degree k, in degree-then-construction order."""
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 generators and step k >= 1")
@@ -193,12 +192,10 @@ class LiftedAction:
         )
 
 
-def free_nilpotent_lift(
-    action: ValidatedAction, k: int, config: ToolkitConfig = DEFAULT_CONFIG
-) -> LiftedAction:
+def free_nilpotent_lift(action: ValidatedAction, k: int) -> LiftedAction:
     """Canonical extension of the action to the free k-step nilpotent
     algebra; induced blocks are integral and unimodular by construction."""
-    basis = hall_basis(action.dim, k, config)
+    basis = hall_basis(action.dim, k)
     bw = _bracket_cache(basis)
     n = basis.dimension
     all_graded = []

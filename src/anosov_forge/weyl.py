@@ -714,13 +714,18 @@ def fast_stable_element(
     """Rational b with max_{chi in E_side} chi(b) < min_{chi in target}
     chi(b) < 0, with a certified positive margin.
 
-    b is the witness of the chamber that is negative on every row: f - g
-    for each side member f and target member g, then each target member g."""
+    b = x*p + y*q on the splitting's plane, for (x, y) the witness of the
+    chamber of the traces that is negative on every row: f - g for each side
+    member f and target member g, then each target member g.  Rows that are
+    positive multiples of each other in R^k (g and 2g in a class, or f - g
+    and 2f - 2g) share their signs, so only the first of each group is
+    traced.  In rank 2 a minor of the traces is zero only when two rows are
+    proportional, which the exact tests decide; members of one class make
+    rank-k minors vanish without that."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     side_idx = splitting.e1_classes if side == 1 else splitting.e2_classes
     target = classes[splitting.target]
-    k = target.rank
     cap = config.precision_cap_bits
 
     if not side_idx:
@@ -736,12 +741,21 @@ def fast_stable_element(
         for f in side_members
         for g in target_members
     ] + target_members
-    cells = [CoarseClass(i, (f,), 1) for i, f in enumerate(rows)]
-    negative = [ch.witness for ch in weyl_chambers(cells, k, config) if max(ch.signs) < 0]
+    p, q = splitting.plane
+    lines = [
+        CoarseClass(c.index, (LyapunovFunctional((c.value_at(p), c.value_at(q)), 1),), 1)
+        for c in coarse_classes(rows, config)
+    ]
+    negative = [ch.witness for ch in weyl_chambers(lines, 2, config) if max(ch.signs) < 0]
     if not negative:
-        # the chamber signs are exact, so a circuit certifies the cell empty
+        # the chamber lies next to the target's trace line, on the side's
+        # side; the chamber signs are exact, so a circuit certifies it empty
         raise DegeneratePlane(f"no element contracts side {side} faster than the target")
-    b = tuple(Fraction(v) for v in negative[0])
+    x, y = negative[0]
+    b = tuple(
+        Fraction(v)
+        for v in _integer_scale([x * pi_ + y * qi for pi_, qi in zip(p, q)], config.witness_cap)
+    )
     bits = config.initial_bits
     while True:
         margin = _certify_fast_stable(b, side_members, target_members, bits)

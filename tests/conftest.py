@@ -50,6 +50,22 @@ def symplectic_double(gens):
     return out
 
 
+def square_double(gens):
+    # diag(g, g^2) for each generator: every Lyapunov functional of the
+    # action comes with twice itself, in the same coarse class
+    out = []
+    for g in gens:
+        m = len(g)
+        sq = [[sum(g[i][r] * g[r][j] for r in range(m)) for j in range(m)] for i in range(m)]
+        d = [[0] * (2 * m) for _ in range(2 * m)]
+        for i in range(m):
+            for j in range(m):
+                d[i][j] = g[i][j]
+                d[m + i][m + j] = sq[i][j]
+        out.append(d)
+    return out
+
+
 @pytest.fixture(scope="session")
 def cartan_action():
     return validate(list(cartan_generators()), name="cartan-t3")

@@ -153,7 +153,7 @@ def test_criterion_3_lift_criterion_vs_numeric_oracle_100_cases():
             k = rng.choice([2, 3])
             a = random_unimodular(rng, d)
             action = validate([a])
-            lift = free_nilpotent_lift(action, k, CFG)
+            lift = free_nilpotent_lift(action, k)
             exact = lift_is_anosov(lift, (1,))
             oracle, borderline = numeric_lift_oracle(a, k)
             cases += 1
@@ -184,7 +184,7 @@ def test_criterion_4_witt_dimensions_match_lyndon_counts():
     with Timer(5.0):
         for d in range(1, 5):
             for k in range(1, 5):
-                dims = hall_basis(d, k, CFG).degree_dimensions()
+                dims = hall_basis(d, k).degree_dimensions()
                 assert dims == tuple(lyndon_count(d, m) for m in range(1, k + 1))
 
 
@@ -327,7 +327,7 @@ def test_criterion_8_degree2_moduli_are_products_of_base_pairs():
             d = rng.randint(2, 3)
             a = random_unimodular(rng, d)
             action = validate([a])
-            lift = free_nilpotent_lift(action, 2, CFG)
+            lift = free_nilpotent_lift(action, 2)
             block = linalg.to_mat(lift.graded_matrices[0][1])
 
             bits = 128

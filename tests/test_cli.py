@@ -556,6 +556,13 @@ def _cartan_entry_true():
         ("normal-forms", _spectrum_doc(["-1"], [1.5]), "multiplicities"),
         ("normal-forms", _spectrum_doc(["-1", "-2"], [True, 1]), "multiplicities"),
         ("normal-forms", _spectrum_doc([True], [1]), "exponents"),
+        ("normal-forms", {**_spectrum_doc(["-1"], [1]), "schema_version": True}, "schema_version"),
+        ("normal-forms", {**_spectrum_doc(["-1"], [1]), "schema_version": 7}, "schema_version"),
+        (
+            "normal-forms",
+            {k: v for k, v in _spectrum_doc(["-1"], [1]).items() if k != "schema_version"},
+            "schema_version",
+        ),
         (
             "analyze",
             {**_cartan_doc(), "options": {"precision_cap_bits": True}},

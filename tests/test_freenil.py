@@ -6,7 +6,6 @@ import pytest
 
 from anosov_forge import linalg
 from anosov_forge.actions import validate
-from anosov_forge.config import DEFAULT_CONFIG
 from anosov_forge.errors import SizeCap
 from anosov_forge.freenil import (
     free_nilpotent_lift,
@@ -15,8 +14,6 @@ from anosov_forge.freenil import (
     structure_constants,
     witt_dimension,
 )
-
-CFG = DEFAULT_CONFIG
 
 
 def lyndon_count(d: int, m: int) -> int:
@@ -42,21 +39,21 @@ def test_witt_matches_lyndon_oracle():
 
 
 def test_hall_basis_dimensions():
-    assert hall_basis(2, 1, CFG).degree_dimensions() == (2,)
-    assert hall_basis(2, 2, CFG).degree_dimensions() == (2, 1)
-    assert hall_basis(2, 3, CFG).degree_dimensions() == (2, 1, 2)
-    assert hall_basis(3, 2, CFG).degree_dimensions() == (3, 3)
-    assert hall_basis(2, 5, CFG).degree_dimensions() == (2, 1, 2, 3, 6)
+    assert hall_basis(2, 1).degree_dimensions() == (2,)
+    assert hall_basis(2, 2).degree_dimensions() == (2, 1)
+    assert hall_basis(2, 3).degree_dimensions() == (2, 1, 2)
+    assert hall_basis(3, 2).degree_dimensions() == (3, 3)
+    assert hall_basis(2, 5).degree_dimensions() == (2, 1, 2, 3, 6)
 
 
 def test_hall_basis_size_cap():
     # the free 7-step algebra on 4 generators has dimension 3304 > SIZE_CAP
     with pytest.raises(SizeCap):
-        hall_basis(4, 7, CFG)
+        hall_basis(4, 7)
 
 
 def test_structure_constants_antisymmetric_domain():
-    basis = hall_basis(2, 3, CFG)
+    basis = hall_basis(2, 3)
     sc = structure_constants(basis)
     for a, b, c, val in sc:
         assert a < b
@@ -66,7 +63,7 @@ def test_structure_constants_antisymmetric_domain():
 
 
 def test_lift_blocks_are_unimodular(fibonacci_action):
-    lift = free_nilpotent_lift(fibonacci_action, 3, CFG)
+    lift = free_nilpotent_lift(fibonacci_action, 3)
     for g in range(lift.rank):
         for deg in range(1, 4):
             block = lift.graded_matrices[g][deg - 1]
@@ -78,7 +75,7 @@ def test_lift_functoriality(fibonacci_action):
     a = fibonacci_action.generators[0]
     a2 = linalg.mat_mul(linalg.to_mat(a), linalg.to_mat(a))
     pair = validate([[list(r) for r in a], [[int(v) for v in r] for r in a2]])
-    lift = free_nilpotent_lift(pair, 3, CFG)
+    lift = free_nilpotent_lift(pair, 3)
     for deg in range(1, 4):
         b0 = linalg.to_mat(lift.graded_matrices[0][deg - 1])
         b1 = linalg.to_mat(lift.graded_matrices[1][deg - 1])
@@ -86,7 +83,7 @@ def test_lift_functoriality(fibonacci_action):
 
 
 def test_lift_blocks_commute(cartan_action):
-    lift = free_nilpotent_lift(cartan_action, 2, CFG)
+    lift = free_nilpotent_lift(cartan_action, 2)
     for deg in range(1, 3):
         b0 = linalg.to_mat(lift.graded_matrices[0][deg - 1])
         b1 = linalg.to_mat(lift.graded_matrices[1][deg - 1])
@@ -94,7 +91,7 @@ def test_lift_blocks_commute(cartan_action):
 
 
 def test_lift_to_graded_validates(fibonacci_action):
-    g = free_nilpotent_lift(fibonacci_action, 2, CFG).to_graded()
+    g = free_nilpotent_lift(fibonacci_action, 2).to_graded()
     assert g.dim == 3
     assert g.grading == (2, 1)
 
@@ -123,19 +120,19 @@ def numeric_anosov_oracle(lift, b, digits=50) -> bool:
 
 def test_cat_lift_not_anosov_at_step2(fibonacci_action):
     # degree-2 block of a 2x2 lift is det = +-1, killing hyperbolicity
-    lift = free_nilpotent_lift(fibonacci_action, 2, CFG)
+    lift = free_nilpotent_lift(fibonacci_action, 2)
     assert not lift_is_anosov(lift, (1,))
     assert not numeric_anosov_oracle(lift, (1,))
 
 
 def test_cartan_lift_anosov_matches_oracle(cartan_action):
-    lift = free_nilpotent_lift(cartan_action, 2, CFG)
+    lift = free_nilpotent_lift(cartan_action, 2)
     for b in [(1, 0), (0, 1), (1, 1), (2, -1), (-1, 3)]:
         assert lift_is_anosov(lift, b) == numeric_anosov_oracle(lift, b)
 
 
 def test_lift_full_matrix_unimodular_and_block_triangular(cartan_action):
-    lift = free_nilpotent_lift(cartan_action, 2, CFG)
+    lift = free_nilpotent_lift(cartan_action, 2)
     m = lift.full_matrix(0)
     assert linalg.det(linalg.to_mat(m)) in (1, -1)
     d1 = cartan_action.dim

@@ -12,6 +12,7 @@ from conftest import (
     cartan_generators,
     cartan_t4_generators,
     fixture_path,
+    square_double,
     symplectic_double,
 )
 
@@ -182,7 +183,7 @@ def test_audit_witnesses_are_anosov_matrices(source):
     # matrix at every chamber and TNS witness has no eigenvalue of modulus 1
     if source == "lift2":
         base = validate(list(cartan_generators()))
-        action = free_nilpotent_lift(base, 2, CFG).to_validated()
+        action = free_nilpotent_lift(base, 2).to_validated()
     else:
         action = load_action_file_with_options(fixture_path(source))[0]
     report = audit_action(action, CFG)
@@ -486,6 +487,26 @@ def test_fast_stable_element(cartan_action):
             diff = classes[idx].value_at(b) + tval.scale(-1)
             # chi_j(b) < chi_target(b) < 0 for every j on the chosen side
             assert diff.sign(4096) < 0
+
+
+def test_fast_stable_element_with_two_member_classes():
+    # every class of diag(g, g^2) over cartan_t4 holds chi and 2*chi; in
+    # rank 3 the rows f - g, f - 2g and g are then linearly dependent with no
+    # two of them proportional, so their 3 x 3 minor is 0 yet never certified
+    action = validate(square_double(cartan_t4_generators()), name="t4-square")
+    classes = coarse_classes(lyapunov_data(action, CFG), CFG)
+    assert [len(c.members) for c in classes] == [2, 2, 2, 2]
+    for target in classes:
+        sp = complementary_splitting(classes, target, CFG)
+        for side, members in ((1, sp.e1_classes), (2, sp.e2_classes)):
+            b, cert = fast_stable_element(sp, side, classes, CFG)
+            assert cert["margin"] > 0
+            for g in target.members:
+                assert g.value_at(b).sign(4096) < 0
+                for idx in members:
+                    for f in classes[idx].members:
+                        # chi_j(b) < chi_target(b) < 0 for every pair of members
+                        assert (f.value_at(b) - g.value_at(b)).sign(4096) < 0
 
 
 def test_splitting_deterministic(cartan_action):

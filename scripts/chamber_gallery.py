@@ -1,7 +1,7 @@
 """Render the Weyl chamber arrangement of a rank-2 action file as SVG and
 print the chamber/witness table with certified signs.
 
-Options embedded in the file (precision cap, witness cap, max_den) apply.
+The precision cap embedded in the file's options applies.
 
 Example:
     python scripts/chamber_gallery.py fixtures/cartan_t3.json --out cartan.svg
@@ -10,7 +10,8 @@ Example:
 import argparse
 import sys
 
-from anosov_forge.cli import _config_from_args, load_action_file_with_options
+from anosov_forge.cli import load_action_file_with_options
+from anosov_forge.config import ToolkitConfig
 from anosov_forge.report import chambers_svg
 from anosov_forge.weyl import (
     anosov_in_every_chamber,
@@ -27,7 +28,7 @@ def main() -> int:
     args = ap.parse_args()
 
     action, options = load_action_file_with_options(args.file)
-    cfg = _config_from_args(args, options)
+    cfg = ToolkitConfig(**options)
     classes = coarse_classes(lyapunov_data(action, cfg), cfg)
     if action.rank != 2:
         print(f"rank {action.rank} action: no planar diagram", file=sys.stderr)

@@ -67,7 +67,6 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
     calls += [
         ["analyze", graded, "--json"],
         ["chambers", cartan, "--format", "svg"],
-        ["analyze", cartan, "--bits", "128", "--json"],
         ["analyze", *(os.path.join(FIXTURES, f"{n}.json") for n in TORUS_FIXTURES), "--json"],
         ["normal-forms", os.path.join(FIXTURES, "spectrum_12.json"), "--json"],
     ]
@@ -100,7 +99,6 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
 
 def run_cli(src: str, argv: list[str], work: str) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    env.pop("ANOSOV_FORGE_BITS", None)
     proc = subprocess.run(
         [sys.executable, "-c", RUNNER, *argv], cwd=work, env=env, capture_output=True
     )

@@ -57,7 +57,7 @@ def _unflatten(flat, dim: int, field: str):
     return [flat[r * dim : (r + 1) * dim] for r in range(dim)]
 
 
-OPTION_FIELDS = {"max_den", "precision_cap_bits", "witness_cap"}
+OPTION_FIELDS = {"precision_cap_bits"}
 
 
 def _parse_options(doc: dict, path: str) -> dict:
@@ -66,11 +66,8 @@ def _parse_options(doc: dict, path: str) -> dict:
         raise InputError(f"{path}: options must be an object")
     _reject_unknown(opts, OPTION_FIELDS, f"{path}: options")
     for key, val in opts.items():
-        # a cap below 1 empties its search; precision_cap_bits may be low
-        least = 1 if key in ("max_den", "witness_cap") else 0
-        if not _is_int(val) or val < least:
-            what = "a positive" if least else "a non-negative"
-            raise InputError(f"{path}: options.{key} must be {what} integer")
+        if not _is_int(val) or val < 0:
+            raise InputError(f"{path}: options.{key} must be a non-negative integer")
     return dict(opts)
 
 
@@ -87,8 +84,7 @@ def _read_json(path: str):
 def load_action_file_with_options(path: str):
     """Parse an ActionFile; returns (action, options dict).
 
-    Options embedded in the file configure precision/search limits;
-    command-line flags take precedence over them."""
+    The options embedded in the file are the fields of its ToolkitConfig."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
@@ -193,33 +189,6 @@ def graded_action_file(g: GradedAlgebraAction) -> dict:
     }
 
 
-def _config_from_args(args, file_options: dict | None = None) -> ToolkitConfig:
-    import dataclasses
-
-    cfg = DEFAULT_CONFIG.with_env_override()
-    kwargs = dict(file_options or {})
-    for flag in ("bits", "max_den", "witness_cap"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            name = "--" + flag.replace("_", "-")
-            raise InputError(f"{name} must be a positive integer, got {value}")
-    if getattr(args, "bits", None) is not None:
-        kwargs["initial_bits"] = args.bits
-    if getattr(args, "max_den", None) is not None:
-        kwargs["max_den"] = args.max_den
-    if getattr(args, "witness_cap", None) is not None:
-        kwargs["witness_cap"] = args.witness_cap
-    cfg = dataclasses.replace(cfg, **kwargs) if kwargs else cfg
-    # the refinement loops run from initial_bits up to the cap, so a start
-    # above the cap would end undecided without refining at all
-    bits = getattr(args, "bits", None)
-    if bits is not None and bits > cfg.precision_cap_bits:
-        raise InputError(
-            f"--bits {bits} exceeds the precision cap of {cfg.precision_cap_bits} bits"
-        )
-    return cfg
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         try:
@@ -231,18 +200,18 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _analyze_one(path: str, args) -> dict:
+def _analyze_one(path: str) -> dict:
     obj, options = load_action_file_with_options(path)
-    cfg = _config_from_args(args, options)
+    cfg = ToolkitConfig(**options)
     if isinstance(obj, GradedAlgebraAction):
         return audit_graded(obj, cfg)
     return audit_action(obj, cfg)
 
 
-def _analyze_entry(path: str, args) -> tuple[dict, int]:
+def _analyze_entry(path: str) -> tuple[dict, int]:
     """One file of a batch: its report, or an error entry, with its exit code."""
     try:
-        rep = _analyze_one(path, args)
+        rep = _analyze_one(path)
     except AnosovForgeError as exc:
         code = EXIT_UNDECIDED if isinstance(exc, UndecidedAtCap) else EXIT_INPUT
         return {"file": path, "error": f"{exc.__class__.__name__}: {exc}"}, code
@@ -253,15 +222,15 @@ def cmd_analyze(args) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be a positive integer, got {args.jobs}")
     if len(args.files) == 1:
-        rep = _analyze_one(args.files[0], args)
+        rep = _analyze_one(args.files[0])
         entries = [(rep, exit_code_for(rep))]
     elif args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            entries = list(pool.map(_analyze_entry, args.files, [args] * len(args.files)))
+            entries = list(pool.map(_analyze_entry, args.files))
     else:
-        entries = [_analyze_entry(p, args) for p in args.files]
+        entries = [_analyze_entry(p) for p in args.files]
     reports = [rep for rep, _ in entries]
     for rep, code in entries:
         if "error" in rep:
@@ -290,7 +259,7 @@ def cmd_chambers(args) -> int:
     from .weyl import coarse_classes, lyapunov_data, weyl_chambers
 
     obj, options = load_action_file_with_options(args.file)
-    cfg = _config_from_args(args, options)
+    cfg = ToolkitConfig(**options)
     if isinstance(obj, GradedAlgebraAction):
         obj = validate(
             [[[int(v) for v in row] for row in g] for g in obj.generators],
@@ -315,7 +284,7 @@ def cmd_lift(args) -> int:
     from .freenil import free_nilpotent_lift
 
     obj, options = load_action_file_with_options(args.file)
-    cfg = _config_from_args(args, options)
+    cfg = ToolkitConfig(**options)
     if isinstance(obj, GradedAlgebraAction):
         raise InputError(f"{args.file}: lift requires a torus action")
     if args.step < 2:
@@ -350,7 +319,7 @@ def cmd_normal_forms(args) -> int:
     from .normalforms import ContractionSpectrum, _dimension, subresonance_indices
     from .weyl import coarse_classes, lyapunov_data, stable_set
 
-    cfg = _config_from_args(args)
+    cfg = DEFAULT_CONFIG
     doc = _read_json(args.file)
     if isinstance(doc, dict) and doc.get("kind") == "spectrum":
         _reject_unknown(
@@ -372,7 +341,7 @@ def cmd_normal_forms(args) -> int:
                 "--element is required when the input is an action file"
             )
         obj, options = load_action_file_with_options(args.file)
-        cfg = _config_from_args(args, options)
+        cfg = ToolkitConfig(**options)
         if isinstance(obj, GradedAlgebraAction):
             raise InputError(f"{args.file}: normal-forms requires a torus action")
         b = _parse_element(args.element, obj.rank)
@@ -408,7 +377,7 @@ def cmd_normal_forms(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Fast end-to-end sanity checks on built-in examples."""
-    cfg = _config_from_args(args)
+    cfg = DEFAULT_CONFIG
     from .freenil import hall_basis
     from .modulus import has_unit_modulus_root
     from .intpoly import IntPolynomial
@@ -474,31 +443,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--bits", type=int, help="initial working precision")
-        sp.add_argument("--max-den", type=int, help="rational search denominator cap")
-        sp.add_argument("--witness-cap", type=int, help="integer witness size cap")
+    def json_flag(sp):
         sp.add_argument("--json", metavar="PATH", nargs="?", const="", default=None,
                         help="emit JSON (to PATH, or stdout when no PATH)")
 
     sp = sub.add_parser("analyze", help="audit theorem hypotheses for action files")
     sp.add_argument("files", nargs="+")
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    common(sp)
+    json_flag(sp)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("chambers", help="Weyl chamber arrangement (JSON or SVG)")
     sp.add_argument("file")
     sp.add_argument("--format", choices=("json", "svg"), default="json")
     sp.add_argument("--out", metavar="PATH")
-    common(sp)
     sp.set_defaults(func=cmd_chambers)
 
     sp = sub.add_parser("lift", help="free nilpotent lift of a torus action")
     sp.add_argument("file")
     sp.add_argument("--step", type=int, required=True, help="nilpotency step")
     sp.add_argument("--out", metavar="PATH", help="write lifted graded ActionFile")
-    common(sp)
+    json_flag(sp)
     sp.set_defaults(func=cmd_lift)
 
     sp = sub.add_parser(
@@ -506,11 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("file")
     sp.add_argument("--element", help="comma-separated integer element, e.g. '1,0'")
-    common(sp)
+    json_flag(sp)
     sp.set_defaults(func=cmd_normal_forms)
 
     sp = sub.add_parser("selftest", help="run built-in sanity checks")
-    common(sp)
     sp.set_defaults(func=cmd_selftest)
     return p
 

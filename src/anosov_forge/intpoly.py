@@ -364,44 +364,23 @@ def inverse_poly(p: IntPolynomial) -> IntPolynomial:
 # -- Sturm chains -------------------------------------------------------
 
 
-def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a by b over Q (lists lowest degree first)."""
-    a = list(a)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _to_primitive_ints(c: list[Fraction]) -> list[int]:
-    if not c:
-        return []
-    den = math.lcm(*[f.denominator for f in c])
-    ints = [int(f * den) for f in c]
-    g = math.gcd(*[abs(v) for v in ints])
-    return [v // g for v in ints]
-
-
 @lru_cache(maxsize=4096)
 def sturm_chain(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Sturm chain of the squarefree part, primitive integer rows."""
+    """Sturm chain of the squarefree part, primitive integer rows.
+
+    Each row is -(a mod b) up to a positive factor: the pseudo-remainder
+    is lc(b)^(deg a - deg b + 1) (a mod b), so its sign flips back when that
+    power is negative."""
     p = squarefree_part(IntPolynomial(coeffs))
     chain = [list(p.coeffs), list(p.derivative().coeffs)]
     while chain[-1]:
-        rem = _frac_rem(
-            [Fraction(c) for c in chain[-2]], [Fraction(c) for c in chain[-1]]
-        )
+        a, b = chain[-2], chain[-1]
+        rem = _pseudo_remainder(a, b)
         if not rem:
             break
-        chain.append(_to_primitive_ints([-f for f in rem]))
+        flip = -1 if b[-1] < 0 and (len(a) - len(b)) % 2 == 0 else 1
+        g = -flip * math.gcd(*rem)
+        chain.append([c // g for c in rem])
     return tuple(tuple(row) for row in chain)
 
 

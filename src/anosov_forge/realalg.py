@@ -160,20 +160,7 @@ class RealAlgebraic:
         self._lo, self._hi = lo, hi
         return lo, hi
 
-    def sign(self) -> int:
-        if self.is_rational:
-            v = self.as_rational()
-            return (v > 0) - (v < 0)
-        bits = 8
-        while True:
-            lo, hi = self.interval(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
-
-    # -- comparisons ---------------------------------------------------------
+    # -- equality ------------------------------------------------------------
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             return self.is_rational and self.as_rational() == Fraction(other)
@@ -183,25 +170,6 @@ class RealAlgebraic:
 
     def __hash__(self):
         return hash((self.poly.coeffs, self.index))
-
-    def compare(self, other: "RealAlgebraic") -> int:
-        if self == other:
-            return 0
-        bits = 16
-        while True:
-            alo, ahi = self.interval(bits)
-            blo, bhi = other.interval(bits)
-            if ahi < blo:
-                return -1
-            if bhi < alo:
-                return 1
-            bits *= 2
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
 
     # -- arithmetic ------------------------------------------------------------
     def mul(self, other: "RealAlgebraic") -> "RealAlgebraic":

@@ -36,7 +36,7 @@ from .actions import (
     joint_primary_components,
     semisimple_part,
 )
-from .config import DEFAULT_CONFIG, ToolkitConfig
+from .config import DEFAULT_CONFIG, INITIAL_BITS, ToolkitConfig
 from .errors import (
     DegeneratePlane,
     NotAnosovAction,
@@ -57,6 +57,12 @@ from .logval import LogLinearValue
 from .numutil import certified_root_disks, modulus_squared_bounds, sqrt_bounds
 from .realalg import RealAlgebraic, _interval_mul
 from .verdict import VERDICT_FALSE, VERDICT_TRUE, Verdict3, undecided
+
+# largest smaller term (numerator or denominator) of a rational ratio that
+# certifies two functionals proportional, and largest entry of an integer
+# witness
+_MAX_DEN = 12
+_WITNESS_CAP = 10**6
 
 
 # -- data types --------------------------------------------------------------
@@ -98,8 +104,8 @@ class LyapunovFunctional:
             out = out + v.scale(Fraction(bi))
         return out
 
-    def is_zero_functional(self, config: ToolkitConfig = DEFAULT_CONFIG) -> bool:
-        return all(_vanishes(v, config) for v in self.values)
+    def is_zero_functional(self) -> bool:
+        return all(_vanishes(v) for v in self.values)
 
     def approx(self, bits: int = 64) -> list[float]:
         return [float(v.midpoint(bits)) for v in self.values]
@@ -250,7 +256,7 @@ def _msq_enclosure(p: IntPolynomial, base_disk, q: list[Fraction]):
 
 
 def _component_functionals(
-    comp: PrimaryComponent, origin: int, config: ToolkitConfig
+    comp: PrimaryComponent,
 ) -> list[tuple[tuple[RealAlgebraic, ...], int]]:
     semis = [semisimple_part(linalg.to_mat(b)) for b in comp.mats]
     cyc, qs = _cyclic_generator(semis)
@@ -260,12 +266,12 @@ def _component_functionals(
         if p.degree < 1:
             continue
         cands = [pair_product_parts(squarefree_part(image_poly(p, q))) for q in qs]
-        for disk in certified_root_disks(p.coeffs, config.initial_bits):
+        for disk in certified_root_disks(p.coeffs, INITIAL_BITS):
             msqs = tuple(
                 RealAlgebraic.from_enclosure(
                     cands[j],
                     _msq_enclosure(p, disk, qs[j]),
-                    start_bits=config.initial_bits,
+                    start_bits=INITIAL_BITS,
                 )
                 for j in range(len(qs))
             )
@@ -280,7 +286,7 @@ def lyapunov_data(
     vectors, with multiplicities summing to the torus dimension."""
     merged: list[tuple[tuple[RealAlgebraic, ...], int, int]] = []
     for origin, comp in enumerate(joint_primary_components(action)):
-        for msqs, mult in _component_functionals(comp, origin, config):
+        for msqs, mult in _component_functionals(comp):
             for i, (m0, t0, o0) in enumerate(merged):
                 if m0 == msqs:
                     merged[i] = (m0, t0 + mult, o0)
@@ -322,8 +328,8 @@ def _proportionality(
     """Decide whether g = c*f for real c: ("pos"|"neg", |c| if rational and
     certified), ("none", None), or ("undecided", None)."""
     k = f.rank
-    fz = [_vanishes(v, config) for v in f.values]
-    gz = [_vanishes(v, config) for v in g.values]
+    fz = [_vanishes(v) for v in f.values]
+    gz = [_vanishes(v) for v in g.values]
     if fz != gz:
         return "none", None
     idx = [i for i in range(k) if not fz[i]]
@@ -344,7 +350,7 @@ def _proportionality(
     if len(idx) == 1:
         return ("pos" if sigma > 0 else "neg"), None
     tried: set[Fraction] = set()
-    bits = config.initial_bits
+    bits = INITIAL_BITS
     while bits <= cap:
         ratios = [
             _interval_div(
@@ -359,18 +365,18 @@ def _proportionality(
                     return "none", None
         lo = max(r[0] for r in ratios)
         hi = min(r[1] for r in ratios)
-        for p in range(1, config.max_den + 1):
-            for q in range(1, config.max_den + 1):
-                if math.gcd(p, q) != 1:
-                    continue
-                c = sigma * Fraction(p, q)
-                if c in tried or not lo <= c <= hi:
-                    continue
-                tried.add(c)
-                if all(
-                    _vanishes(g.values[i] - f.values[i].scale(c), config) for i in idx
-                ):
-                    return ("pos" if sigma > 0 else "neg"), Fraction(p, q)
+        # the one candidate: the middle rounded to a ratio whose smaller term
+        # is at most _MAX_DEN, which a narrow enough enclosure pins to the
+        # true ratio; lo and hi have the sign sigma, so mid is not 0
+        mid = (lo + hi) / 2
+        if abs(mid) >= 1:
+            c = mid.limit_denominator(_MAX_DEN)
+        else:
+            c = 1 / (1 / mid).limit_denominator(_MAX_DEN)
+        if lo <= c <= hi and c not in tried:
+            tried.add(c)
+            if all(_vanishes(g.values[i] - f.values[i].scale(c)) for i in idx):
+                return ("pos" if sigma > 0 else "neg"), abs(c)
         bits *= 2
     return "undecided", None
 
@@ -382,7 +388,7 @@ def coarse_classes(
     """Partition functionals into maximal positively proportional groups."""
     n = len(functionals)
     for f in functionals:
-        if f.is_zero_functional(config):
+        if f.is_zero_functional():
             raise NotAnosovAction("action carries an identically zero Lyapunov functional")
     parent = list(range(n))
 
@@ -439,28 +445,28 @@ def is_tns(
 # -- chambers -----------------------------------------------------------------
 
 
-def _rounded_integer_witness(x, predicate, cap: int) -> tuple[int, ...]:
+def _rounded_integer_witness(x, predicate) -> tuple[int, ...]:
     """Round an interior point to a nearby lattice direction whose signs
     still certify."""
     den = 4
-    while den <= cap:
+    while den <= _WITNESS_CAP:
         vec = [Fraction(round(v * den), den) for v in x]
         if any(vec):
-            witness = _integer_scale(vec, cap)
+            witness = _integer_scale(vec)
             if predicate(witness):
                 return witness
         den *= 4
-    raise WitnessSearchExhausted(cap)
+    raise WitnessSearchExhausted(_WITNESS_CAP)
 
 
-def _integer_scale(vec: list[Fraction], cap: int) -> tuple[int, ...]:
+def _integer_scale(vec: list[Fraction]) -> tuple[int, ...]:
     den = math.lcm(*[v.denominator for v in vec])
     ints = [int(v * den) for v in vec]
     g = math.gcd(*ints)
     if g:
         ints = [v // g for v in ints]
-    if max(abs(v) for v in ints) > cap:
-        raise WitnessSearchExhausted(cap)
+    if max(abs(v) for v in ints) > _WITNESS_CAP:
+        raise WitnessSearchExhausted(_WITNESS_CAP)
     return tuple(ints)
 
 
@@ -487,16 +493,16 @@ def _minor_sign(rows, config: ToolkitConfig, what: str) -> tuple[int, Fraction]:
     The minor is exactly 0 when its enclosure is [0, 0], when one of its
     rows is exactly zero, or when two of its rows are proportional.  Any
     other minor refines up to the cap and then raises PrecisionExhausted."""
-    bits, cap = config.initial_bits, config.precision_cap_bits
+    bits, cap = INITIAL_BITS, config.precision_cap_bits
     while True:
         lo, hi = _interval_det([[v.interval(bits) for v in row] for row in rows])
         if lo > 0 or hi < 0:
             return (1 if lo > 0 else -1), (lo + hi) / 2
         if lo == hi == 0:
             return 0, Fraction(0)
-        if bits == config.initial_bits:  # the exact zero tests, once
+        if bits == INITIAL_BITS:  # the exact zero tests, once
             fs = [LyapunovFunctional(tuple(row), 1) for row in rows]
-            if any(f.is_zero_functional(config) for f in fs) or any(
+            if any(f.is_zero_functional() for f in fs) or any(
                 _proportionality(f, g, config)[0] in ("pos", "neg")
                 for f, g in itertools.combinations(fs, 2)
             ):
@@ -589,7 +595,7 @@ def weyl_chambers(
                 return False
             return got == cell
 
-        witness = _rounded_integer_witness(x, matches, config.witness_cap)
+        witness = _rounded_integer_witness(x, matches)
         chambers.append(WeylChamber(cell, witness))
     return chambers
 
@@ -624,11 +630,11 @@ def stable_set(
     return out
 
 
-def _vanishes(value: LogLinearValue, config: ToolkitConfig) -> bool:
+def _vanishes(value: LogLinearValue) -> bool:
     """Exact zero test, run only when the enclosure at the initial precision
     holds 0: a value that separates from 0 there never builds the product
     of algebraic powers that the exact test multiplies out."""
-    lo, hi = value.interval(config.initial_bits)
+    lo, hi = value.interval(INITIAL_BITS)
     return lo <= 0 <= hi and value.is_exactly_zero()
 
 
@@ -662,7 +668,7 @@ def complementary_splitting(
             for cls in classes:
                 gx = cls.value_at(p)
                 gy = cls.value_at(q)
-                if _vanishes(gx, config) and _vanishes(gy, config):
+                if _vanishes(gx) and _vanishes(gy):
                     raise DegeneratePlane("class vanishes on the plane")
                 traces.append((gx, gy))
             t = target.index
@@ -689,9 +695,7 @@ def complementary_splitting(
                     st if j == t else s1 if j in e1 else -s1 for j in range(len(classes))
                 )
                 x, y = by_signs[signs]
-                witnesses[name] = _integer_scale(
-                    [x * pi_ + y * qi for pi_, qi in zip(p, q)], config.witness_cap
-                )
+                witnesses[name] = _integer_scale([x * pi_ + y * qi for pi_, qi in zip(p, q)])
             return Splitting(
                 target=t,
                 e1_classes=tuple(sorted(e1)),
@@ -721,42 +725,37 @@ def fast_stable_element(
     and 2f - 2g) share their signs, so only the first of each group is
     traced.  In rank 2 a minor of the traces is zero only when two rows are
     proportional, which the exact tests decide; members of one class make
-    rank-k minors vanish without that."""
+    rank-k minors vanish without that.  An empty side takes b = a1 (a2),
+    which contracts the target.  The margin is certified by doubling the
+    precision from INITIAL_BITS."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     side_idx = splitting.e1_classes if side == 1 else splitting.e2_classes
     target = classes[splitting.target]
-    cap = config.precision_cap_bits
-
-    if not side_idx:
-        b = splitting.a1 if side == 1 else splitting.a2
-        bq = tuple(Fraction(v) for v in b)
-        lo, hi = target.value_at(bq).interval(cap // 4)
-        return bq, {"margin": -hi, "side_empty": True}
-
     side_members = [f for j in side_idx for f in classes[j].members]
     target_members = list(target.members)
-    rows = [
-        LyapunovFunctional(tuple(a - b for a, b in zip(f.values, g.values)), 1)
-        for f in side_members
-        for g in target_members
-    ] + target_members
-    p, q = splitting.plane
-    lines = [
-        CoarseClass(c.index, (LyapunovFunctional((c.value_at(p), c.value_at(q)), 1),), 1)
-        for c in coarse_classes(rows, config)
-    ]
-    negative = [ch.witness for ch in weyl_chambers(lines, 2, config) if max(ch.signs) < 0]
-    if not negative:
-        # the chamber lies next to the target's trace line, on the side's
-        # side; the chamber signs are exact, so a circuit certifies it empty
-        raise DegeneratePlane(f"no element contracts side {side} faster than the target")
-    x, y = negative[0]
-    b = tuple(
-        Fraction(v)
-        for v in _integer_scale([x * pi_ + y * qi for pi_, qi in zip(p, q)], config.witness_cap)
-    )
-    bits = config.initial_bits
+    if side_members:
+        rows = [
+            LyapunovFunctional(tuple(a - b for a, b in zip(f.values, g.values)), 1)
+            for f in side_members
+            for g in target_members
+        ] + target_members
+        p, q = splitting.plane
+        lines = [
+            CoarseClass(c.index, (LyapunovFunctional((c.value_at(p), c.value_at(q)), 1),), 1)
+            for c in coarse_classes(rows, config)
+        ]
+        negative = [ch.witness for ch in weyl_chambers(lines, 2, config) if max(ch.signs) < 0]
+        if not negative:
+            # the chamber lies next to the target's trace line, on the side's
+            # side; the chamber signs are exact, so a circuit certifies it empty
+            raise DegeneratePlane(f"no element contracts side {side} faster than the target")
+        x, y = negative[0]
+        b = _integer_scale([x * pi_ + y * qi for pi_, qi in zip(p, q)])
+    else:
+        b = splitting.a1 if side == 1 else splitting.a2
+    b = tuple(Fraction(v) for v in b)
+    bits, cap = INITIAL_BITS, config.precision_cap_bits
     while True:
         margin = _certify_fast_stable(b, side_members, target_members, bits)
         if margin is not None:

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -125,6 +124,18 @@ def test_chambers_json_fibonacci():
     assert len(doc["chambers"]) == 2
 
 
+@pytest.mark.parametrize("command", ["chambers", "selftest"])
+def test_json_flag_only_where_it_is_read(tmp_path, command):
+    # chambers writes to --out and selftest writes no JSON: a --json there
+    # would be accepted and never written
+    out = tmp_path / "x.json"
+    argv = [fixture_path("cartan_t3.json")] if command == "chambers" else []
+    proc = run_cli(command, *argv, "--json", str(out))
+    assert proc.returncode == 3
+    assert "unrecognized arguments: --json" in proc.stderr
+    assert not out.exists()
+
+
 def test_lift_roundtrip(tmp_path):
     out = tmp_path / "lift.json"
     proc = run_cli(
@@ -244,24 +255,12 @@ def _coplanar_doc():
 
 def test_options_block_applied(tmp_path):
     doc = _cartan_doc()
-    doc["options"] = {"witness_cap": 5000, "max_den": 7}
+    doc["options"] = {"precision_cap_bits": 2048}
     p = tmp_path / "opts.json"
     p.write_text(json.dumps(doc))
     proc = run_cli("analyze", str(p), "--json")
     assert proc.returncode == 0
-    cfg = json.loads(proc.stdout)["config"]
-    assert cfg["witness_cap"] == 5000
-    assert cfg["max_den"] == 7
-
-
-def test_options_cli_flag_wins(tmp_path):
-    doc = _cartan_doc()
-    doc["options"] = {"witness_cap": 5000}
-    p = tmp_path / "opts.json"
-    p.write_text(json.dumps(doc))
-    proc = run_cli("analyze", str(p), "--witness-cap", "7000", "--json")
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["config"]["witness_cap"] == 7000
+    assert json.loads(proc.stdout)["config"] == {"precision_cap_bits": 2048}
 
 
 def test_options_unknown_field_exit_three(tmp_path):
@@ -300,56 +299,6 @@ def test_identity_generator_exit_one(tmp_path):
 def test_lift_step_below_two_exit_three():
     proc = run_cli("lift", fixture_path("cartan_t3.json"), "--step", "1")
     assert proc.returncode == 3
-
-
-def test_env_precision_override():
-    env = dict(os.environ, ANOSOV_FORGE_BITS="8192")
-    proc = subprocess.run(
-        [sys.executable, "-m", "anosov_forge.cli", "analyze",
-         fixture_path("cartan_t3.json"), "--json"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["config"]["precision_cap_bits"] == 8192
-
-
-@pytest.mark.parametrize(
-    "bits, env, options, cap",
-    [
-        ("8192", {}, None, 4096),
-        ("8192", {"ANOSOV_FORGE_BITS": "4096"}, None, 4096),
-        ("256", {}, {"precision_cap_bits": 128}, 128),
-        ("8192", {"ANOSOV_FORGE_BITS": "16384"}, {"precision_cap_bits": 128}, 128),
-    ],
-)
-def test_bits_above_cap_exit_three(tmp_path, bits, env, options, cap):
-    # no refinement loop runs when the start lies above the cap, so this is
-    # an input error, not an undecided verdict; an embedded cap wins over
-    # the environment
-    doc = _cartan_doc()
-    if options:
-        doc["options"] = options
-    p = tmp_path / "bits.json"
-    p.write_text(json.dumps(doc))
-    proc = subprocess.run(
-        [sys.executable, "-m", "anosov_forge.cli", "analyze", str(p), "--bits", bits],
-        capture_output=True, text=True, env=dict(os.environ, **env),
-    )
-    assert proc.returncode == 3
-    assert proc.stderr == (
-        f"error: --bits {bits} exceeds the precision cap of {cap} bits\n"
-    )
-    assert proc.stdout == ""
-
-
-def test_bits_at_cap_accepted(tmp_path):
-    doc = _cartan_doc()
-    doc["options"] = {"precision_cap_bits": 128}
-    p = tmp_path / "bits.json"
-    p.write_text(json.dumps(doc))
-    proc = run_cli("analyze", str(p), "--bits", "128", "--json")
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["config"]["initial_bits"] == 128
 
 
 @pytest.mark.parametrize(
@@ -439,38 +388,28 @@ def test_analyze_cap_in_sign_step_gives_undecided_report(tmp_path):
     assert proc.stderr == ""
 
 
-@pytest.mark.parametrize(
-    "argv, env, named",
-    [
-        (("--bits", "-1"), {}, "--bits"),
-        (("--bits", "0"), {}, "--bits"),
-        ((), {"ANOSOV_FORGE_BITS": "abc"}, "ANOSOV_FORGE_BITS"),
-        ((), {"ANOSOV_FORGE_BITS": "8"}, "ANOSOV_FORGE_BITS"),
-        (("--max-den", "0"), {}, "--max-den"),
-        (("--max-den", "-3"), {}, "--max-den"),
-        (("--witness-cap", "0"), {}, "--witness-cap"),
-        (("--witness-cap", "-1"), {}, "--witness-cap"),
-        (("--jobs", "0"), {}, "--jobs"),
-        (("--jobs", "-2"), {}, "--jobs"),
-    ],
-)
-def test_bad_precision_setting_exit_three(argv, env, named):
-    # a --bits of 0 never leaves the `bits *= 2` loops: the timeout bounds
-    # the test if the check is lost
-    proc = subprocess.run(
-        [sys.executable, "-m", "anosov_forge.cli", "analyze",
-         fixture_path("cartan_t3.json"), "--json", *argv],
-        capture_output=True, text=True, env=dict(os.environ, **env), timeout=60,
-    )
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bad_jobs_exit_three(jobs):
+    proc = run_cli("analyze", fixture_path("cartan_t3.json"), "--json", "--jobs", jobs)
     assert proc.returncode == 3
-    assert proc.stderr.startswith(f"error: {named} must be")
+    assert proc.stderr.startswith("error: --jobs must be")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flag", ["--bits", "--max-den", "--witness-cap"])
+def test_removed_setting_flags_are_usage_errors(flag):
+    # the initial precision, the ratio denominator and the witness size are
+    # constants: only the precision cap is set, in the file's options
+    proc = run_cli("analyze", fixture_path("cartan_t3.json"), "--json", flag, "128")
+    assert proc.returncode == 3
+    assert f"unrecognized arguments: {flag} 128" in proc.stderr
     assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("option", ["max_den", "witness_cap"])
 def test_embedded_search_cap_below_one_exit_three(tmp_path, option):
-    # a max_den of 0 empties the p/q search of the proportionality test, so
-    # symplectic_pair would end undecided instead of not TNS
+    # the ratio denominator and the witness size are constants, so an
+    # embedded value is an unknown field whatever it is
     with open(fixture_path("symplectic_pair.json")) as fh:
         doc = json.load(fh)
     doc["options"] = {option: 0}
@@ -478,7 +417,7 @@ def test_embedded_search_cap_below_one_exit_three(tmp_path, option):
     p.write_text(json.dumps(doc))
     proc = run_cli("analyze", str(p), "--json")
     assert proc.returncode == 3
-    assert proc.stderr == f"error: {p}: options.{option} must be a positive integer\n"
+    assert proc.stderr == f"error: {p}: options: unknown field(s) {option}\n"
     assert proc.stdout == ""
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from anosov_forge.intpoly import (
     resultant_y,
     sign_at,
     squarefree_part,
+    sturm_chain,
     sturm_count,
 )
 from anosov_forge.errors import EndpointRoot
@@ -222,3 +224,37 @@ def test_image_poly_matches_resultant(p, q):
         - sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(q)),
     )
     assert image_poly(p, q) == reference
+
+
+# -- Sturm chains --------------------------------------------------------------
+
+
+def _fraction_sturm_chain(p: IntPolynomial):
+    """The chain by remainders over Q, each row -(a mod b) made primitive
+    with its sign kept."""
+    p = squarefree_part(p)
+    chain = [list(p.coeffs), list(p.derivative().coeffs)]
+    while chain[-1]:
+        a = [Fraction(c) for c in chain[-2]]
+        b = chain[-1]
+        while len(a) >= len(b) and any(a):
+            factor = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= factor * c
+            a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            break
+        den = math.lcm(*(c.denominator for c in a))
+        ints = [-int(c * den) for c in a]
+        g = math.gcd(*ints)
+        chain.append([c // g for c in ints])
+    return tuple(tuple(row) for row in chain)
+
+
+@given(integer_polys())
+@settings(max_examples=100, deadline=None)
+def test_sturm_chain_matches_fraction_remainders(p):
+    assert sturm_chain(p.coeffs) == _fraction_sturm_chain(p)

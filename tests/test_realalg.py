@@ -70,19 +70,6 @@ def test_equality_distinguishes_conjugates():
     assert s.mul(neg) == RealAlgebraic.from_rational(-2)
 
 
-def test_sign():
-    assert sqrt2().sign() == 1
-    assert RealAlgebraic.from_rational(0).sign() == 0
-    assert RealAlgebraic.from_rational(-5).sign() == -1
-
-
-def test_comparison():
-    s, phi = sqrt2(), golden()
-    assert s.compare(phi) == -1  # 1.414... < 1.618...
-    assert phi.compare(s) == 1
-    assert s.compare(s) == 0
-
-
 def test_from_enclosure_rejects_rootless_interval():
     with pytest.raises(Exception):
         RealAlgebraic.from_enclosure(

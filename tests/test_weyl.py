@@ -18,7 +18,7 @@ from conftest import (
 
 from anosov_forge.actions import is_anosov_matrix, product_matrix, validate
 from anosov_forge.cli import load_action_file_with_options
-from anosov_forge.config import DEFAULT_CONFIG
+from anosov_forge.config import DEFAULT_CONFIG, INITIAL_BITS
 from anosov_forge.errors import NotAnosovAction, NotTNS, SingularElement
 from anosov_forge.freenil import free_nilpotent_lift
 from anosov_forge.logval import LogLinearValue
@@ -125,6 +125,36 @@ def test_tns_true_with_witnesses(cartan_action):
     for key, w in pairs.items():
         for c in map(int, key.split(",")):
             assert classes[c].value_at(w).sign(4096) < 0
+
+
+def _block_power_double(gens, lower, e):
+    # diag(g, h^e) for each pair of generators g, h
+    m = len(gens[0])
+    out = []
+    for g, h in zip(gens, lower):
+        p = [[int(i == j) for j in range(m)] for i in range(m)]
+        for _ in range(e):
+            p = [[sum(p[i][r] * h[r][j] for r in range(m)) for j in range(m)] for i in range(m)]
+        out.append([g[i] + [0] * m for i in range(m)] + [[0] * m + p[i] for i in range(m)])
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ratio_with_numerator_above_twelve_certifies(sign):
+    # diag(g, h^13) with h = g gives functionals f and 13 f, and h = g^-T
+    # gives f and -13 f: the candidate ratio has no bound on its numerator
+    gens = [list(map(list, g)) for g in cartan_generators()]
+    lower = gens if sign > 0 else [[row[3:] for row in d[3:]] for d in symplectic_double(gens)]
+    action = validate(_block_power_double(gens, lower, 13))
+    classes = coarse_classes(lyapunov_data(action, CFG), CFG)
+    verdict, info = is_tns(classes, CFG)
+    if sign > 0:
+        assert [len(c.members) for c in classes] == [2, 2, 2]
+        assert verdict.kind == "true"
+    else:
+        assert len(classes) == 6
+        assert verdict.kind == "false"
+        assert info["ratio"] in (13, Fraction(1, 13))
 
 
 def test_symplectic_pair_not_tns():
@@ -448,7 +478,7 @@ def test_exact_zero_tests_reach_only_values_that_intervals_leave_open(
     calls, separated = [], []
 
     def spy(self):
-        lo, hi = self.interval(CFG.initial_bits)
+        lo, hi = self.interval(INITIAL_BITS)
         calls.append(self)
         if lo > 0 or hi < 0:
             separated.append(self)
@@ -487,6 +517,25 @@ def test_fast_stable_element(cartan_action):
             diff = classes[idx].value_at(b) + tval.scale(-1)
             # chi_j(b) < chi_target(b) < 0 for every j on the chosen side
             assert diff.sign(4096) < 0
+
+
+def test_fast_stable_element_certifies_an_empty_side(cartan_action):
+    # with two classes one side of each splitting is empty: its element is
+    # a1 (a2), whose margin the same doubling loop certifies
+    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)[:2]
+    for target in classes:
+        sp = complementary_splitting(classes, target, CFG)
+        assert sorted([len(sp.e1_classes), len(sp.e2_classes)]) == [0, 1]
+        for side, members in ((1, sp.e1_classes), (2, sp.e2_classes)):
+            b, cert = fast_stable_element(sp, side, classes, CFG)
+            assert cert.keys() == {"margin", "bits"}
+            assert cert["margin"] > 0 and cert["bits"] == INITIAL_BITS
+            if not members:
+                assert b == (sp.a1 if side == 1 else sp.a2)
+            tval = target.value_at(b)
+            assert tval.sign(4096) < 0
+            for idx in members:
+                assert (classes[idx].value_at(b) - tval).sign(4096) < 0
 
 
 def test_fast_stable_element_with_two_member_classes():

@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from anosov_forge.cli import load_action_file_with_options
-from anosov_forge.config import ToolkitConfig
 from anosov_forge.report import chambers_svg
 from anosov_forge.weyl import (
     anosov_in_every_chamber,
@@ -27,13 +26,12 @@ def main() -> int:
     ap.add_argument("--out", default=None, help="write SVG here")
     args = ap.parse_args()
 
-    action, options = load_action_file_with_options(args.file)
-    cfg = ToolkitConfig(**options)
-    classes = coarse_classes(lyapunov_data(action, cfg), cfg)
+    action, cap = load_action_file_with_options(args.file)
+    classes = coarse_classes(lyapunov_data(action), cap)
     if action.rank != 2:
         print(f"rank {action.rank} action: no planar diagram", file=sys.stderr)
         return 2
-    chambers = weyl_chambers(classes, 2, cfg)
+    chambers = weyl_chambers(classes, cap)
 
     print(f"{len(classes)} coarse classes, {len(chambers)} chambers")
     for ch in chambers:

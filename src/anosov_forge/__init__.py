@@ -9,7 +9,6 @@ silently rounded.
 """
 
 from .actions import ValidatedAction, is_semisimple, is_totally_reducible, validate
-from .config import DEFAULT_CONFIG, ToolkitConfig
 from .errors import AnosovForgeError
 from .freenil import free_nilpotent_lift, hall_basis, lift_is_anosov, witt_dimension
 from .graded import GradedAlgebraAction, is_totally_reducible_graded, validate_graded
@@ -36,10 +35,8 @@ __all__ = [
     "AnosovForgeError",
     "CoarseClass",
     "ContractionSpectrum",
-    "DEFAULT_CONFIG",
     "GradedAlgebraAction",
     "LyapunovFunctional",
-    "ToolkitConfig",
     "ValidatedAction",
     "Verdict3",
     "WeylChamber",

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .actions import validate
-from .config import DEFAULT_CONFIG, ToolkitConfig
+from .config import DEFAULT_CAP
 from .errors import AnosovForgeError, InputError, RankUnsupported, UndecidedAtCap
 from .graded import GradedAlgebraAction, validate_graded
 from .report import (
@@ -60,7 +60,8 @@ def _unflatten(flat, dim: int, field: str):
 OPTION_FIELDS = {"precision_cap_bits"}
 
 
-def _parse_options(doc: dict, path: str) -> dict:
+def _parse_options(doc: dict, path: str) -> int:
+    """The precision cap embedded in the file, or DEFAULT_CAP."""
     opts = doc.get("options", {})
     if not isinstance(opts, dict):
         raise InputError(f"{path}: options must be an object")
@@ -68,7 +69,7 @@ def _parse_options(doc: dict, path: str) -> dict:
     for key, val in opts.items():
         if not _is_int(val) or val < 0:
             raise InputError(f"{path}: options.{key} must be a non-negative integer")
-    return dict(opts)
+    return opts.get("precision_cap_bits", DEFAULT_CAP)
 
 
 def _read_json(path: str):
@@ -82,16 +83,16 @@ def _read_json(path: str):
 
 
 def load_action_file_with_options(path: str):
-    """Parse an ActionFile; returns (action, options dict).
+    """Parse an ActionFile; returns (action, precision cap in bits).
 
-    The options embedded in the file are the fields of its ToolkitConfig."""
+    The cap is the file's embedded `precision_cap_bits`, or DEFAULT_CAP."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
     if not _is_int(doc.get("schema_version")) or doc["schema_version"] != 1:
         raise InputError(f"{path}: schema_version must be 1")
     kind = doc.get("kind")
-    options = _parse_options(doc, path)
+    cap = _parse_options(doc, path)
     if kind == "torus":
         _reject_unknown(
             doc,
@@ -119,7 +120,7 @@ def load_action_file_with_options(path: str):
             raise InputError(
                 f"{path}: rank {rank} does not match {len(gens)} generators"
             )
-        return validate(gens, name=doc.get("name", "")), options
+        return validate(gens, name=doc.get("name", "")), cap
     if kind == "graded":
         _reject_unknown(
             doc,
@@ -166,7 +167,7 @@ def load_action_file_with_options(path: str):
                     for row in mat
                 ]
             )
-        return validate_graded(grading, sc, gens, name=doc.get("name", "")), options
+        return validate_graded(grading, sc, gens, name=doc.get("name", "")), cap
     raise InputError(f"{path}: kind must be 'torus' or 'graded'")
 
 
@@ -201,11 +202,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _analyze_one(path: str) -> dict:
-    obj, options = load_action_file_with_options(path)
-    cfg = ToolkitConfig(**options)
+    obj, cap = load_action_file_with_options(path)
     if isinstance(obj, GradedAlgebraAction):
-        return audit_graded(obj, cfg)
-    return audit_action(obj, cfg)
+        return audit_graded(obj, cap)
+    return audit_action(obj, cap)
 
 
 def _analyze_entry(path: str) -> tuple[dict, int]:
@@ -227,7 +227,8 @@ def cmd_analyze(args) -> int:
     elif args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at the first submit: one per file at most
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.files))) as pool:
             entries = list(pool.map(_analyze_entry, args.files))
     else:
         entries = [_analyze_entry(p) for p in args.files]
@@ -258,15 +259,14 @@ def _print_summary(rep: dict) -> None:
 def cmd_chambers(args) -> int:
     from .weyl import coarse_classes, lyapunov_data, weyl_chambers
 
-    obj, options = load_action_file_with_options(args.file)
-    cfg = ToolkitConfig(**options)
+    obj, cap = load_action_file_with_options(args.file)
     if isinstance(obj, GradedAlgebraAction):
         obj = validate(
             [[[int(v) for v in row] for row in g] for g in obj.generators],
             name=obj.name,
         )
-    classes = coarse_classes(lyapunov_data(obj, cfg), cfg)
-    chambers = weyl_chambers(classes, obj.rank, cfg)
+    classes = coarse_classes(lyapunov_data(obj), cap)
+    chambers = weyl_chambers(classes, cap)
     if args.format == "svg":
         if obj.rank != 2:
             raise RankUnsupported(obj.rank)
@@ -283,8 +283,7 @@ def cmd_chambers(args) -> int:
 def cmd_lift(args) -> int:
     from .freenil import free_nilpotent_lift
 
-    obj, options = load_action_file_with_options(args.file)
-    cfg = ToolkitConfig(**options)
+    obj, cap = load_action_file_with_options(args.file)
     if isinstance(obj, GradedAlgebraAction):
         raise InputError(f"{args.file}: lift requires a torus action")
     if args.step < 2:
@@ -296,7 +295,7 @@ def cmd_lift(args) -> int:
             + "\n",
             args.out,
         )
-    rep = audit_action(lift.to_validated(), cfg)
+    rep = audit_action(lift.to_validated(), cap)
     rep["kind"] = "free_nilpotent_lift"
     rep["step"] = lift.step
     rep["base_dim"] = lift.base.dim
@@ -319,7 +318,7 @@ def cmd_normal_forms(args) -> int:
     from .normalforms import ContractionSpectrum, _dimension, subresonance_indices
     from .weyl import coarse_classes, lyapunov_data, stable_set
 
-    cfg = DEFAULT_CONFIG
+    cap = DEFAULT_CAP
     doc = _read_json(args.file)
     if isinstance(doc, dict) and doc.get("kind") == "spectrum":
         _reject_unknown(
@@ -334,19 +333,18 @@ def cmd_normal_forms(args) -> int:
         if not isinstance(mults, list) or not all(_is_int(m) for m in mults):
             raise InputError(f"{args.file}: multiplicities must be an array of integers")
         exps = [_frac(x, f"{args.file}: exponents") for x in exps]
-        spec = ContractionSpectrum.build(exps, mults, cfg)
+        spec = ContractionSpectrum.build(exps, mults, cap)
     else:
         if args.element is None:
             raise InputError(
                 "--element is required when the input is an action file"
             )
-        obj, options = load_action_file_with_options(args.file)
-        cfg = ToolkitConfig(**options)
+        obj, cap = load_action_file_with_options(args.file)
         if isinstance(obj, GradedAlgebraAction):
             raise InputError(f"{args.file}: normal-forms requires a torus action")
         b = _parse_element(args.element, obj.rank)
-        classes = coarse_classes(lyapunov_data(obj, cfg), cfg)
-        stable = stable_set(classes, b, cfg)
+        classes = coarse_classes(lyapunov_data(obj), cap)
+        stable = stable_set(classes, b, cap)
         if not stable:
             raise InputError(f"element {b} has no stable classes")
         vals = sorted(
@@ -355,9 +353,9 @@ def cmd_normal_forms(args) -> int:
             reverse=True,
         )
         spec = ContractionSpectrum.build(
-            [v for v, _ in vals], [m for _, m in vals], cfg
+            [v for v, _ in vals], [m for _, m in vals], cap
         )
-    indices = subresonance_indices(spec, config=cfg)
+    indices = subresonance_indices(spec, cap)
     out = {
         "exponents": [
             frac_str(e.const)
@@ -377,7 +375,6 @@ def cmd_normal_forms(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Fast end-to-end sanity checks on built-in examples."""
-    cfg = DEFAULT_CONFIG
     from .freenil import hall_basis
     from .modulus import has_unit_modulus_root
     from .intpoly import IntPolynomial
@@ -385,7 +382,7 @@ def cmd_selftest(args) -> int:
 
     checks = []
     fib = validate([[[1, 1], [1, 0]]], name="fib")
-    fs = lyapunov_data(fib, cfg)
+    fs = lyapunov_data(fib)
     checks.append(("rank-1 functional count", len(fs) == 2))
     checks.append(
         ("golden mean not on unit circle",
@@ -398,22 +395,18 @@ def cmd_selftest(args) -> int:
     a1 = [[0, 0, -1], [1, 0, 3], [0, 1, 0]]
     a2 = [[a1[i][j] - (i == j) for j in range(3)] for i in range(3)]
     cartan = validate([a1, a2], name="cartan")
-    classes = coarse_classes(lyapunov_data(cartan, cfg), cfg)
+    classes = coarse_classes(lyapunov_data(cartan))
     checks.append(("cartan T^3 coarse classes", len(classes) == 3))
-    verdict, _ = is_tns(classes, cfg)
+    verdict, _ = is_tns(classes)
     checks.append(("cartan T^3 is TNS", verdict.kind == "true"))
-    checks.append(
-        ("cartan T^3 chamber count", len(weyl_chambers(classes, 2, cfg)) == 6)
-    )
+    checks.append(("cartan T^3 chamber count", len(weyl_chambers(classes)) == 6))
     t4 = [
         [[0, 0, 0, 1], [1, 0, 0, 5], [0, 1, 0, 1], [0, 0, 1, -5]],
         [[-1, 0, 0, -1], [-1, -1, 0, -5], [0, -1, -1, -1], [0, 0, -1, 4]],
         [[0, 0, -1, 6], [1, 0, -5, 29], [-1, 1, -1, 1], [0, -1, 6, -31]],
     ]
-    classes = coarse_classes(lyapunov_data(validate(t4, name="cartan-t4"), cfg), cfg)
-    checks.append(
-        ("cartan T^4 chamber count", len(weyl_chambers(classes, 3, cfg)) == 14)
-    )
+    classes = coarse_classes(lyapunov_data(validate(t4, name="cartan-t4")))
+    checks.append(("cartan T^4 chamber count", len(weyl_chambers(classes)) == 14))
     checks.append(
         ("free 2-step Hall dimensions on 3 generators",
          hall_basis(3, 2).degree_dimensions() == (3, 3)),

@@ -1,23 +1,26 @@
-"""Run-wide configuration: the precision cap."""
+"""The precision cap and the one schedule of every refinement loop.
+
+A certified routine takes the cap as a plain int, `cap`, and refines at
+each precision of `precisions(cap)`; a decision still open after the last
+one raises PrecisionExhausted (undecided).  An action file sets the cap in
+its embedded options.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 INITIAL_BITS = 64
 """Precision at which every doubling refinement loop starts."""
 
-
-@dataclass(frozen=True)
-class ToolkitConfig:
-    """The precision cap used by every certified routine.
-
-    The doubling refinement loops run from INITIAL_BITS up to
-    precision_cap_bits; a decision still open at the cap is undecided.
-    An action file sets the cap in its embedded options.
-    """
-
-    precision_cap_bits: int = 4096
+DEFAULT_CAP = 4096
+"""Precision cap, in bits, of a file that embeds none."""
 
 
-DEFAULT_CONFIG = ToolkitConfig()
+def precisions(cap: int):
+    """INITIAL_BITS, then doubling, with the last step clamped to cap:
+    64, 100 for cap 100.  Nothing when cap < INITIAL_BITS."""
+    bits = INITIAL_BITS
+    while bits < cap:
+        yield bits
+        bits *= 2
+    if cap >= INITIAL_BITS:
+        yield cap

@@ -96,9 +96,7 @@ def hall_basis(d: int, k: int) -> HallBasis:
                         continue
                     words.append((m, u, v))
                     new.append(len(words) - 1)
-        # keep degree-m words grouped by (left, right) in ascending order
-        new.sort(key=lambda i: (words[i][1], words[i][2]))
-        # re-emit in sorted order (indices were appended unsorted above)
+        # re-emit the degree-m words in ascending (left, right) order
         block = sorted((words[i] for i in new), key=lambda w: (w[1], w[2]))
         base = len(words) - len(new)
         for off, w in enumerate(block):

@@ -411,7 +411,7 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
     if p.degree < 1:
         return Fraction(1)
     lead = abs(p.leading)
-    return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1]) if p.degree else Fraction(1)
+    return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
 def _safe_endpoint(p: IntPolynomial, v: Fraction, step: Fraction) -> Fraction:

@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .config import DEFAULT_CAP, precisions
 from .errors import PrecisionExhausted
+from .intpoly import IntPolynomial, cauchy_root_bound
 from .numutil import log_interval
 from .realalg import RealAlgebraic
 
@@ -78,11 +80,16 @@ class LogLinearValue:
     def interval(self, bits: int) -> tuple[Fraction, Fraction]:
         lo = hi = self.const
         for coeff, alpha in self.terms:
-            alo, ahi = alpha.interval(bits)
-            while alo <= 0:
-                alo, ahi = alpha.interval(bits * 2)
-                bits *= 2
-            la, lb = log_interval(alo, ahi, bits)
+            abits = bits
+            alo, ahi = alpha.interval(abits)
+            if alo <= 0:
+                # alpha > 1/B for B the root bound of its reversed minimal
+                # polynomial: an enclosure 2^-bits/B wide lies above 0 and
+                # pins log(alpha) about as well as 2^-bits
+                bound = cauchy_root_bound(IntPolynomial(alpha.poly.coeffs[::-1]))
+                abits += math.ceil(bound).bit_length()
+                alo, ahi = alpha.interval(abits)
+            la, lb = log_interval(alo, ahi, abits)
             if coeff > 0:
                 lo += coeff * la
                 hi += coeff * lb
@@ -104,15 +111,15 @@ class LogLinearValue:
             product = product.mul(alpha.pow(int(coeff * den)))
         return product == 1
 
-    def sign(self, cap_bits: int = 4096) -> int:
-        """Exact sign: -1, 0, +1.  Raises PrecisionExhausted past cap_bits."""
+    def sign(self, cap: int = DEFAULT_CAP) -> int:
+        """Exact sign: -1, 0, +1.  Raises PrecisionExhausted when no
+        precision of precisions(cap) settles it."""
         if not self.terms:
             return (self.const > 0) - (self.const < 0)
         # intervals first: the exact vanishing test builds power/product
         # polynomials and is far more expensive than a few refinements
-        bits = 32
         checked_zero = False
-        while bits <= cap_bits:
+        for bits in precisions(cap):
             lo, hi = self.interval(bits)
             if lo > 0:
                 return 1
@@ -122,8 +129,7 @@ class LogLinearValue:
                 if self.is_exactly_zero():
                     return 0
                 checked_zero = True
-            bits *= 2
-        raise PrecisionExhausted("sign of log-linear value unresolved", cap_bits)
+        raise PrecisionExhausted("sign of log-linear value unresolved", cap)
 
     def midpoint(self, bits: int = 64) -> Fraction:
         lo, hi = self.interval(bits)

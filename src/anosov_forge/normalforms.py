@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT_CONFIG, ToolkitConfig
+from .config import DEFAULT_CAP
 from .errors import InputError, PrecisionExhausted, UndecidedBoundary
 from .logval import LogLinearValue
 
@@ -42,7 +42,7 @@ class ContractionSpectrum:
 
     @classmethod
     def build(
-        cls, exponents, multiplicities, config: ToolkitConfig = DEFAULT_CONFIG
+        cls, exponents, multiplicities, cap: int = DEFAULT_CAP
     ) -> "ContractionSpectrum":
         vals = tuple(_as_value(x) for x in exponents)
         mults = tuple(int(m) for m in multiplicities)
@@ -50,7 +50,6 @@ class ContractionSpectrum:
             raise InputError("exponents and multiplicities must align")
         if any(m < 1 for m in mults):
             raise InputError("multiplicities must be positive")
-        cap = config.precision_cap_bits
         for v in vals:
             if _sign(v, cap) >= 0:
                 raise InputError("exponents must be strictly negative")
@@ -73,8 +72,7 @@ class SubresonanceIndex:
 
 
 def subresonance_indices(
-    spec: ContractionSpectrum,
-    config: ToolkitConfig = DEFAULT_CONFIG,
+    spec: ContractionSpectrum, cap: int = DEFAULT_CAP
 ) -> list[SubresonanceIndex]:
     """Complete enumeration of subresonance indices, targets in order and
     degree vectors in lexicographic order.
@@ -97,7 +95,6 @@ def subresonance_indices(
             return total < chi_i
 
     else:
-        cap = config.precision_cap_bits
         chis = list(spec.exponents)
         start = LogLinearValue.from_rational(0)
 
@@ -142,9 +139,8 @@ def _dimension(spec: ContractionSpectrum, indices) -> int:
 
 
 def sr_group_dimension(
-    spec: ContractionSpectrum,
-    config: ToolkitConfig = DEFAULT_CONFIG,
+    spec: ContractionSpectrum, cap: int = DEFAULT_CAP
 ) -> int:
     """Dimension of the space of subresonance polynomial maps:
     sum over indices (i, s) of m_i * prod_j multichoose(m_j, s_j)."""
-    return _dimension(spec, subresonance_indices(spec, config))
+    return _dimension(spec, subresonance_indices(spec, cap))

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
+from .config import precisions
 from .errors import PrecisionExhausted
 from .intpoly import (
     IntPolynomial,
@@ -33,6 +34,8 @@ _GUARD_BITS = 32
 _MIN_NEWTON_HALVINGS = 32
 # Newton steps at the low precision before a jump is given up
 _MAX_SETTLING_STEPS = 64
+# last precision at which from_enclosure tries to identify its root
+_IDENTIFY_CAP = 1 << 20
 
 
 @lru_cache(maxsize=4096)
@@ -71,8 +74,6 @@ class RealAlgebraic:
         cls,
         candidates: IntPolynomial | Sequence[IntPolynomial],
         enclosure: Callable[[int], tuple[Fraction, Fraction]],
-        start_bits: int = 64,
-        cap_bits: int = 1 << 20,
     ) -> "RealAlgebraic":
         """Identify the real root of `candidates` lying in a shrinking enclosure.
 
@@ -84,8 +85,7 @@ class RealAlgebraic:
         if isinstance(candidates, IntPolynomial):
             candidates = (candidates,)
         factors = list(dict.fromkeys(f for c in candidates for f, _ in factor_cached(c)))
-        bits = start_bits
-        while bits <= cap_bits:
+        for bits in precisions(_IDENTIFY_CAP):
             lo, hi = enclosure(bits)
             hits = []
             for f in factors:
@@ -98,8 +98,7 @@ class RealAlgebraic:
             if len(hits) == 1 and hits[0][1] == 1:
                 f, _, a, b = hits[0]
                 return cls._locate(f, a, b)
-            bits *= 2
-        raise PrecisionExhausted("could not isolate algebraic value", cap_bits)
+        raise PrecisionExhausted("could not isolate algebraic value", _IDENTIFY_CAP)
 
     @classmethod
     def _locate(cls, poly: IntPolynomial, lo: Fraction, hi: Fraction) -> "RealAlgebraic":

@@ -7,13 +7,12 @@ certified midpoints, and no timestamps are embedded.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 from fractions import Fraction
 
 from .actions import ValidatedAction, is_semisimple, is_totally_reducible
-from .config import DEFAULT_CONFIG, ToolkitConfig
+from .config import DEFAULT_CAP
 from .errors import NotAnosovAction, UndecidedProportionality
 from .graded import GradedAlgebraAction, degree_one_action, is_totally_reducible_graded
 from .verdict import Verdict3
@@ -81,16 +80,14 @@ def _joint_contraction_witness(
     )
 
 
-def audit_action(
-    action: ValidatedAction, config: ToolkitConfig = DEFAULT_CONFIG
-) -> dict:
+def audit_action(action: ValidatedAction, cap: int = DEFAULT_CAP) -> dict:
     """Full Theorem-1.1-hypothesis audit of a validated toral action."""
     report: dict = {
         "name": action.name,
         "kind": "torus",
         "dim": action.dim,
         "rank": action.rank,
-        "config": dataclasses.asdict(config),
+        "config": {"precision_cap_bits": cap},
         "hypotheses": {},
         "arrangement": {},
         "note": (
@@ -120,10 +117,10 @@ def audit_action(
         ],
     }
 
-    functionals = lyapunov_data(action, config)
+    functionals = lyapunov_data(action)
     report["arrangement"]["functionals"] = [functional_json(f) for f in functionals]
     try:
-        classes = coarse_classes(functionals, config)
+        classes = coarse_classes(functionals, cap)
     except NotAnosovAction:
         hyp["tns"] = {"kind": "false", "reason": "zero Lyapunov functional"}
         hyp["anosov_in_every_chamber"] = {
@@ -147,8 +144,8 @@ def audit_action(
         return report
 
     report["arrangement"]["classes"] = [class_json(c) for c in classes]
-    tns_verdict, tns_info = is_tns(classes, config)
-    chambers = weyl_chambers(classes, action.rank, config)
+    tns_verdict, tns_info = is_tns(classes, cap)
+    chambers = weyl_chambers(classes, cap)
     hyp["tns"] = verdict_json(tns_verdict)
     if tns_verdict.kind == "true":
         hyp["tns"]["joint_contraction_witnesses"] = {
@@ -173,9 +170,7 @@ def audit_action(
     return report
 
 
-def audit_graded(
-    g: GradedAlgebraAction, config: ToolkitConfig = DEFAULT_CONFIG
-) -> dict:
+def audit_graded(g: GradedAlgebraAction, cap: int = DEFAULT_CAP) -> dict:
     """Audit a graded (nilmanifold) action: the spectral hypotheses run on
     the full lattice matrices; total reducibility uses the graded criterion."""
     from .actions import validate
@@ -184,7 +179,7 @@ def audit_graded(
         [[[int(x) for x in row] for row in gen] for gen in g.generators],
         name=g.name,
     )
-    report = audit_action(full, config)
+    report = audit_action(full, cap)
     report["kind"] = "graded"
     report["grading"] = list(g.grading)
     reducible, witness = is_totally_reducible_graded(g)

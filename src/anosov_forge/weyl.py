@@ -36,7 +36,7 @@ from .actions import (
     joint_primary_components,
     semisimple_part,
 )
-from .config import DEFAULT_CONFIG, INITIAL_BITS, ToolkitConfig
+from .config import DEFAULT_CAP, INITIAL_BITS, precisions
 from .errors import (
     DegeneratePlane,
     NotAnosovAction,
@@ -240,7 +240,6 @@ def _msq_enclosure(p: IntPolynomial, base_disk, q: list[Fraction]):
 
     def enclosure(bits: int) -> tuple[Fraction, Fraction]:
         lo = hi = None
-        bits = max(bits, 64)
         for re, im, rad in certified_root_disks(p.coeffs, bits):
             d2 = (re - bre) ** 2 + (im - bim) ** 2
             if d2 > (rad + brad) ** 2:
@@ -268,20 +267,14 @@ def _component_functionals(
         cands = [pair_product_parts(squarefree_part(image_poly(p, q))) for q in qs]
         for disk in certified_root_disks(p.coeffs, INITIAL_BITS):
             msqs = tuple(
-                RealAlgebraic.from_enclosure(
-                    cands[j],
-                    _msq_enclosure(p, disk, qs[j]),
-                    start_bits=INITIAL_BITS,
-                )
+                RealAlgebraic.from_enclosure(cands[j], _msq_enclosure(p, disk, qs[j]))
                 for j in range(len(qs))
             )
             out.append((msqs, mult))
     return out
 
 
-def lyapunov_data(
-    action: ValidatedAction, config: ToolkitConfig = DEFAULT_CONFIG
-) -> list[LyapunovFunctional]:
+def lyapunov_data(action: ValidatedAction) -> list[LyapunovFunctional]:
     """Lyapunov functionals of the action, grouped by equal log-modulus
     vectors, with multiplicities summing to the torus dimension."""
     merged: list[tuple[tuple[RealAlgebraic, ...], int, int]] = []
@@ -305,13 +298,13 @@ def lyapunov_data(
 
 
 def _bounded_away(value: LogLinearValue, bits: int, cap: int):
-    """Interval for a value known to be nonzero, not containing 0."""
-    b = bits
-    while b <= max(cap, bits):
-        lo, hi = value.interval(b)
-        if lo > 0 or hi < 0:
-            return lo, hi
-        b *= 2
+    """Interval for a value known to be nonzero, not containing 0, at the
+    first precision of the schedule from bits on that separates it."""
+    for b in precisions(cap):
+        if b >= bits:
+            lo, hi = value.interval(b)
+            if lo > 0 or hi < 0:
+                return lo, hi
     raise PrecisionExhausted("nonzero value not separated from 0", cap)
 
 
@@ -323,7 +316,7 @@ def _interval_div(num, den):
 def _proportionality(
     f: LyapunovFunctional,
     g: LyapunovFunctional,
-    config: ToolkitConfig,
+    cap: int,
 ) -> tuple[str, Fraction | None]:
     """Decide whether g = c*f for real c: ("pos"|"neg", |c| if rational and
     certified), ("none", None), or ("undecided", None)."""
@@ -335,7 +328,6 @@ def _proportionality(
     idx = [i for i in range(k) if not fz[i]]
     if not idx:
         return "pos", Fraction(1)
-    cap = config.precision_cap_bits
     try:
         fs = [f.values[i].sign(cap) for i in idx]
         gs = [g.values[i].sign(cap) for i in idx]
@@ -350,8 +342,7 @@ def _proportionality(
     if len(idx) == 1:
         return ("pos" if sigma > 0 else "neg"), None
     tried: set[Fraction] = set()
-    bits = INITIAL_BITS
-    while bits <= cap:
+    for bits in precisions(cap):
         ratios = [
             _interval_div(
                 _bounded_away(g.values[i], bits, cap),
@@ -377,13 +368,11 @@ def _proportionality(
             tried.add(c)
             if all(_vanishes(g.values[i] - f.values[i].scale(c)) for i in idx):
                 return ("pos" if sigma > 0 else "neg"), abs(c)
-        bits *= 2
     return "undecided", None
 
 
 def coarse_classes(
-    functionals: list[LyapunovFunctional],
-    config: ToolkitConfig = DEFAULT_CONFIG,
+    functionals: list[LyapunovFunctional], cap: int = DEFAULT_CAP
 ) -> list[CoarseClass]:
     """Partition functionals into maximal positively proportional groups."""
     n = len(functionals)
@@ -400,9 +389,9 @@ def coarse_classes(
 
     for i in range(n):
         for j in range(i + 1, n):
-            rel, _ = _proportionality(functionals[i], functionals[j], config)
+            rel, _ = _proportionality(functionals[i], functionals[j], cap)
             if rel == "undecided":
-                raise UndecidedProportionality((i, j), config.precision_cap_bits)
+                raise UndecidedProportionality((i, j), cap)
             if rel == "pos":
                 parent[find(j)] = find(i)
     groups: dict[int, list[int]] = {}
@@ -421,7 +410,7 @@ def coarse_classes(
 
 
 def is_tns(
-    classes: list[CoarseClass], config: ToolkitConfig = DEFAULT_CONFIG
+    classes: list[CoarseClass], cap: int = DEFAULT_CAP
 ) -> tuple[Verdict3, dict]:
     """Totally non-symplectic: no two classes negatively proportional.
 
@@ -433,12 +422,12 @@ def is_tns(
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
             rel, ratio = _proportionality(
-                classes[i].hyperplane_normal, classes[j].hyperplane_normal, config
+                classes[i].hyperplane_normal, classes[j].hyperplane_normal, cap
             )
             if rel == "neg":
                 return VERDICT_FALSE, {"negative_pair": (i, j), "ratio": ratio}
             if rel == "undecided":
-                return undecided(config.precision_cap_bits), {"pair": (i, j)}
+                return undecided(cap), {"pair": (i, j)}
     return VERDICT_TRUE, {}
 
 
@@ -486,15 +475,14 @@ def _interval_det(ivs):
     return lo, hi
 
 
-def _minor_sign(rows, config: ToolkitConfig, what: str) -> tuple[int, Fraction]:
+def _minor_sign(rows, cap: int, what: str) -> tuple[int, Fraction]:
     """Certified sign of the determinant of a square matrix of log-linear
     values, with the midpoint of the enclosure that decided it.
 
     The minor is exactly 0 when its enclosure is [0, 0], when one of its
     rows is exactly zero, or when two of its rows are proportional.  Any
     other minor refines up to the cap and then raises PrecisionExhausted."""
-    bits, cap = INITIAL_BITS, config.precision_cap_bits
-    while True:
+    for bits in precisions(cap):
         lo, hi = _interval_det([[v.interval(bits) for v in row] for row in rows])
         if lo > 0 or hi < 0:
             return (1 if lo > 0 else -1), (lo + hi) / 2
@@ -503,19 +491,15 @@ def _minor_sign(rows, config: ToolkitConfig, what: str) -> tuple[int, Fraction]:
         if bits == INITIAL_BITS:  # the exact zero tests, once
             fs = [LyapunovFunctional(tuple(row), 1) for row in rows]
             if any(f.is_zero_functional() for f in fs) or any(
-                _proportionality(f, g, config)[0] in ("pos", "neg")
+                _proportionality(f, g, cap)[0] in ("pos", "neg")
                 for f, g in itertools.combinations(fs, 2)
             ):
                 return 0, Fraction(0)
-        if bits >= cap:
-            raise PrecisionExhausted(f"sign of {what} unresolved", cap)
-        bits = min(2 * bits, cap)
+    raise PrecisionExhausted(f"sign of {what} unresolved", cap)
 
 
 def weyl_chambers(
-    classes: list[CoarseClass],
-    rank: int | None = None,
-    config: ToolkitConfig = DEFAULT_CONFIG,
+    classes: list[CoarseClass], cap: int = DEFAULT_CAP
 ) -> list[WeylChamber]:
     """Connected components of R^k minus the union of Lyapunov kernels,
     each with an integer witness carrying certified strict signs.
@@ -529,8 +513,7 @@ def weyl_chambers(
     scaled to max norm 1 and rounded."""
     if not classes:
         raise NotAnosovAction("no coarse classes")
-    k = rank if rank is not None else classes[0].rank
-    n, cap = len(classes), config.precision_cap_bits
+    k, n = classes[0].rank, len(classes)
     normals = [c.hyperplane_normal.values for c in classes]
     chi: dict[tuple[int, ...], tuple[int, Fraction]] = {}
     for rows in itertools.combinations(range(n + k), k):
@@ -541,7 +524,7 @@ def weyl_chambers(
         flip = (-1) ** sum(v > u for u in units for v in cols)
         what = f"the minor of classes {tuple(cls)} on coordinates {tuple(cols)}"
         minor = [[normals[c][j] for j in cols] for c in cls]
-        sign, mid = _minor_sign(minor, config, what)
+        sign, mid = _minor_sign(minor, cap, what)
         chi[rows] = flip * sign, flip * mid
 
     def entry(rows: tuple[int, ...], e: int) -> tuple[int, Fraction]:
@@ -614,15 +597,13 @@ def anosov_in_every_chamber(chambers: list[WeylChamber]) -> bool:
 
 
 def stable_set(
-    classes: list[CoarseClass],
-    b,
-    config: ToolkitConfig = DEFAULT_CONFIG,
+    classes: list[CoarseClass], b, cap: int = DEFAULT_CAP
 ) -> list[CoarseClass]:
     """Classes with certified chi(b) < 0; raises SingularElement when some
     class vanishes at b."""
     out = []
     for cls in classes:
-        s = cls.value_at(b).sign(config.precision_cap_bits)
+        s = cls.value_at(b).sign(cap)
         if s == 0:
             raise SingularElement(tuple(b))
         if s < 0:
@@ -641,7 +622,7 @@ def _vanishes(value: LogLinearValue) -> bool:
 def complementary_splitting(
     classes: list[CoarseClass],
     target: CoarseClass,
-    config: ToolkitConfig = DEFAULT_CONFIG,
+    cap: int = DEFAULT_CAP,
 ) -> Splitting:
     """Split the non-target classes into E1/E2 via a generic rational
     2-plane, with the four witness elements of the splitting lemma.
@@ -650,7 +631,7 @@ def complementary_splitting(
     other from the target's (the sign of a 2 x 2 minor).  Each witness is
     read off the chamber of the traces with the signs it needs, all of
     which lie next to the target's trace line."""
-    verdict, _ = is_tns(classes, config)
+    verdict, _ = is_tns(classes, cap)
     if verdict.kind == "false":
         raise NotTNS("splitting requires a TNS action")
     if len(classes) < 2:
@@ -677,7 +658,7 @@ def complementary_splitting(
                 if j == t:
                     continue
                 what = f"the traces of classes {t} and {j}"
-                cross, _ = _minor_sign([traces[t], traces[j]], config, what)
+                cross, _ = _minor_sign([traces[t], traces[j]], cap, what)
                 if cross == 0:
                     raise DegeneratePlane("coincident line traces")
                 (e2 if cross > 0 else e1).append(j)
@@ -687,7 +668,7 @@ def complementary_splitting(
                 CoarseClass(j, (LyapunovFunctional(tr, 1),), 1)
                 for j, tr in enumerate(traces)
             ]
-            by_signs = {ch.signs: ch.witness for ch in weyl_chambers(lines, 2, config)}
+            by_signs = {ch.signs: ch.witness for ch in weyl_chambers(lines, cap)}
             witnesses = {}
             # signs on (target, E1, E2): a1 (-,-,+), c1 (+,-,+), a2 (-,+,-), c2 (+,+,-)
             for name, st, s1 in (("a1", -1, -1), ("c1", 1, -1), ("a2", -1, 1), ("c2", 1, 1)):
@@ -713,7 +694,7 @@ def fast_stable_element(
     splitting: Splitting,
     side: int,
     classes: list[CoarseClass],
-    config: ToolkitConfig = DEFAULT_CONFIG,
+    cap: int = DEFAULT_CAP,
 ) -> tuple[tuple[Fraction, ...], dict]:
     """Rational b with max_{chi in E_side} chi(b) < min_{chi in target}
     chi(b) < 0, with a certified positive margin.
@@ -726,8 +707,8 @@ def fast_stable_element(
     traced.  In rank 2 a minor of the traces is zero only when two rows are
     proportional, which the exact tests decide; members of one class make
     rank-k minors vanish without that.  An empty side takes b = a1 (a2),
-    which contracts the target.  The margin is certified by doubling the
-    precision from INITIAL_BITS."""
+    which contracts the target.  The margin is certified at the first
+    precision of the cap's schedule that separates it."""
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     side_idx = splitting.e1_classes if side == 1 else splitting.e2_classes
@@ -743,9 +724,9 @@ def fast_stable_element(
         p, q = splitting.plane
         lines = [
             CoarseClass(c.index, (LyapunovFunctional((c.value_at(p), c.value_at(q)), 1),), 1)
-            for c in coarse_classes(rows, config)
+            for c in coarse_classes(rows, cap)
         ]
-        negative = [ch.witness for ch in weyl_chambers(lines, 2, config) if max(ch.signs) < 0]
+        negative = [ch.witness for ch in weyl_chambers(lines, cap) if max(ch.signs) < 0]
         if not negative:
             # the chamber lies next to the target's trace line, on the side's
             # side; the chamber signs are exact, so a circuit certifies it empty
@@ -755,14 +736,11 @@ def fast_stable_element(
     else:
         b = splitting.a1 if side == 1 else splitting.a2
     b = tuple(Fraction(v) for v in b)
-    bits, cap = INITIAL_BITS, config.precision_cap_bits
-    while True:
+    for bits in precisions(cap):
         margin = _certify_fast_stable(b, side_members, target_members, bits)
         if margin is not None:
             return b, {"margin": margin, "bits": bits}
-        if bits >= cap:
-            raise PrecisionExhausted("margin of the fast stable element unresolved", cap)
-        bits = min(2 * bits, cap)
+    raise PrecisionExhausted("margin of the fast stable element unresolved", cap)
 
 
 def _certify_fast_stable(b, side_members, target_members, bits) -> Fraction | None:

@@ -9,7 +9,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from anosov_forge import linalg  # noqa: E402
 from anosov_forge.actions import validate  # noqa: E402
-from anosov_forge.config import DEFAULT_CONFIG  # noqa: E402
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -74,11 +73,6 @@ def cartan_action():
 @pytest.fixture(scope="session")
 def fibonacci_action():
     return validate([[[1, 1], [1, 0]]], name="fibonacci")
-
-
-@pytest.fixture(scope="session")
-def config():
-    return DEFAULT_CONFIG
 
 
 def fixture_path(name: str) -> str:

@@ -22,7 +22,7 @@ from conftest import cartan_generators, fixture_path
 from anosov_forge import linalg
 from anosov_forge.actions import is_semisimple, is_totally_reducible, validate
 from anosov_forge.cli import main as cli_main
-from anosov_forge.config import DEFAULT_CONFIG
+from anosov_forge.config import DEFAULT_CAP
 from anosov_forge.freenil import free_nilpotent_lift, hall_basis, lift_is_anosov
 from anosov_forge.intpoly import IntPolynomial
 from anosov_forge.normalforms import ContractionSpectrum, sr_group_dimension
@@ -39,7 +39,7 @@ from anosov_forge.weyl import (
     weyl_chambers,
 )
 
-CFG = DEFAULT_CONFIG
+CAP = DEFAULT_CAP
 
 
 class Timer:
@@ -204,13 +204,13 @@ def test_criterion_5_fifty_rank2_arrangements_have_2n_chambers():
                 g = math.gcd(abs(x), y)
                 dirs.add((x // g, y // g))
             fs = [LyapunovFunctional.from_rational_vector(v) for v in sorted(dirs)]
-            classes = coarse_classes(fs, CFG)
-            chambers = weyl_chambers(classes, 2, CFG)
+            classes = coarse_classes(fs, CAP)
+            chambers = weyl_chambers(classes, CAP)
             assert len(chambers) == 2 * n
             assert len({ch.signs for ch in chambers}) == 2 * n
             for ch in chambers:
                 for cls, s in zip(classes, ch.signs):
-                    assert cls.value_at(ch.witness).sign(CFG.precision_cap_bits) == s
+                    assert cls.value_at(ch.witness).sign(CAP) == s
 
 
 # -- criterion 6 ---------------------------------------------------------------
@@ -219,30 +219,30 @@ def test_criterion_5_fifty_rank2_arrangements_have_2n_chambers():
 def test_criterion_6_cartan_t3_end_to_end():
     with Timer(10.0):
         action = validate(list(cartan_generators()), name="cartan-t3")
-        classes = coarse_classes(lyapunov_data(action, CFG), CFG)
+        classes = coarse_classes(lyapunov_data(action), CAP)
         assert len(classes) == 3
 
-        verdict, _ = is_tns(classes, CFG)
+        verdict, _ = is_tns(classes, CAP)
         assert verdict.kind == "true"
-        tns = audit_action(action, CFG)["hypotheses"]["tns"]
+        tns = audit_action(action, CAP)["hypotheses"]["tns"]
         for key, w in tns["joint_contraction_witnesses"].items():
             for c in map(int, key.split(",")):
-                assert classes[c].value_at(w).sign(CFG.precision_cap_bits) < 0
+                assert classes[c].value_at(w).sign(CAP) < 0
 
-        chambers = weyl_chambers(classes, 2, CFG)
+        chambers = weyl_chambers(classes, CAP)
         assert len(chambers) == 6
         from anosov_forge.actions import is_anosov_matrix, product_matrix
 
         for ch in chambers:
             assert is_anosov_matrix(product_matrix(action, ch.witness))
             for cls, s in zip(classes, ch.signs):
-                assert cls.value_at(ch.witness).sign(CFG.precision_cap_bits) == s
+                assert cls.value_at(ch.witness).sign(CAP) == s
 
         for target in classes:
-            sp = complementary_splitting(classes, target, CFG)
+            sp = complementary_splitting(classes, target, CAP)
 
             def stable(b):
-                return {c.index for c in stable_set(classes, b, CFG)}
+                return {c.index for c in stable_set(classes, b, CAP)}
 
             assert stable(sp.c2) == set(sp.e2_classes)
             assert stable(sp.a2) == set(sp.e2_classes) | {target.index}
@@ -250,7 +250,7 @@ def test_criterion_6_cartan_t3_end_to_end():
             assert stable(sp.a1) == set(sp.e1_classes) | {target.index}
 
             for side in (1, 2):
-                _, cert = fast_stable_element(sp, side, classes, CFG)
+                _, cert = fast_stable_element(sp, side, classes, CAP)
                 assert cert["margin"] > 0
 
 
@@ -289,8 +289,8 @@ def test_criterion_7_subresonance_dimension_matches_monomial_oracle():
         # admissible index set is {(0,(1,0)), (1,(0,1)), (1,(1,0)), (1,(2,0))}:
         # the triangular linear term (1,(1,0)) is admissible since -1 >= -2,
         # so the group dimension is 4, in agreement with the oracle below.
-        spot = ContractionSpectrum.build([Fraction(-1), Fraction(-2)], [1, 1], CFG)
-        assert sr_group_dimension(spot, config=CFG) == 4
+        spot = ContractionSpectrum.build([Fraction(-1), Fraction(-2)], [1, 1], CAP)
+        assert sr_group_dimension(spot, cap=CAP) == 4
         assert brute_force_sr_dimension((Fraction(-1), Fraction(-2)), (1, 1)) == 4
 
         cases = 0
@@ -298,8 +298,8 @@ def test_criterion_7_subresonance_dimension_matches_monomial_oracle():
             for chis in itertools.combinations(range(-1, -7, -1), length):
                 exps = [Fraction(c) for c in sorted(chis, reverse=True)]
                 for mults in itertools.product((1, 2, 3), repeat=length):
-                    spec = ContractionSpectrum.build(exps, list(mults), CFG)
-                    assert sr_group_dimension(spec, config=CFG) == (
+                    spec = ContractionSpectrum.build(exps, list(mults), CAP)
+                    assert sr_group_dimension(spec, cap=CAP) == (
                         brute_force_sr_dimension(exps, mults)
                     ), (exps, mults)
                     cases += 1

@@ -212,6 +212,33 @@ def test_analyze_multiple_files_jobs():
     assert len(doc["reports"]) == 2
 
 
+def test_analyze_starts_no_more_workers_than_files(monkeypatch, capsys):
+    import concurrent.futures
+
+    from anosov_forge.cli import main
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    files = [fixture_path("cartan_t3.json"), fixture_path("fibonacci.json")]
+    assert main(["analyze", *files, "--jobs", "64", "--json"]) == 1
+    assert started == [2]
+    assert len(json.loads(capsys.readouterr().out)["reports"]) == 2
+
+
 def test_analyze_jobs_non_unimodular_exit_three(tmp_path):
     p = tmp_path / "det2.json"
     p.write_text(

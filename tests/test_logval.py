@@ -1,5 +1,11 @@
+import math
 from fractions import Fraction
 
+import mpmath
+import pytest
+
+from anosov_forge.config import precisions
+from anosov_forge.errors import PrecisionExhausted
 from anosov_forge.intpoly import IntPolynomial
 from anosov_forge.logval import LogLinearValue
 from anosov_forge.realalg import RealAlgebraic
@@ -65,3 +71,53 @@ def test_midpoint_accuracy():
     v = LogLinearValue.half_log(phi_sq())
     phi = (1 + math.sqrt(5)) / 2
     assert abs(float(v.midpoint(96)) - math.log(phi)) < 1e-20
+
+
+def test_interval_of_a_modulus_below_the_precision():
+    # the small root of x^2 - 2^80 x + 1 is about 2^-80: its 64-bit cell
+    # reaches down to 0, and the log is taken on a narrower positive one
+    tiny = RealAlgebraic.from_enclosure(
+        IntPolynomial((1, -(2**80), 1)), lambda bits: (Fraction(0), Fraction(1, 2**79))
+    )
+    assert tiny.interval(64)[0] <= 0
+    lo, hi = LogLinearValue.half_log(tiny, 2).interval(64)
+    assert 0 < hi - lo < Fraction(1, 2**60)
+    assert abs(float((lo + hi) / 2) + 80 * math.log(2)) < 1e-12
+
+
+# -- the refinement schedule ---------------------------------------------------
+
+
+def test_precisions_double_from_64_and_stop_at_the_cap():
+    assert list(precisions(16)) == []
+    assert list(precisions(64)) == [64]
+    assert list(precisions(100)) == [64, 100]
+    assert list(precisions(128)) == [64, 128]
+    assert list(precisions(4096)) == [64 << i for i in range(7)]
+
+
+def test_sign_asks_for_the_schedule_and_then_raises(monkeypatch):
+    # exactly zero, with no exact test below 256 bits: never separated
+    v = LogLinearValue.half_log(phi_sq()) + LogLinearValue.half_log(phi_sq().inverse())
+    asked = []
+    interval = LogLinearValue.interval
+
+    def spy(self, bits):
+        asked.append(bits)
+        return interval(self, bits)
+
+    monkeypatch.setattr(LogLinearValue, "interval", spy)
+    with pytest.raises(PrecisionExhausted):
+        v.sign(96)
+    assert asked == [64, 96]
+
+
+def test_sign_reaches_a_cap_that_is_not_a_power_of_two():
+    # v = log phi^2 - floor(2^80 log phi^2) / 2^80 lies in (0, 2^-80): its
+    # 64-bit enclosure holds 0 and its 100-bit one is positive
+    with mpmath.workprec(200):
+        scaled = int(mpmath.floor(mpmath.log(mpmath.phi**2) * 2**80))
+    v = LogLinearValue.build(Fraction(-scaled, 2**80), [(1, phi_sq())])
+    lo, hi = v.interval(64)
+    assert lo < 0 < hi
+    assert v.sign(100) == 1

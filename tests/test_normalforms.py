@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import fixture_path
 
 from anosov_forge.cli import main as cli_main
-from anosov_forge.config import DEFAULT_CONFIG
+from anosov_forge.config import DEFAULT_CAP
 from anosov_forge.errors import InputError, SingularElement
 from anosov_forge.logval import LogLinearValue
 from anosov_forge.normalforms import (
@@ -20,7 +20,7 @@ from anosov_forge.normalforms import (
 )
 from anosov_forge.weyl import coarse_classes, lyapunov_data, stable_set, weyl_chambers
 
-CFG = DEFAULT_CONFIG
+CAP = DEFAULT_CAP
 F = Fraction
 
 
@@ -42,7 +42,7 @@ def brute_force_indices(exponents, cap=60):
 
 
 def spectrum(exps, mults):
-    return ContractionSpectrum.build([F(e) for e in exps], mults, CFG)
+    return ContractionSpectrum.build([F(e) for e in exps], mults, CAP)
 
 
 def test_build_rejects_nonnegative():
@@ -61,14 +61,14 @@ def test_build_rejects_nondecreasing():
 
 def test_indices_simple_resonance():
     spec = spectrum([-1, -2], [1, 1])
-    got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, config=CFG)}
+    got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, cap=CAP)}
     assert got == {(0, (1, 0)), (1, (0, 1)), (1, (1, 0)), (1, (2, 0))}
-    assert sr_group_dimension(spec, config=CFG) == 4
+    assert sr_group_dimension(spec, cap=CAP) == 4
 
 
 def test_identity_indices_always_present():
     spec = spectrum([-1, F(-3, 2), -4], [1, 2, 1])
-    got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, config=CFG)}
+    got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, cap=CAP)}
     for i in range(3):
         e = tuple(1 if j == i else 0 for j in range(3))
         assert (i, e) in got
@@ -77,7 +77,7 @@ def test_identity_indices_always_present():
 def test_triangularity():
     # (i, e_j) with j != i is admissible exactly when chi_j >= chi_i
     spec = spectrum([-1, -2, -5], [1, 1, 1])
-    got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, config=CFG)}
+    got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, cap=CAP)}
     for i in range(3):
         for j in range(3):
             if i == j:
@@ -89,9 +89,9 @@ def test_triangularity():
 def test_no_subresonance_when_gap_too_small():
     # chi = (-1, -3/2): nothing nonlinear fits above -3/2 except e_0 itself
     spec = spectrum([-1, F(-3, 2)], [1, 1])
-    got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, config=CFG)}
+    got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, cap=CAP)}
     assert got == {(0, (1, 0)), (1, (0, 1)), (1, (1, 0))}
-    assert sr_group_dimension(spec, config=CFG) == 3
+    assert sr_group_dimension(spec, cap=CAP) == 3
 
 
 def test_dimension_counts_multiplicities():
@@ -100,7 +100,7 @@ def test_dimension_counts_multiplicities():
     spec = spectrum([-1, -2], [2, 1])
     # targets in chi_0 block: identity only -> 2 * 2 entries (2x2 GL block)
     # target chi_1: s=(0,1) -> 1, s=(1,0) -> 2, s=(2,0) -> 3 monomials
-    assert sr_group_dimension(spec, config=CFG) == 4 + 1 + 2 + 3
+    assert sr_group_dimension(spec, cap=CAP) == 4 + 1 + 2 + 3
 
 
 def test_matches_brute_force_oracle():
@@ -113,7 +113,7 @@ def test_matches_brute_force_oracle():
     ]
     for exps, mults in cases:
         spec = spectrum(exps, mults)
-        got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, config=CFG)}
+        got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, cap=CAP)}
         assert got == brute_force_indices([F(e) for e in exps])
 
 
@@ -124,8 +124,8 @@ def test_matches_brute_force_oracle():
 @settings(max_examples=30, deadline=None)
 def test_oracle_agreement_random(neg_exps, mult):
     exps = sorted((F(-e) for e in neg_exps), reverse=True)
-    spec = ContractionSpectrum.build(exps, [mult] * len(exps), CFG)
-    got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, config=CFG)}
+    spec = ContractionSpectrum.build(exps, [mult] * len(exps), CAP)
+    got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, cap=CAP)}
     assert got == brute_force_indices(exps)
 
 
@@ -141,19 +141,19 @@ def test_oracle_agreement_random(neg_exps, mult):
 def test_pruned_search_matches_box_scan_in_order(neg_exps):
     # targets in order, degree vectors in lexicographic order
     exps = sorted(neg_exps, reverse=True)
-    spec = ContractionSpectrum.build(exps, [1] * len(exps), CFG)
-    got = [(ix.target, ix.degrees) for ix in subresonance_indices(spec, config=CFG)]
+    spec = ContractionSpectrum.build(exps, [1] * len(exps), CAP)
+    got = [(ix.target, ix.degrees) for ix in subresonance_indices(spec, cap=CAP)]
     assert got == sorted(brute_force_indices(exps))
 
 
 def element_spectrum(classes, b):
     """The stable spectrum at b, built as `normal-forms --element` builds it."""
     vals = sorted(
-        ((c.value_at(b), c.total_multiplicity) for c in stable_set(classes, b, CFG)),
+        ((c.value_at(b), c.total_multiplicity) for c in stable_set(classes, b, CAP)),
         key=lambda p: p[0].midpoint(128),
         reverse=True,
     )
-    return ContractionSpectrum.build([v for v, _ in vals], [m for _, m in vals], CFG)
+    return ContractionSpectrum.build([v for v, _ in vals], [m for _, m in vals], CAP)
 
 
 def log_linear_box_scan(spec):
@@ -171,14 +171,14 @@ def log_linear_box_scan(spec):
             total = LogLinearValue.from_rational(0)
             for sj, chj in zip(s, chis):
                 total = total + chj.scale(sj)
-            if (total - chi).sign(CFG.precision_cap_bits) >= 0:
+            if (total - chi).sign(CAP) >= 0:
                 out.append((i, s))
     return out
 
 
 def test_log_linear_spectra_match_box_scan(cartan_action):
-    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
-    elements = [ch.witness for ch in weyl_chambers(classes, 2, CFG)]
+    classes = coarse_classes(lyapunov_data(cartan_action), CAP)
+    elements = [ch.witness for ch in weyl_chambers(classes, CAP)]
     elements += [b for b in itertools.product(range(-2, 3), repeat=2) if any(b)]
     checked = 0
     for b in elements:
@@ -186,7 +186,7 @@ def test_log_linear_spectra_match_box_scan(cartan_action):
             spec = element_spectrum(classes, b)
         except SingularElement:
             continue
-        got = [(ix.target, ix.degrees) for ix in subresonance_indices(spec, config=CFG)]
+        got = [(ix.target, ix.degrees) for ix in subresonance_indices(spec, cap=CAP)]
         assert got == log_linear_box_scan(spec), b
         checked += 1
     assert checked >= 6
@@ -208,11 +208,11 @@ def test_cli_dimension_matches_library(tmp_path, cartan_action):
         )
         out = tmp_path / f"spectrum{n}.out.json"
         assert cli_main(["normal-forms", str(src), "--json", str(out)]) == 0
-        expected = sr_group_dimension(spectrum(exps, mults), config=CFG)
+        expected = sr_group_dimension(spectrum(exps, mults), cap=CAP)
         assert json.loads(out.read_text())["sr_group_dimension"] == expected
-    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
+    classes = coarse_classes(lyapunov_data(cartan_action), CAP)
     out = tmp_path / "element.out.json"
     argv = ["normal-forms", fixture_path("cartan_t3.json"), "--element=-1,-1"]
     assert cli_main(argv + ["--json", str(out)]) == 0
-    expected = sr_group_dimension(element_spectrum(classes, (-1, -1)), config=CFG)
+    expected = sr_group_dimension(element_spectrum(classes, (-1, -1)), cap=CAP)
     assert json.loads(out.read_text())["sr_group_dimension"] == expected

@@ -171,8 +171,8 @@ def test_log_interval_cold_equals_warm(case):
 
 
 def test_log_interval_requests_below_the_cell_share_one_entry():
-    # sign() asks for 32 and then 64 bits; on a cell refined past both the
-    # two requests reach the same working precision and one evaluation
+    # on a cell refined past both, requests for 32 and 64 bits reach the
+    # same working precision and one evaluation
     lo = Fraction(3, 2) + Fraction(1, 1 << 200)
     hi = lo + Fraction(1, 1 << 200)
     _log_bounds.cache_clear()

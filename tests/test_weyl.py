@@ -18,7 +18,7 @@ from conftest import (
 
 from anosov_forge.actions import is_anosov_matrix, product_matrix, validate
 from anosov_forge.cli import load_action_file_with_options
-from anosov_forge.config import DEFAULT_CONFIG, INITIAL_BITS
+from anosov_forge.config import DEFAULT_CAP, INITIAL_BITS
 from anosov_forge.errors import NotAnosovAction, NotTNS, SingularElement
 from anosov_forge.freenil import free_nilpotent_lift
 from anosov_forge.logval import LogLinearValue
@@ -36,20 +36,20 @@ from anosov_forge.weyl import (
     weyl_chambers,
 )
 
-CFG = DEFAULT_CONFIG
+CAP = DEFAULT_CAP
 PHI = (1 + math.sqrt(5)) / 2
 
 
 def rational_classes(vectors):
     fs = [LyapunovFunctional.from_rational_vector(v) for v in vectors]
-    return coarse_classes(fs, CFG)
+    return coarse_classes(fs, CAP)
 
 
 # -- lyapunov data -------------------------------------------------------------
 
 
 def test_fibonacci_functionals(fibonacci_action):
-    fs = lyapunov_data(fibonacci_action, CFG)
+    fs = lyapunov_data(fibonacci_action)
     vals = sorted(f.approx(96)[0] for f in fs)
     assert len(fs) == 2
     assert abs(vals[0] + math.log(PHI)) < 1e-12
@@ -58,7 +58,7 @@ def test_fibonacci_functionals(fibonacci_action):
 
 
 def test_identity_gives_zero_functional():
-    fs = lyapunov_data(validate([[[1, 0], [0, 1]]]), CFG)
+    fs = lyapunov_data(validate([[[1, 0], [0, 1]]]))
     assert len(fs) == 1
     assert fs[0].multiplicity == 2
     assert fs[0].is_zero_functional()
@@ -68,7 +68,7 @@ def test_functional_of_power_pair():
     # (A, A^2): functionals are (m+2n)-multiples of a single log
     a = [[2, 1], [1, 1]]
     a2 = [[5, 3], [3, 2]]
-    fs = lyapunov_data(validate([a, a2]), CFG)
+    fs = lyapunov_data(validate([a, a2]))
     assert len(fs) == 2
     for f in fs:
         x, y = f.approx(96)
@@ -76,7 +76,7 @@ def test_functional_of_power_pair():
 
 
 def test_cartan_lyapunov_data(cartan_action):
-    fs = lyapunov_data(cartan_action, CFG)
+    fs = lyapunov_data(cartan_action)
     assert len(fs) == 3
     assert sum(f.multiplicity for f in fs) == 3
     # functionals sum to zero exactly: both generators are unimodular
@@ -89,7 +89,7 @@ def test_cartan_lyapunov_data(cartan_action):
 
 def test_multiplicity_sums_to_dimension(fibonacci_action, cartan_action):
     for action in (fibonacci_action, cartan_action):
-        fs = lyapunov_data(action, CFG)
+        fs = lyapunov_data(action)
         assert sum(f.multiplicity for f in fs) == action.dim
 
 
@@ -110,16 +110,16 @@ def test_zero_functional_raises():
 
 def test_tns_detects_negative_proportionality():
     classes = rational_classes([(1, 2), (-2, -4)])
-    verdict, info = is_tns(classes, CFG)
+    verdict, info = is_tns(classes, CAP)
     assert verdict.kind == "false"
     assert info["negative_pair"] == (0, 1)
 
 
 def test_tns_true_with_witnesses(cartan_action):
-    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
-    verdict, info = is_tns(classes, CFG)
+    classes = coarse_classes(lyapunov_data(cartan_action), CAP)
+    verdict, info = is_tns(classes, CAP)
     assert verdict.kind == "true" and info == {}
-    tns = audit_action(cartan_action, CFG)["hypotheses"]["tns"]
+    tns = audit_action(cartan_action, CAP)["hypotheses"]["tns"]
     pairs = tns["joint_contraction_witnesses"]
     assert sorted(pairs) == ["0,1", "0,2", "1,2"]
     for key, w in pairs.items():
@@ -146,8 +146,8 @@ def test_ratio_with_numerator_above_twelve_certifies(sign):
     gens = [list(map(list, g)) for g in cartan_generators()]
     lower = gens if sign > 0 else [[row[3:] for row in d[3:]] for d in symplectic_double(gens)]
     action = validate(_block_power_double(gens, lower, 13))
-    classes = coarse_classes(lyapunov_data(action, CFG), CFG)
-    verdict, info = is_tns(classes, CFG)
+    classes = coarse_classes(lyapunov_data(action), CAP)
+    verdict, info = is_tns(classes, CAP)
     if sign > 0:
         assert [len(c.members) for c in classes] == [2, 2, 2]
         assert verdict.kind == "true"
@@ -177,8 +177,8 @@ def test_symplectic_pair_not_tns():
 
     g1 = bd(a, at_inv)
     action = validate([g1, sq(g1)])
-    classes = coarse_classes(lyapunov_data(action, CFG), CFG)
-    verdict, _ = is_tns(classes, CFG)
+    classes = coarse_classes(lyapunov_data(action), CAP)
+    verdict, _ = is_tns(classes, CAP)
     assert verdict.kind == "false"
 
 
@@ -186,15 +186,15 @@ def test_symplectic_pair_not_tns():
 
 
 def test_rank1_two_chambers(fibonacci_action):
-    classes = coarse_classes(lyapunov_data(fibonacci_action, CFG), CFG)
-    chambers = weyl_chambers(classes, 1, CFG)
+    classes = coarse_classes(lyapunov_data(fibonacci_action), CAP)
+    chambers = weyl_chambers(classes, CAP)
     assert len(chambers) == 2
     assert sorted(ch.witness for ch in chambers) == [(-1,), (1,)]
 
 
 def test_cartan_six_chambers(cartan_action):
-    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
-    chambers = weyl_chambers(classes, 2, CFG)
+    classes = coarse_classes(lyapunov_data(cartan_action), CAP)
+    chambers = weyl_chambers(classes, CAP)
     assert len(chambers) == 6
     signs = {ch.signs for ch in chambers}
     assert len(signs) == 6
@@ -216,8 +216,8 @@ def test_audit_witnesses_are_anosov_matrices(source):
         action = free_nilpotent_lift(base, 2).to_validated()
     else:
         action = load_action_file_with_options(fixture_path(source))[0]
-    report = audit_action(action, CFG)
-    classes = coarse_classes(lyapunov_data(action, CFG), CFG)
+    report = audit_action(action, CAP)
+    classes = coarse_classes(lyapunov_data(action), CAP)
     chambers = report["arrangement"]["chambers"]
     pairs = report["hypotheses"]["tns"].get("joint_contraction_witnesses", {})
     assert chambers
@@ -225,13 +225,13 @@ def test_audit_witnesses_are_anosov_matrices(source):
         assert is_anosov_matrix(product_matrix(action, w)), w
     for key, w in pairs.items():
         for c in map(int, key.split(",")):
-            assert classes[c].value_at(w).sign(CFG.precision_cap_bits) < 0
+            assert classes[c].value_at(w).sign(CAP) < 0
 
 
 def test_synthetic_three_lines_six_chambers():
     # lines at 0, 60, 120 degrees (normals at 90, 150, 30)
     classes = rational_classes([(0, 1), (-3, 2), (3, 2)])
-    chambers = weyl_chambers(classes, 2, CFG)
+    chambers = weyl_chambers(classes, CAP)
     assert len(chambers) == 6
     for ch in chambers:
         for cls, s in zip(classes, ch.signs):
@@ -239,8 +239,8 @@ def test_synthetic_three_lines_six_chambers():
 
 
 def test_chamber_witness_signs_certified(cartan_action):
-    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
-    for ch in weyl_chambers(classes, 2, CFG):
+    classes = coarse_classes(lyapunov_data(cartan_action), CAP)
+    for ch in weyl_chambers(classes, CAP):
         for cls, s in zip(classes, ch.signs):
             assert cls.value_at(ch.witness).sign(4096) == s
 
@@ -248,7 +248,7 @@ def test_chamber_witness_signs_certified(cartan_action):
 def test_high_rank_orthant_chambers():
     # three coordinate hyperplanes in rank 3: all 8 orthants are chambers
     classes = rational_classes([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    chambers = weyl_chambers(classes, 3, CFG)
+    chambers = weyl_chambers(classes, CAP)
     assert len(chambers) == 8
     assert {ch.signs for ch in chambers} == {
         (a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)
@@ -268,7 +268,7 @@ def test_generic_rank2_lines_give_2n_chambers(n_lines, seed):
         g = math.gcd(x, y)
         angles.add((x // g, y // g))
     classes = rational_classes(sorted(angles))
-    chambers = weyl_chambers(classes, 2, CFG)
+    chambers = weyl_chambers(classes, CAP)
     assert len(chambers) == 2 * len(angles)
     assert len({ch.signs for ch in chambers}) == 2 * len(angles)
 
@@ -322,11 +322,11 @@ def test_chambers_match_lp_reference(arrangement):
         for signs in itertools.product((1, -1), repeat=len(rows))
         if _cell_nonempty(rows, signs)
     }
-    chambers = weyl_chambers(classes, k, CFG)
+    chambers = weyl_chambers(classes, CAP)
     assert [ch.signs for ch in chambers] == sorted(expected, reverse=True)
     for ch in chambers:
         for cls, s in zip(classes, ch.signs):
-            assert cls.value_at(ch.witness).sign(CFG.precision_cap_bits) == s
+            assert cls.value_at(ch.witness).sign(CAP) == s
 
 
 def test_cartan_t4_chambers_at_default_cap():
@@ -334,15 +334,15 @@ def test_cartan_t4_chambers_at_default_cap():
     # empty, which the positive circuit certifies at 64 bits
     action = validate(list(cartan_t4_generators()), name="cartan-t4")
     t0 = time.perf_counter()
-    classes = coarse_classes(lyapunov_data(action, CFG), CFG)
-    chambers = weyl_chambers(classes, 3, CFG)
+    classes = coarse_classes(lyapunov_data(action), CAP)
+    chambers = weyl_chambers(classes, CAP)
     assert time.perf_counter() - t0 < 30.0
     assert len(chambers) == 14
     assert len({ch.signs for ch in chambers}) == 14
     assert (1,) * 4 not in {ch.signs for ch in chambers}
     for ch in chambers:
         for cls, s in zip(classes, ch.signs):
-            assert cls.value_at(ch.witness).sign(CFG.precision_cap_bits) == s
+            assert cls.value_at(ch.witness).sign(CAP) == s
 
 
 def test_symplectic_double_chambers_match_cartan_t4():
@@ -350,18 +350,18 @@ def test_symplectic_double_chambers_match_cartan_t4():
     # opposite normals: minors holding such a pair are exactly zero with
     # irrational entries, and the chambers are those of cartan_t4
     quad = coarse_classes(
-        lyapunov_data(validate(list(cartan_t4_generators()), name="t4"), CFG), CFG
+        lyapunov_data(validate(list(cartan_t4_generators()), name="t4")), CAP
     )
     double = validate(symplectic_double(cartan_t4_generators()), name="t4-double")
-    classes = coarse_classes(lyapunov_data(double, CFG), CFG)
+    classes = coarse_classes(lyapunov_data(double), CAP)
     assert len(classes) == 8
-    assert is_tns(classes, CFG)[0].kind == "false"
-    cap = CFG.precision_cap_bits
+    assert is_tns(classes, CAP)[0].kind == "false"
+    cap = CAP
     expected = {
         tuple(c.value_at(ch.witness).sign(cap) for c in classes)
-        for ch in weyl_chambers(quad, 3, CFG)
+        for ch in weyl_chambers(quad, CAP)
     }
-    chambers = weyl_chambers(classes, 3, CFG)
+    chambers = weyl_chambers(classes, CAP)
     assert {ch.signs for ch in chambers} == expected
     assert len(chambers) == 14
     for ch in chambers:
@@ -373,12 +373,12 @@ def test_symplectic_double_chambers_match_cartan_t4():
 
 
 def test_stable_set_complement(cartan_action):
-    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
-    for ch in weyl_chambers(classes, 2, CFG):
+    classes = coarse_classes(lyapunov_data(cartan_action), CAP)
+    for ch in weyl_chambers(classes, CAP):
         b = ch.witness
-        neg = {c.index for c in stable_set(classes, b, CFG)}
+        neg = {c.index for c in stable_set(classes, b, CAP)}
         nb = tuple(-x for x in b)
-        pos = {c.index for c in stable_set(classes, nb, CFG)}
+        pos = {c.index for c in stable_set(classes, nb, CAP)}
         assert neg | pos == {0, 1, 2}
         assert neg & pos == set()
 
@@ -386,20 +386,20 @@ def test_stable_set_complement(cartan_action):
 def test_stable_set_singular():
     classes = rational_classes([(1, 0), (0, 1)])
     with pytest.raises(SingularElement):
-        stable_set(classes, (0, 5), CFG)
+        stable_set(classes, (0, 5), CAP)
 
 
 def test_splitting_identities(cartan_action):
-    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
+    classes = coarse_classes(lyapunov_data(cartan_action), CAP)
     for target in classes:
-        sp = complementary_splitting(classes, target, CFG)
+        sp = complementary_splitting(classes, target, CAP)
         others = {c.index for c in classes if c.index != target.index}
         assert set(sp.e1_classes) | set(sp.e2_classes) == others
         assert set(sp.e1_classes) & set(sp.e2_classes) == set()
         assert sp.m == 1 + len(sp.e2_classes)
 
         def stable(b):
-            return {c.index for c in stable_set(classes, b, CFG)}
+            return {c.index for c in stable_set(classes, b, CAP)}
 
         assert stable(sp.c2) == set(sp.e2_classes)
         assert stable(sp.a2) == set(sp.e2_classes) | {target.index}
@@ -442,22 +442,22 @@ def test_splitting_on_the_seeded_pairs_within_seconds(name):
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(5)
     try:
-        classes = coarse_classes(lyapunov_data(_seeded_pair(SEEDED_PAIRS[name]), CFG), CFG)
+        classes = coarse_classes(lyapunov_data(_seeded_pair(SEEDED_PAIRS[name])), CAP)
         for target in classes:
-            sp = complementary_splitting(classes, target, CFG)
+            sp = complementary_splitting(classes, target, CAP)
             others = {c.index for c in classes if c.index != target.index}
             e1, e2 = set(sp.e1_classes), set(sp.e2_classes)
             assert e1 | e2 == others
 
             def stable(b):
-                return {c.index for c in stable_set(classes, b, CFG)}
+                return {c.index for c in stable_set(classes, b, CAP)}
 
             assert stable(sp.a1) == e1 | {target.index}
             assert stable(sp.c1) == e1
             assert stable(sp.a2) == e2 | {target.index}
             assert stable(sp.c2) == e2
             for side, members in ((1, e1), (2, e2)):
-                b, cert = fast_stable_element(sp, side, classes, CFG)
+                b, cert = fast_stable_element(sp, side, classes, CAP)
                 assert cert["margin"] > 0
                 tval = target.value_at(b)
                 assert tval.sign(4096) < 0
@@ -490,9 +490,9 @@ def test_exact_zero_tests_reach_only_values_that_intervals_leave_open(
     dependent = validate([a, a2])
     symplectic, _ = load_action_file_with_options(fixture_path("symplectic_pair.json"))
     for action in (cartan_action, dependent, symplectic, _seeded_pair(SEEDED_PAIRS["seed1-d6"])):
-        audit_action(action, CFG)
-    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
-    complementary_splitting(classes, classes[0], CFG)
+        audit_action(action, CAP)
+    classes = coarse_classes(lyapunov_data(cartan_action), CAP)
+    complementary_splitting(classes, classes[0], CAP)
     assert calls
     assert separated == []
 
@@ -500,15 +500,15 @@ def test_exact_zero_tests_reach_only_values_that_intervals_leave_open(
 def test_splitting_requires_tns():
     classes = rational_classes([(1, 2), (-2, -4)])
     with pytest.raises(NotTNS):
-        complementary_splitting(classes, classes[0], CFG)
+        complementary_splitting(classes, classes[0], CAP)
 
 
 def test_fast_stable_element(cartan_action):
-    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
+    classes = coarse_classes(lyapunov_data(cartan_action), CAP)
     target = classes[0]
-    sp = complementary_splitting(classes, target, CFG)
+    sp = complementary_splitting(classes, target, CAP)
     for side in (1, 2):
-        b, cert = fast_stable_element(sp, side, classes, CFG)
+        b, cert = fast_stable_element(sp, side, classes, CAP)
         assert cert["margin"] > 0
         side_members = sp.e1_classes if side == 1 else sp.e2_classes
         tval = target.value_at(b)
@@ -522,12 +522,12 @@ def test_fast_stable_element(cartan_action):
 def test_fast_stable_element_certifies_an_empty_side(cartan_action):
     # with two classes one side of each splitting is empty: its element is
     # a1 (a2), whose margin the same doubling loop certifies
-    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)[:2]
+    classes = coarse_classes(lyapunov_data(cartan_action), CAP)[:2]
     for target in classes:
-        sp = complementary_splitting(classes, target, CFG)
+        sp = complementary_splitting(classes, target, CAP)
         assert sorted([len(sp.e1_classes), len(sp.e2_classes)]) == [0, 1]
         for side, members in ((1, sp.e1_classes), (2, sp.e2_classes)):
-            b, cert = fast_stable_element(sp, side, classes, CFG)
+            b, cert = fast_stable_element(sp, side, classes, CAP)
             assert cert.keys() == {"margin", "bits"}
             assert cert["margin"] > 0 and cert["bits"] == INITIAL_BITS
             if not members:
@@ -543,12 +543,12 @@ def test_fast_stable_element_with_two_member_classes():
     # rank 3 the rows f - g, f - 2g and g are then linearly dependent with no
     # two of them proportional, so their 3 x 3 minor is 0 yet never certified
     action = validate(square_double(cartan_t4_generators()), name="t4-square")
-    classes = coarse_classes(lyapunov_data(action, CFG), CFG)
+    classes = coarse_classes(lyapunov_data(action), CAP)
     assert [len(c.members) for c in classes] == [2, 2, 2, 2]
     for target in classes:
-        sp = complementary_splitting(classes, target, CFG)
+        sp = complementary_splitting(classes, target, CAP)
         for side, members in ((1, sp.e1_classes), (2, sp.e2_classes)):
-            b, cert = fast_stable_element(sp, side, classes, CFG)
+            b, cert = fast_stable_element(sp, side, classes, CAP)
             assert cert["margin"] > 0
             for g in target.members:
                 assert g.value_at(b).sign(4096) < 0
@@ -559,7 +559,7 @@ def test_fast_stable_element_with_two_member_classes():
 
 
 def test_splitting_deterministic(cartan_action):
-    classes = coarse_classes(lyapunov_data(cartan_action, CFG), CFG)
-    s1 = complementary_splitting(classes, classes[1], CFG)
-    s2 = complementary_splitting(classes, classes[1], CFG)
+    classes = coarse_classes(lyapunov_data(cartan_action), CAP)
+    s1 = complementary_splitting(classes, classes[1], CAP)
+    s2 = complementary_splitting(classes, classes[1], CAP)
     assert s1 == s2

@@ -4,14 +4,15 @@
 
 Runs a fixed corpus of CLI calls twice, once with PYTHONPATH=OLD_SRC and
 once with PYTHONPATH=NEW_SRC, each call in a fresh interpreter, and
-compares stdout, stderr and the exit code.  Prints every call that differs
+compares stdout, stderr, the exit code and the bytes of the file that an
+`--out` call writes.  Prints every call that differs
 and exits 1 if any does, 0 if all agree.  OLD_SRC and NEW_SRC are the
 `src/` directories of two checkouts.
 
-The corpus: `analyze` (summary and --json), `chambers` and `lift` on the
-four torus fixtures, `normal-forms` on the spectrum fixture, `analyze
---json` on the graded file that OLD_SRC's `lift --step 2 --out` writes for
-cartan_t3; `analyze --json` and `chambers` on the seeded spectral pairs of
+The corpus: `analyze` (summary and --json), `chambers` and `lift --step 2
+--out --json` on the four torus fixtures, `normal-forms` on the spectrum
+fixture, `analyze --json` on each graded file that OLD_SRC's `lift --step 2
+--out` writes for the four torus fixtures; `analyze --json` and `chambers` on the seeded spectral pairs of
 perfbench seeds 1-4, on cartan_t4 (embedded 128-bit cap and default cap),
 the dependent pair (A, A^2), the coplanar action (A, A - I, A(A - I)) and
 one seeded rank-3 action; the `normal-forms --element` calls of the
@@ -45,27 +46,28 @@ def _write(work: str, name: str, doc: dict) -> str:
 
 
 def corpus(work: str, old_src: str) -> list[list[str]]:
-    """The CLI calls, as argument lists.  The graded input is written by
-    old_src, so that both trees parse the same file."""
+    """The CLI calls, as argument lists.  The graded inputs are written by
+    old_src, so that both trees parse the same files."""
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import inputs
     import run as bench
 
     calls: list[list[str]] = []
+    graded = []
     for name in TORUS_FIXTURES:
         path = os.path.join(FIXTURES, f"{name}.json")
         calls += [
             ["analyze", path],
             ["analyze", path, "--json"],
             ["chambers", path],
-            ["lift", path, "--step", "2", "--json"],
+            ["lift", path, "--step", "2", "--out", f"{name}-lift2.out.json", "--json"],
         ]
+        graded.append(os.path.join(work, f"{name}-lift2.json"))
+        run_cli(old_src, ["lift", path, "--step", "2", "--out", graded[-1]], work)
+    calls += [["analyze", g, "--json"] for g in graded]
     cartan = os.path.join(FIXTURES, "cartan_t3.json")
-    graded = os.path.join(work, "cartan-t3-lift2.json")
-    run_cli(old_src, ["lift", cartan, "--step", "2", "--out", graded], work)
     calls += [
-        ["analyze", graded, "--json"],
         ["chambers", cartan, "--format", "svg"],
         ["analyze", *(os.path.join(FIXTURES, f"{n}.json") for n in TORUS_FIXTURES), "--json"],
         ["normal-forms", os.path.join(FIXTURES, "spectrum_12.json"), "--json"],
@@ -97,12 +99,22 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
     return calls
 
 
-def run_cli(src: str, argv: list[str], work: str) -> tuple[int, bytes, bytes]:
+def run_cli(src: str, argv: list[str], work: str) -> tuple[int, bytes, bytes, bytes | None]:
+    """Exit code, stdout, stderr, and the bytes of the `--out` file (None
+    when the call has no `--out` or wrote nothing).  The file is removed
+    first, so a stale copy is never read."""
+    out = os.path.join(work, argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if out and os.path.exists(out):
+        os.remove(out)
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", RUNNER, *argv], cwd=work, env=env, capture_output=True
     )
-    return proc.returncode, proc.stdout, proc.stderr
+    written = None
+    if out and os.path.exists(out):
+        with open(out, "rb") as fh:
+            written = fh.read()
+    return proc.returncode, proc.stdout, proc.stderr, written
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -93,6 +93,9 @@ def load_action_file_with_options(path: str):
         raise InputError(f"{path}: schema_version must be 1")
     kind = doc.get("kind")
     cap = _parse_options(doc, path)
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise InputError(f"{path}: name must be a string")
     if kind == "torus":
         _reject_unknown(
             doc,
@@ -120,7 +123,7 @@ def load_action_file_with_options(path: str):
             raise InputError(
                 f"{path}: rank {rank} does not match {len(gens)} generators"
             )
-        return validate(gens, name=doc.get("name", "")), cap
+        return validate(gens, name=name), cap
     if kind == "graded":
         _reject_unknown(
             doc,
@@ -143,8 +146,11 @@ def load_action_file_with_options(path: str):
                 f"{path}: grading must list the graded component dimensions"
             )
         dim = sum(grading)
+        sc_raw = doc.get("structure_constants", [])
+        if not isinstance(sc_raw, list):
+            raise InputError(f"{path}: structure_constants must be an array")
         sc = []
-        for qi, quad in enumerate(doc.get("structure_constants", [])):
+        for qi, quad in enumerate(sc_raw):
             if not isinstance(quad, list) or len(quad) != 4:
                 raise InputError(
                     f"{path}: structure_constants[{qi}] must be [a, b, c, value]"
@@ -167,7 +173,7 @@ def load_action_file_with_options(path: str):
                     for row in mat
                 ]
             )
-        return validate_graded(grading, sc, gens, name=doc.get("name", "")), cap
+        return validate_graded(grading, sc, gens, name=name), cap
     raise InputError(f"{path}: kind must be 'torus' or 'graded'")
 
 
@@ -185,7 +191,7 @@ def graded_action_file(g: GradedAlgebraAction) -> dict:
         "grading": list(g.grading),
         "structure_constants": sc,
         "generators": [
-            [frac_str(v) for row in gen for v in row] for gen in g.generators
+            [frac_str(v) for row in gen for v in row] for gen in g.action.generators
         ],
     }
 
@@ -261,10 +267,7 @@ def cmd_chambers(args) -> int:
 
     obj, cap = load_action_file_with_options(args.file)
     if isinstance(obj, GradedAlgebraAction):
-        obj = validate(
-            [[[int(v) for v in row] for row in g] for g in obj.generators],
-            name=obj.name,
-        )
+        obj = obj.action
     classes = coarse_classes(lyapunov_data(obj), cap)
     chambers = weyl_chambers(classes, cap)
     if args.format == "svg":
@@ -291,15 +294,15 @@ def cmd_lift(args) -> int:
     lift = free_nilpotent_lift(obj, args.step)
     if args.out:
         _emit(
-            json.dumps(graded_action_file(lift.to_graded()), indent=2, sort_keys=True)
+            json.dumps(graded_action_file(lift), indent=2, sort_keys=True)
             + "\n",
             args.out,
         )
-    rep = audit_action(lift.to_validated(), cap)
+    rep = audit_action(lift.action, cap)
     rep["kind"] = "free_nilpotent_lift"
     rep["step"] = lift.step
-    rep["base_dim"] = lift.base.dim
-    rep["degree_dimensions"] = list(lift.hall.degree_dimensions())
+    rep["base_dim"] = lift.grading[0]
+    rep["degree_dimensions"] = list(lift.grading)
     _emit(report_to_json(rep), args.json or None)
     return exit_code_for(rep)
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from . import linalg
 from .actions import ValidatedAction, validate
 from .errors import SizeCap
-from .graded import GradedAlgebraAction, validate_graded
+from .graded import GradedAlgebraAction
 from .modulus import has_unit_modulus_root
 
 # the largest lift dimension that hall_basis builds
@@ -47,10 +47,6 @@ class HallBasis:
         for deg, _, _ in self.words:
             out[deg - 1] += 1
         return tuple(out)
-
-    def degree_slice(self, degree: int) -> tuple[int, int]:
-        lo = sum(self.degree_dimensions()[: degree - 1])
-        return lo, lo + self.degree_dimensions()[degree - 1]
 
 
 def _mobius(n: int) -> int:
@@ -152,51 +148,14 @@ def structure_constants(basis: HallBasis) -> list[tuple[int, int, int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class LiftedAction:
-    """Free nilpotent lift: induced graded integer matrices per generator."""
-
-    base: ValidatedAction
-    step: int
-    hall: HallBasis
-    graded_matrices: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return self.base.rank
-
-    def full_matrix(self, gen: int) -> list[list[int]]:
-        n = self.hall.dimension
-        out = [[0] * n for _ in range(n)]
-        offset = 0
-        for block in self.graded_matrices[gen]:
-            m = len(block)
-            for i in range(m):
-                for j in range(m):
-                    out[offset + i][offset + j] = block[i][j]
-            offset += m
-        return out
-
-    def to_validated(self) -> ValidatedAction:
-        name = f"{self.base.name}-lift{self.step}" if self.base.name else ""
-        return validate([self.full_matrix(g) for g in range(self.rank)], name=name)
-
-    def to_graded(self) -> GradedAlgebraAction:
-        return validate_graded(
-            self.hall.degree_dimensions(),
-            structure_constants(self.hall),
-            [self.full_matrix(g) for g in range(self.rank)],
-            name=f"{self.base.name}-lift{self.step}" if self.base.name else "",
-        )
-
-
-def free_nilpotent_lift(action: ValidatedAction, k: int) -> LiftedAction:
+def free_nilpotent_lift(action: ValidatedAction, k: int) -> GradedAlgebraAction:
     """Canonical extension of the action to the free k-step nilpotent
-    algebra; induced blocks are integral and unimodular by construction."""
+    algebra, as a graded action on the Hall basis: each generator acts on a
+    Hall word [u, v] by the bracket of the images of u and v."""
     basis = hall_basis(action.dim, k)
     bw = _bracket_cache(basis)
     n = basis.dimension
-    all_graded = []
+    full = []
     for gen in action.generators:
         # image of each Hall word, as a dense integer vector over the basis
         images: list[list[int]] = []
@@ -218,32 +177,26 @@ def free_nilpotent_lift(action: ValidatedAction, k: int) -> LiftedAction:
                     for c, val in bw(a, b):
                         col[c] += lu[a] * rv[b] * val
             images.append(col)
-        blocks = []
-        for m in range(1, k + 1):
-            lo, hi = basis.degree_slice(m)
-            block = tuple(
-                tuple(images[j][i] for j in range(lo, hi)) for i in range(lo, hi)
-            )
-            blocks.append(block)
-        all_graded.append(tuple(blocks))
-    lift = LiftedAction(action, k, basis, tuple(all_graded))
-    for gen in range(action.rank):
-        for block in lift.graded_matrices[gen]:
-            dm = linalg.det([[Fraction(x) for x in row] for row in block])
-            assert dm in (1, -1)
-    return lift
+        full.append([[images[j][i] for j in range(n)] for i in range(n)])
+    brackets: dict[tuple[int, int], list[Fraction]] = {}
+    for a, b, c, value in structure_constants(basis):
+        brackets.setdefault((a, b), [Fraction(0)] * n)[c] = Fraction(value)
+    return GradedAlgebraAction(
+        basis.degree_dimensions(),
+        tuple((a, b, tuple(coords)) for (a, b), coords in brackets.items()),
+        validate(full, name=f"{action.name}-lift{k}" if action.name else ""),
+    )
 
 
-def _degree_block_product(lift: LiftedAction, degree: int, b) -> list[list[Fraction]]:
-    m = lift.hall.degree_dimensions()[degree - 1]
-    out = linalg.identity(m)
+def _degree_block_product(lift: GradedAlgebraAction, degree: int, b) -> list[list[Fraction]]:
+    out = linalg.identity(lift.grading[degree - 1])
     for gen, exp in enumerate(b):
-        block = [[Fraction(x) for x in row] for row in lift.graded_matrices[gen][degree - 1]]
+        block = lift.degree_block(gen, degree)
         out = linalg.mat_mul(out, linalg.mat_pow(block, int(exp)))
     return out
 
 
-def lift_is_anosov(lift: LiftedAction, b) -> bool:
+def lift_is_anosov(lift: GradedAlgebraAction, b) -> bool:
     """Exact: no degree block of the lifted element has a unit-modulus
     eigenvalue (equivalently, no product of <= k base eigenvalues does)."""
     for degree in range(1, lift.step + 1):

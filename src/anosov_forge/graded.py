@@ -17,10 +17,10 @@ from .actions import (
     RationalSubspace,
     ValidatedAction,
     invariant_complement,
-    is_totally_reducible,
+    is_semisimple,
     validate,
 )
-from .errors import InputError, NonCommuting, NotUnimodular, ShapeMismatch
+from .errors import InputError, ShapeMismatch
 
 Vec = list[Fraction]
 
@@ -32,73 +32,62 @@ class GradedAlgebraAction:
     grading lists the dimensions of the graded components; basis indices run
     through degree-1 vectors first, then degree 2, and so on.  brackets maps
     an ordered basis pair (a, b) with a < b to the bracket coordinates.
+    action holds the automorphisms as a validated action on the full lattice.
     """
 
     grading: tuple[int, ...]
     brackets: tuple[tuple[int, int, tuple[Fraction, ...]], ...]
-    generators: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    name: str = ""
+    action: ValidatedAction
+
+    @property
+    def name(self) -> str:
+        return self.action.name
 
     @property
     def dim(self) -> int:
-        return sum(self.grading)
+        return self.action.dim
 
     @property
     def rank(self) -> int:
-        return len(self.generators)
+        return self.action.rank
 
     @property
     def step(self) -> int:
         return len(self.grading)
 
-    def degree_of(self, index: int) -> int:
-        total = 0
-        for deg, n in enumerate(self.grading, start=1):
-            total += n
-            if index < total:
-                return deg
-        raise IndexError(index)
-
-    def bracket_table(self) -> dict[tuple[int, int], list[Fraction]]:
-        d = self.dim
-        table: dict[tuple[int, int], list[Fraction]] = {}
-        for a, b, coords in self.brackets:
-            table[(a, b)] = list(coords)
-            table[(b, a)] = [-c for c in coords]
-        zero = [Fraction(0)] * d
-        for a in range(d):
-            for b in range(d):
-                table.setdefault((a, b), list(zero))
-        return table
-
-    def generator_mats(self) -> list[list[Vec]]:
-        return [[list(row) for row in g] for g in self.generators]
-
     def degree_block(self, gen: int, degree: int) -> list[Vec]:
         lo = sum(self.grading[: degree - 1])
         hi = lo + self.grading[degree - 1]
-        g = self.generators[gen]
+        g = self.action.generators[gen]
         return [[Fraction(g[i][j]) for j in range(lo, hi)] for i in range(lo, hi)]
+
+
+def _degrees(grading) -> list[int]:
+    """The degree of each basis index."""
+    return [deg for deg, n in enumerate(grading, start=1) for _ in range(n)]
+
+
+def _dense_brackets(d: int, brackets) -> dict[tuple[int, int], Vec]:
+    """Dense bracket coordinates for every ordered basis pair."""
+    table = {(a, b): [Fraction(0)] * d for a in range(d) for b in range(d)}
+    for a, b, coords in brackets:
+        table[(a, b)] = list(coords)
+        table[(b, a)] = [-c for c in coords]
+    return table
 
 
 def validate_graded(
     grading, structure_constants, generators, name: str = ""
 ) -> GradedAlgebraAction:
     """Check grading compatibility, antisymmetry, Jacobi, and that every
-    generator is a grading-preserving unimodular automorphism."""
+    generator is a grading-preserving integral automorphism; `validate`
+    checks unimodularity and commutation."""
     grading = tuple(int(n) for n in grading)
     if not grading or any(n < 0 for n in grading) or grading[0] < 1:
         raise InputError("invalid grading", field="grading")
     d = sum(grading)
     step = len(grading)
-
-    def degree_of(i: int) -> int:
-        total = 0
-        for deg, n in enumerate(grading, start=1):
-            total += n
-            if i < total:
-                return deg
-        raise InputError(f"basis index {i} out of range", field="structure_constants")
+    degree = _degrees(grading)
 
     # assemble sparse brackets into dense coordinate rows per ordered pair
     raw: dict[tuple[int, int], list[Fraction]] = {}
@@ -108,39 +97,33 @@ def validate_graded(
             raise InputError("structure constant index out of range", field="structure_constants")
         key = (a, b)
         raw.setdefault(key, [Fraction(0)] * d)[c] += Fraction(value)
-    table: dict[tuple[int, int], list[Fraction]] = {}
     for (a, b), coords in raw.items():
         if a == b and any(coords):
             raise InputError("nonzero bracket [e_a, e_a]", field="structure_constants")
-        table[(a, b)] = coords
     # antisymmetry: merge/check mirrored entries
-    for (a, b) in list(table):
-        mirror = table.get((b, a))
+    for (a, b) in list(raw):
+        mirror = raw.get((b, a))
         if mirror is not None and a < b:
-            if any(x + y != 0 for x, y in zip(table[(a, b)], mirror)):
+            if any(x + y != 0 for x, y in zip(raw[(a, b)], mirror)):
                 raise InputError("antisymmetry violated", field="structure_constants")
     canon: list[tuple[int, int, tuple[Fraction, ...]]] = []
     for a in range(d):
         for b in range(a + 1, d):
-            coords = table.get((a, b))
-            if coords is None and (b, a) in table:
-                coords = [-x for x in table[(b, a)]]
+            coords = raw.get((a, b))
+            if coords is None and (b, a) in raw:
+                coords = [-x for x in raw[(b, a)]]
             if coords is None or not any(coords):
                 continue
             # grading compatibility
-            target = degree_of(a) + degree_of(b)
+            target = degree[a] + degree[b]
             if target > step:
                 raise InputError("bracket exceeds the step", field="structure_constants")
             for c, x in enumerate(coords):
-                if x and degree_of(c) != target:
+                if x and degree[c] != target:
                     raise InputError("bracket violates the grading", field="structure_constants")
             canon.append((a, b, tuple(coords)))
 
-    action = GradedAlgebraAction(grading, tuple(canon), (), name)
-    btable = action.bracket_table()
-
-    def bracket_basis(a: int, b: int) -> list[Fraction]:
-        return btable[(a, b)]
+    btable = _dense_brackets(d, canon)
 
     def bracket_vec(u: Vec, v: Vec) -> Vec:
         out = [Fraction(0)] * d
@@ -161,14 +144,14 @@ def validate_graded(
     for a in range(d):
         for b in range(a + 1, d):
             for c in range(b + 1, d):
-                s1 = bracket_vec(bracket_basis(a, b), _unit(d, c))
-                s2 = bracket_vec(bracket_basis(b, c), _unit(d, a))
-                s3 = bracket_vec(bracket_basis(c, a), _unit(d, b))
+                s1 = bracket_vec(btable[(a, b)], _unit(d, c))
+                s2 = bracket_vec(btable[(b, c)], _unit(d, a))
+                s3 = bracket_vec(btable[(c, a)], _unit(d, b))
                 if any(x + y + z != 0 for x, y, z in zip(s1, s2, s3)):
                     raise InputError("Jacobi identity violated", field="structure_constants")
 
-    # generators: square, grading-preserving, integral, unimodular,
-    # automorphisms, commuting
+    # generators: square, grading-preserving and integral here; unimodular
+    # and commuting in validate; then automorphisms
     mats = []
     for idx, g in enumerate(generators):
         m = [[Fraction(x) for x in row] for row in g]
@@ -176,7 +159,7 @@ def validate_graded(
             raise ShapeMismatch(f"generator {idx} is not {d}x{d}")
         for i in range(d):
             for j in range(d):
-                if m[i][j] and degree_of(i) != degree_of(j):
+                if m[i][j] and degree[i] != degree[j]:
                     raise InputError(
                         f"generator {idx} does not preserve the grading",
                         field="generators",
@@ -186,28 +169,18 @@ def validate_graded(
                         f"generator {idx} is not integral on the lattice basis",
                         field="generators",
                     )
-        dm = linalg.det(m)
-        if dm not in (1, -1):
-            raise NotUnimodular(idx, dm)
         mats.append(m)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if linalg.mat_mul(mats[i], mats[j]) != linalg.mat_mul(mats[j], mats[i]):
-                raise NonCommuting(i, j)
+    action = validate(mats, name=name)
     for idx, m in enumerate(mats):
         cols = linalg.columns(m)
         for a in range(d):
             for b in range(a + 1, d):
-                lhs = _apply(m, bracket_basis(a, b))
-                rhs = bracket_vec(cols[a], cols[b])
-                if lhs != rhs:
+                if linalg.mat_vec(m, btable[(a, b)]) != bracket_vec(cols[a], cols[b]):
                     raise InputError(
                         f"generator {idx} is not a Lie algebra automorphism",
                         field="generators",
                     )
-
-    frozen = tuple(tuple(tuple(row) for row in m) for m in mats)
-    return GradedAlgebraAction(grading, tuple(canon), frozen, name)
+    return GradedAlgebraAction(grading, tuple(canon), action)
 
 
 def _unit(d: int, i: int) -> Vec:
@@ -216,31 +189,18 @@ def _unit(d: int, i: int) -> Vec:
     return v
 
 
-def _apply(m, v: Vec) -> Vec:
-    return linalg.mat_vec(m, v)
-
-
 def degree_one_action(g: GradedAlgebraAction) -> ValidatedAction:
     """Induced action on the degree-1 component (the maximal toral quotient
     for free nilpotent inputs)."""
-    n1 = g.grading[0]
-    gens = []
-    for gi in range(g.rank):
-        block = g.degree_block(gi, 1)
-        gens.append([[int(x) for x in row] for row in block])
-    return validate(gens, name=f"{g.name}/degree1" if g.name else "degree1")
+    return validate(
+        [g.degree_block(gi, 1) for gi in range(g.rank)],
+        name=f"{g.name}/degree1" if g.name else "degree1",
+    )
 
 
 def derived_subalgebra(g: GradedAlgebraAction) -> RationalSubspace:
     """Span of all brackets of basis vectors."""
-    spans: list[Vec] = []
-    table = g.bracket_table()
-    d = g.dim
-    for a in range(d):
-        for b in range(a + 1, d):
-            w = table[(a, b)]
-            if any(w):
-                spans.append(list(w))
+    spans = [list(coords) for _, _, coords in g.brackets]
     if not spans:
         return RationalSubspace.from_vectors([])
     reduced, pivots = linalg.rref(spans)
@@ -249,14 +209,13 @@ def derived_subalgebra(g: GradedAlgebraAction) -> RationalSubspace:
 
 def is_totally_reducible_graded(g: GradedAlgebraAction) -> tuple[bool, dict]:
     """Totally reducible iff the degree-1 quotient action is totally
-    reducible and the derived subalgebra has an invariant complement."""
-    quotient = degree_one_action(g)
-    q_ok, q_witness = is_totally_reducible(quotient)
+    reducible (that is, semisimple) and the derived subalgebra has an
+    invariant complement."""
+    q_ok = is_semisimple(degree_one_action(g))
     derived = derived_subalgebra(g)
-    comp = invariant_complement(g.generator_mats(), derived)
+    comp = invariant_complement(g.action.generator_mats(), derived)
     witness = {
         "degree1_totally_reducible": q_ok,
-        "degree1_witness": q_witness,
         "derived_dimension": derived.dimension,
         "derived_complement": comp,
     }

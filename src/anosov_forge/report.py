@@ -14,7 +14,7 @@ from fractions import Fraction
 from .actions import ValidatedAction, is_semisimple, is_totally_reducible
 from .config import DEFAULT_CAP
 from .errors import NotAnosovAction, UndecidedProportionality
-from .graded import GradedAlgebraAction, degree_one_action, is_totally_reducible_graded
+from .graded import GradedAlgebraAction, is_totally_reducible_graded
 from .verdict import Verdict3
 from .weyl import (
     CoarseClass,
@@ -173,13 +173,7 @@ def audit_action(action: ValidatedAction, cap: int = DEFAULT_CAP) -> dict:
 def audit_graded(g: GradedAlgebraAction, cap: int = DEFAULT_CAP) -> dict:
     """Audit a graded (nilmanifold) action: the spectral hypotheses run on
     the full lattice matrices; total reducibility uses the graded criterion."""
-    from .actions import validate
-
-    full = validate(
-        [[[int(x) for x in row] for row in gen] for gen in g.generators],
-        name=g.name,
-    )
-    report = audit_action(full, cap)
+    report = audit_action(g.action, cap)
     report["kind"] = "graded"
     report["grading"] = list(g.grading)
     reducible, witness = is_totally_reducible_graded(g)
@@ -189,9 +183,9 @@ def audit_graded(g: GradedAlgebraAction, cap: int = DEFAULT_CAP) -> dict:
         "derived_dimension": witness["derived_dimension"],
         "has_derived_complement": witness["derived_complement"] is not None,
     }
-    quotient = degree_one_action(g)
+    # total reducibility of a toral action is semisimplicity
     report["hypotheses"]["semisimple_degree1"] = {
-        "kind": "true" if is_semisimple(quotient) else "false"
+        "kind": "true" if witness["degree1_totally_reducible"] else "false"
     }
     return report
 

@@ -89,11 +89,6 @@ class LyapunovFunctional:
         vals = tuple(LogLinearValue.half_log(m) for m in msqs)
         return cls(vals, multiplicity, origin, tuple(msqs))
 
-    @classmethod
-    def from_rational_vector(cls, vec, multiplicity: int = 1) -> "LyapunovFunctional":
-        vals = tuple(LogLinearValue.from_rational(v) for v in vec)
-        return cls(vals, multiplicity)
-
     @property
     def rank(self) -> int:
         return len(self.values)

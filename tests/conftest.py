@@ -9,6 +9,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from anosov_forge import linalg  # noqa: E402
 from anosov_forge.actions import validate  # noqa: E402
+from anosov_forge.logval import LogLinearValue  # noqa: E402
+from anosov_forge.weyl import LyapunovFunctional  # noqa: E402
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -77,6 +79,13 @@ def fibonacci_action():
 
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
+
+
+def rational_functional(vec, multiplicity: int = 1):
+    """A synthetic Lyapunov functional with rational values and no moduli."""
+    return LyapunovFunctional(
+        tuple(LogLinearValue.from_rational(v) for v in vec), multiplicity
+    )
 
 
 # -- sympy references ------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
-from conftest import cartan_generators, fixture_path
+from conftest import cartan_generators, fixture_path, rational_functional
 
 from anosov_forge import linalg
 from anosov_forge.actions import is_semisimple, is_totally_reducible, validate
@@ -29,7 +29,6 @@ from anosov_forge.normalforms import ContractionSpectrum, sr_group_dimension
 from anosov_forge.numutil import certified_root_disks, modulus_squared_bounds
 from anosov_forge.report import audit_action
 from anosov_forge.weyl import (
-    LyapunovFunctional,
     coarse_classes,
     complementary_splitting,
     fast_stable_element,
@@ -203,7 +202,7 @@ def test_criterion_5_fifty_rank2_arrangements_have_2n_chambers():
                     continue
                 g = math.gcd(abs(x), y)
                 dirs.add((x // g, y // g))
-            fs = [LyapunovFunctional.from_rational_vector(v) for v in sorted(dirs)]
+            fs = [rational_functional(v) for v in sorted(dirs)]
             classes = coarse_classes(fs, CAP)
             chambers = weyl_chambers(classes, CAP)
             assert len(chambers) == 2 * n
@@ -328,7 +327,7 @@ def test_criterion_8_degree2_moduli_are_products_of_base_pairs():
             a = random_unimodular(rng, d)
             action = validate([a])
             lift = free_nilpotent_lift(action, 2)
-            block = linalg.to_mat(lift.graded_matrices[0][1])
+            block = lift.degree_block(0, 2)
 
             bits = 128
             base = msq_intervals(linalg.charpoly(linalg.to_mat(a)), bits)

@@ -506,6 +506,18 @@ def _fibonacci_doc():
         return json.load(fh)
 
 
+def _graded_doc():
+    # the Heisenberg algebra [e0, e1] = e2 with one automorphism
+    return {
+        "schema_version": 1,
+        "kind": "graded",
+        "name": "heisenberg",
+        "grading": [2, 1],
+        "structure_constants": [[0, 1, 2, "1"]],
+        "generators": [["1", "1", "0", "1", "0", "0", "0", "0", "-1"]],
+    }
+
+
 def _cartan_entry_true():
     doc = _cartan_doc()
     assert doc["generators"][0][3] == 1
@@ -548,6 +560,12 @@ def _cartan_entry_true():
             },
             "structure_constants[0]",
         ),
+        ("analyze", {**_graded_doc(), "structure_constants": 5}, "structure_constants"),
+        ("analyze", {**_graded_doc(), "structure_constants": None}, "structure_constants"),
+        ("analyze", {**_cartan_doc(), "name": [1]}, "name"),
+        ("chambers", {**_cartan_doc(), "name": [1]}, "name"),
+        ("analyze", {**_graded_doc(), "name": {}}, "name"),
+        ("chambers", {**_graded_doc(), "name": {}}, "name"),
     ],
 )
 def test_ill_typed_json_exit_three(tmp_path, command, doc, named):

@@ -14,6 +14,7 @@ from anosov_forge.freenil import (
     structure_constants,
     witt_dimension,
 )
+from anosov_forge.graded import validate_graded
 
 
 def lyndon_count(d: int, m: int) -> int:
@@ -66,8 +67,7 @@ def test_lift_blocks_are_unimodular(fibonacci_action):
     lift = free_nilpotent_lift(fibonacci_action, 3)
     for g in range(lift.rank):
         for deg in range(1, 4):
-            block = lift.graded_matrices[g][deg - 1]
-            assert linalg.det(linalg.to_mat(block)) in (1, -1)
+            assert linalg.det(lift.degree_block(g, deg)) in (1, -1)
 
 
 def test_lift_functoriality(fibonacci_action):
@@ -77,23 +77,30 @@ def test_lift_functoriality(fibonacci_action):
     pair = validate([[list(r) for r in a], [[int(v) for v in r] for r in a2]])
     lift = free_nilpotent_lift(pair, 3)
     for deg in range(1, 4):
-        b0 = linalg.to_mat(lift.graded_matrices[0][deg - 1])
-        b1 = linalg.to_mat(lift.graded_matrices[1][deg - 1])
+        b0 = lift.degree_block(0, deg)
+        b1 = lift.degree_block(1, deg)
         assert linalg.mat_mul(b0, b0) == b1
 
 
 def test_lift_blocks_commute(cartan_action):
     lift = free_nilpotent_lift(cartan_action, 2)
     for deg in range(1, 3):
-        b0 = linalg.to_mat(lift.graded_matrices[0][deg - 1])
-        b1 = linalg.to_mat(lift.graded_matrices[1][deg - 1])
+        b0 = lift.degree_block(0, deg)
+        b1 = lift.degree_block(1, deg)
         assert linalg.mat_mul(b0, b1) == linalg.mat_mul(b1, b0)
 
 
-def test_lift_to_graded_validates(fibonacci_action):
-    g = free_nilpotent_lift(fibonacci_action, 2).to_graded()
-    assert g.dim == 3
-    assert g.grading == (2, 1)
+@pytest.mark.parametrize("base, step", [("fibonacci_action", 3), ("cartan_action", 2)])
+def test_lift_passes_graded_validation(request, base, step):
+    # the lift is built without validate_graded: rebuilding it from its own
+    # grading, sparse brackets and generators must pass the Jacobi and
+    # automorphism checks and give back the same object
+    lift = free_nilpotent_lift(request.getfixturevalue(base), step)
+    sparse = [
+        (a, b, c, val) for a, b, coords in lift.brackets for c, val in enumerate(coords) if val
+    ]
+    again = validate_graded(lift.grading, sparse, lift.action.generators, name=lift.name)
+    assert again == lift
 
 
 def numeric_anosov_oracle(lift, b, digits=50) -> bool:
@@ -102,9 +109,9 @@ def numeric_anosov_oracle(lift, b, digits=50) -> bool:
     with mpmath.workdps(digits):
         for deg in range(1, lift.step + 1):
             blocks = [
-                linalg.mat_pow(linalg.to_mat(lift.graded_matrices[g][deg - 1]), bi)
+                linalg.mat_pow(lift.degree_block(g, deg), bi)
                 if bi
-                else linalg.identity(len(lift.graded_matrices[g][deg - 1]))
+                else linalg.identity(lift.grading[deg - 1])
                 for g, bi in enumerate(b)
             ]
             prod = blocks[0]
@@ -131,9 +138,9 @@ def test_cartan_lift_anosov_matches_oracle(cartan_action):
         assert lift_is_anosov(lift, b) == numeric_anosov_oracle(lift, b)
 
 
-def test_lift_full_matrix_unimodular_and_block_triangular(cartan_action):
+def test_lift_generator_unimodular_and_block_triangular(cartan_action):
     lift = free_nilpotent_lift(cartan_action, 2)
-    m = lift.full_matrix(0)
+    m = lift.action.generators[0]
     assert linalg.det(linalg.to_mat(m)) in (1, -1)
     d1 = cartan_action.dim
     # degree-1 rows have no degree-2 coupling: the full matrix is block

@@ -12,6 +12,7 @@ from conftest import (
     cartan_generators,
     cartan_t4_generators,
     fixture_path,
+    rational_functional,
     square_double,
     symplectic_double,
 )
@@ -25,7 +26,6 @@ from anosov_forge.logval import LogLinearValue
 from anosov_forge.lp import maximize
 from anosov_forge.report import audit_action
 from anosov_forge.weyl import (
-    LyapunovFunctional,
     anosov_in_every_chamber,
     coarse_classes,
     complementary_splitting,
@@ -41,7 +41,7 @@ PHI = (1 + math.sqrt(5)) / 2
 
 
 def rational_classes(vectors):
-    fs = [LyapunovFunctional.from_rational_vector(v) for v in vectors]
+    fs = [rational_functional(v) for v in vectors]
     return coarse_classes(fs, CAP)
 
 
@@ -213,7 +213,7 @@ def test_audit_witnesses_are_anosov_matrices(source):
     # matrix at every chamber and TNS witness has no eigenvalue of modulus 1
     if source == "lift2":
         base = validate(list(cartan_generators()))
-        action = free_nilpotent_lift(base, 2).to_validated()
+        action = free_nilpotent_lift(base, 2).action
     else:
         action = load_action_file_with_options(fixture_path(source))[0]
     report = audit_action(action, CAP)

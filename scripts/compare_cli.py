@@ -10,9 +10,11 @@ and exits 1 if any does, 0 if all agree.  OLD_SRC and NEW_SRC are the
 `src/` directories of two checkouts.
 
 The corpus: `analyze` (summary and --json), `chambers` and `lift --step 2
---out --json` on the four torus fixtures, `normal-forms` on the spectrum
-fixture, `analyze --json` on each graded file that OLD_SRC's `lift --step 2
---out` writes for the four torus fixtures; `analyze --json` and `chambers` on the seeded spectral pairs of
+--out --json` on the four torus fixtures, and `lift --step 3 --out` on
+cartan_t3; `normal-forms` on the spectrum fixture; `analyze --json` on each
+graded file that OLD_SRC's `lift --step 2 --out` writes for the four torus
+fixtures and on its `lift --step 3 --out` file of cartan_t3 (dimension 14);
+`analyze --json` and `chambers` on the seeded spectral pairs of
 perfbench seeds 1-4, on cartan_t4 (embedded 128-bit cap and default cap),
 the dependent pair (A, A^2), the coplanar action (A, A - I, A(A - I)) and
 one seeded rank-3 action; the `normal-forms --element` calls of the
@@ -65,8 +67,11 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
         ]
         graded.append(os.path.join(work, f"{name}-lift2.json"))
         run_cli(old_src, ["lift", path, "--step", "2", "--out", graded[-1]], work)
-    calls += [["analyze", g, "--json"] for g in graded]
     cartan = os.path.join(FIXTURES, "cartan_t3.json")
+    calls.append(["lift", cartan, "--step", "3", "--out", "cartan_t3-lift3.out.json"])
+    graded.append(os.path.join(work, "cartan_t3-lift3.json"))
+    run_cli(old_src, ["lift", cartan, "--step", "3", "--out", graded[-1]], work)
+    calls += [["analyze", g, "--json"] for g in graded]
     calls += [
         ["chambers", cartan, "--format", "svg"],
         ["analyze", *(os.path.join(FIXTURES, f"{n}.json") for n in TORUS_FIXTURES), "--json"],

@@ -78,10 +78,12 @@ def validate(generators, name: str = "") -> ValidatedAction:
 
 def is_semisimple(action: ValidatedAction) -> bool:
     """True iff every generator's minimal polynomial is squarefree over Q,
-    that is iff its eigen-span E(A) = ker prod P_i(A) is all of Q^d."""
+    that is iff on every joint primary component the irreducible factor
+    labelling each generator annihilates its restriction there."""
     return all(
-        rational_primary_decomposition(g)[1].dimension == action.dim
-        for g in action.generators
+        linalg.is_zero_mat(linalg.poly_at_matrix(factor, mat))
+        for comp in joint_primary_components(action)
+        for (factor, _), mat in zip(comp.labels, comp.mats)
     )
 
 
@@ -91,8 +93,9 @@ def _frozen(a) -> tuple[tuple[Fraction, ...], ...]:
 
 def rational_primary_decomposition(
     a: Mat | list,
-) -> tuple[tuple[tuple[IntPolynomial, int, RationalSubspace], ...], RationalSubspace]:
-    """Primary components ker P_i(A)^{d_i} and the eigen-span E(A) = ker prod P_i(A).
+) -> tuple[tuple[IntPolynomial, int, RationalSubspace], ...]:
+    """Primary components ker P_i(A)^{d_i}, one per irreducible factor P_i
+    of multiplicity d_i in the characteristic polynomial.
 
     Computed once per matrix; the result is immutable and shared.
     """
@@ -102,24 +105,19 @@ def rational_primary_decomposition(
 @lru_cache(maxsize=256)
 def _primary_decomposition(
     a: tuple[tuple[Fraction, ...], ...],
-) -> tuple[tuple[tuple[IntPolynomial, int, RationalSubspace], ...], RationalSubspace]:
+) -> tuple[tuple[IntPolynomial, int, RationalSubspace], ...]:
     m = [list(row) for row in a]
-    n = len(m)
-    char = linalg.charpoly(m)
     parts = []
-    prod_eval = linalg.identity(n)
-    for factor, mult in factor_cached(char):
+    for factor, mult in factor_cached(linalg.charpoly(m)):
         if factor.degree < 1:
             continue
         base = linalg.poly_at_matrix(factor, m)
-        prod_eval = linalg.mat_mul(prod_eval, base)
         power = base
         for _ in range(mult - 1):
             power = linalg.mat_mul(power, base)
         kernel = linalg.nullspace(power)
         parts.append((factor, mult, RationalSubspace.from_vectors(kernel)))
-    e_a = RationalSubspace.from_vectors(linalg.nullspace(prod_eval))
-    return tuple(parts), e_a
+    return tuple(parts)
 
 
 def semisimple_part(a: Mat) -> Mat:
@@ -234,8 +232,7 @@ def joint_primary_components(action: ValidatedAction) -> tuple[PrimaryComponent,
     for gi in range(action.rank):
         refined = []
         for comp in comps:
-            parts, _ = rational_primary_decomposition(comp.mats[gi])
-            for factor, mult, sub in parts:
+            for factor, mult, sub in rational_primary_decomposition(comp.mats[gi]):
                 local = sub.basis_vectors()
                 # ambient basis of the refined component
                 ambient = tuple(

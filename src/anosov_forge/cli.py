@@ -179,17 +179,12 @@ def load_action_file_with_options(path: str):
 
 def graded_action_file(g: GradedAlgebraAction) -> dict:
     """Serialize a graded action back to the ActionFile schema."""
-    sc = []
-    for a, b, coords in g.brackets:
-        for c, val in enumerate(coords):
-            if val:
-                sc.append([a, b, c, frac_str(val)])
     return {
         "schema_version": 1,
         "kind": "graded",
         "name": g.name,
         "grading": list(g.grading),
-        "structure_constants": sc,
+        "structure_constants": [[a, b, c, frac_str(v)] for a, b, c, v in g.brackets],
         "generators": [
             [frac_str(v) for row in gen for v in row] for gen in g.action.generators
         ],

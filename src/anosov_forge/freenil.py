@@ -18,7 +18,7 @@ from functools import lru_cache
 from . import linalg
 from .actions import ValidatedAction, validate
 from .errors import SizeCap
-from .graded import GradedAlgebraAction
+from .graded import GradedAlgebraAction, bracket, bracket_table
 from .modulus import has_unit_modulus_root
 
 # the largest lift dimension that hall_basis builds
@@ -105,10 +105,10 @@ def hall_basis(d: int, k: int) -> HallBasis:
     return basis
 
 
-def _bracket_cache(basis: HallBasis):
-    """Memoized bracket of basis words, as sparse integer vectors."""
+def structure_constants(basis: HallBasis) -> list[tuple[int, int, int, int]]:
+    """Sparse integer quadruples (a, b, c, value) for [e_a, e_b], a < b,
+    from the memoized brackets of basis words."""
     words = basis.words
-    k = basis.step
     index_of = {(l, r): i for i, (deg, l, r) in enumerate(words) if l != -1}
 
     @lru_cache(maxsize=None)
@@ -118,7 +118,7 @@ def _bracket_cache(basis: HallBasis):
         if u > v:
             return tuple((i, -c) for i, c in bw(v, u))
         du, dv = words[u][0], words[v][0]
-        if du + dv > k:
+        if du + dv > basis.step:
             return ()
         _, vl, vr = words[v]
         if vl == -1 or vl <= u:
@@ -133,19 +133,8 @@ def _bracket_cache(basis: HallBasis):
                 out[j] = out.get(j, 0) + c * c2
         return tuple((j, c) for j, c in sorted(out.items()) if c)
 
-    return bw
-
-
-def structure_constants(basis: HallBasis) -> list[tuple[int, int, int, int]]:
-    """Sparse integer triples (a, b, c, value) for [e_a, e_b], a < b."""
-    bw = _bracket_cache(basis)
-    out = []
     n = basis.dimension
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c, value in bw(a, b):
-                out.append((a, b, c, value))
-    return out
+    return [(a, b, c, value) for a in range(n) for b in range(a + 1, n) for c, value in bw(a, b)]
 
 
 def free_nilpotent_lift(action: ValidatedAction, k: int) -> GradedAlgebraAction:
@@ -153,37 +142,19 @@ def free_nilpotent_lift(action: ValidatedAction, k: int) -> GradedAlgebraAction:
     algebra, as a graded action on the Hall basis: each generator acts on a
     Hall word [u, v] by the bracket of the images of u and v."""
     basis = hall_basis(action.dim, k)
-    bw = _bracket_cache(basis)
+    constants = structure_constants(basis)
+    table = bracket_table(constants)
     n = basis.dimension
     full = []
     for gen in action.generators:
-        # image of each Hall word, as a dense integer vector over the basis
-        images: list[list[int]] = []
-        for i in range(action.dim):
-            col = [0] * n
-            for r in range(action.dim):
-                col[r] = gen[r][i]
-            images.append(col)
-        for idx in range(action.dim, n):
-            _, left, right = basis.words[idx]
-            col = [0] * n
-            lu, rv = images[left], images[right]
-            for a in range(n):
-                if not lu[a]:
-                    continue
-                for b in range(n):
-                    if not rv[b]:
-                        continue
-                    for c, val in bw(a, b):
-                        col[c] += lu[a] * rv[b] * val
-            images.append(col)
-        full.append([[images[j][i] for j in range(n)] for i in range(n)])
-    brackets: dict[tuple[int, int], list[Fraction]] = {}
-    for a, b, c, value in structure_constants(basis):
-        brackets.setdefault((a, b), [Fraction(0)] * n)[c] = Fraction(value)
+        # image of each Hall word, as a sparse integer vector over the basis
+        images = [{r: row[i] for r, row in enumerate(gen) if row[i]} for i in range(action.dim)]
+        for _, left, right in basis.words[action.dim :]:
+            images.append(bracket(table, images[left], images[right]))
+        full.append([[images[j].get(i, 0) for j in range(n)] for i in range(n)])
     return GradedAlgebraAction(
         basis.degree_dimensions(),
-        tuple((a, b, tuple(coords)) for (a, b), coords in brackets.items()),
+        tuple((a, b, c, Fraction(value)) for a, b, c, value in constants),
         validate(full, name=f"{action.name}-lift{k}" if action.name else ""),
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .actions import (
@@ -23,6 +24,8 @@ from .actions import (
 from .errors import InputError, ShapeMismatch
 
 Vec = list[Fraction]
+# a sparse vector: basis index -> nonzero coefficient
+Sparse = dict[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -30,13 +33,14 @@ class GradedAlgebraAction:
     """Commuting automorphisms of a graded rational Lie algebra.
 
     grading lists the dimensions of the graded components; basis indices run
-    through degree-1 vectors first, then degree 2, and so on.  brackets maps
-    an ordered basis pair (a, b) with a < b to the bracket coordinates.
-    action holds the automorphisms as a validated action on the full lattice.
+    through degree-1 vectors first, then degree 2, and so on.  brackets is
+    the sorted tuple of nonzero structure constants (a, b, c, value) with
+    a < b: the coordinate of e_c in [e_a, e_b].  action holds the
+    automorphisms as a validated action on the full lattice.
     """
 
     grading: tuple[int, ...]
-    brackets: tuple[tuple[int, int, tuple[Fraction, ...]], ...]
+    brackets: tuple[tuple[int, int, int, Fraction], ...]
     action: ValidatedAction
 
     @property
@@ -67,13 +71,28 @@ def _degrees(grading) -> list[int]:
     return [deg for deg, n in enumerate(grading, start=1) for _ in range(n)]
 
 
-def _dense_brackets(d: int, brackets) -> dict[tuple[int, int], Vec]:
-    """Dense bracket coordinates for every ordered basis pair."""
-    table = {(a, b): [Fraction(0)] * d for a in range(d) for b in range(d)}
-    for a, b, coords in brackets:
-        table[(a, b)] = list(coords)
-        table[(b, a)] = [-c for c in coords]
+def bracket_table(brackets) -> dict[tuple[int, int], Sparse]:
+    """[e_a, e_b] for both orders of every nonzero pair of the structure
+    constants (a, b, c, value)."""
+    table: dict[tuple[int, int], Sparse] = {}
+    for a, b, c, value in brackets:
+        table.setdefault((a, b), {})[c] = value
+        table.setdefault((b, a), {})[c] = -value
     return table
+
+
+def _combine(terms) -> Sparse:
+    """The sum of x * v over the terms (x, v), with zero coefficients dropped."""
+    out: Sparse = {}
+    for x, v in terms:
+        for i, y in v.items():
+            out[i] = out.get(i, 0) + x * y
+    return {i: y for i, y in out.items() if y}
+
+
+def bracket(table, u: Sparse, v: Sparse) -> Sparse:
+    """[u, v] of sparse vectors, with zero coefficients dropped."""
+    return _combine((x * y, table.get((a, b), {})) for a, x in u.items() for b, y in v.items())
 
 
 def validate_graded(
@@ -89,66 +108,45 @@ def validate_graded(
     step = len(grading)
     degree = _degrees(grading)
 
-    # assemble sparse brackets into dense coordinate rows per ordered pair
-    raw: dict[tuple[int, int], list[Fraction]] = {}
+    # sum the entries of each ordered pair and target
+    raw: dict[tuple[int, int], Sparse] = {}
     for a, b, c, value in structure_constants:
         a, b, c = int(a), int(b), int(c)
         if not (0 <= a < d and 0 <= b < d and 0 <= c < d):
             raise InputError("structure constant index out of range", field="structure_constants")
-        key = (a, b)
-        raw.setdefault(key, [Fraction(0)] * d)[c] += Fraction(value)
+        coords = raw.setdefault((a, b), {})
+        coords[c] = coords.get(c, 0) + Fraction(value)
     for (a, b), coords in raw.items():
-        if a == b and any(coords):
+        if a == b and any(coords.values()):
             raise InputError("nonzero bracket [e_a, e_a]", field="structure_constants")
     # antisymmetry: merge/check mirrored entries
-    for (a, b) in list(raw):
-        mirror = raw.get((b, a))
-        if mirror is not None and a < b:
-            if any(x + y != 0 for x, y in zip(raw[(a, b)], mirror)):
-                raise InputError("antisymmetry violated", field="structure_constants")
-    canon: list[tuple[int, int, tuple[Fraction, ...]]] = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            coords = raw.get((a, b))
-            if coords is None and (b, a) in raw:
-                coords = [-x for x in raw[(b, a)]]
-            if coords is None or not any(coords):
-                continue
-            # grading compatibility
-            target = degree[a] + degree[b]
-            if target > step:
-                raise InputError("bracket exceeds the step", field="structure_constants")
-            for c, x in enumerate(coords):
-                if x and degree[c] != target:
-                    raise InputError("bracket violates the grading", field="structure_constants")
-            canon.append((a, b, tuple(coords)))
+    for (a, b), coords in raw.items():
+        mirror = raw.get((b, a)) if a < b else None
+        if mirror is not None and _combine([(1, coords), (1, mirror)]):
+            raise InputError("antisymmetry violated", field="structure_constants")
+    canon: list[tuple[int, int, int, Fraction]] = []
+    for a, b in sorted({(min(a, b), max(a, b)) for a, b in raw if a != b}):
+        coords = _combine([(1, raw[(a, b)])] if (a, b) in raw else [(-1, raw[(b, a)])])
+        if not coords:
+            continue
+        # grading compatibility
+        target = degree[a] + degree[b]
+        if target > step:
+            raise InputError("bracket exceeds the step", field="structure_constants")
+        if any(degree[c] != target for c in coords):
+            raise InputError("bracket violates the grading", field="structure_constants")
+        canon += [(a, b, c, coords[c]) for c in sorted(coords)]
+    table = bracket_table(canon)
 
-    btable = _dense_brackets(d, canon)
-
-    def bracket_vec(u: Vec, v: Vec) -> Vec:
-        out = [Fraction(0)] * d
-        for a in range(d):
-            if not u[a]:
-                continue
-            for b in range(d):
-                if not v[b]:
-                    continue
-                coeff = u[a] * v[b]
-                w = btable[(a, b)]
-                for c in range(d):
-                    if w[c]:
-                        out[c] += coeff * w[c]
-        return out
-
-    # Jacobi identity on all basis triples
-    for a in range(d):
-        for b in range(a + 1, d):
-            for c in range(b + 1, d):
-                s1 = bracket_vec(btable[(a, b)], _unit(d, c))
-                s2 = bracket_vec(btable[(b, c)], _unit(d, a))
-                s3 = bracket_vec(btable[(c, a)], _unit(d, b))
-                if any(x + y + z != 0 for x, y, z in zip(s1, s2, s3)):
-                    raise InputError("Jacobi identity violated", field="structure_constants")
+    # Jacobi identity on the basis triples.  By the checks above a bracket
+    # of homogeneous vectors whose degrees add up to more than the step is
+    # 0, so every term of a triple of such degrees vanishes on its own.
+    for a, b, c in combinations(range(d), 3):
+        cyclic = ((a, b, c), (b, c, a), (c, a, b))
+        if degree[a] + degree[b] + degree[c] <= step and _combine(
+            (1, bracket(table, table.get((x, y), {}), {z: 1})) for x, y, z in cyclic
+        ):
+            raise InputError("Jacobi identity violated", field="structure_constants")
 
     # generators: square, grading-preserving and integral here; unimodular
     # and commuting in validate; then automorphisms
@@ -171,22 +169,18 @@ def validate_graded(
                     )
         mats.append(m)
     action = validate(mats, name=name)
-    for idx, m in enumerate(mats):
-        cols = linalg.columns(m)
-        for a in range(d):
-            for b in range(a + 1, d):
-                if linalg.mat_vec(m, btable[(a, b)]) != bracket_vec(cols[a], cols[b]):
-                    raise InputError(
-                        f"generator {idx} is not a Lie algebra automorphism",
-                        field="generators",
-                    )
+    # A[e_a, e_b] = [A e_a, A e_b]; a pair whose degrees add up to more than
+    # the step has 0 on both sides, since A preserves the grading.
+    for idx, g in enumerate(action.generators):
+        cols = [{i: row[j] for i, row in enumerate(g) if row[j]} for j in range(d)]
+        for a, b in combinations(range(d), 2):
+            image = _combine((w, cols[c]) for c, w in table.get((a, b), {}).items())
+            if degree[a] + degree[b] <= step and image != bracket(table, cols[a], cols[b]):
+                raise InputError(
+                    f"generator {idx} is not a Lie algebra automorphism",
+                    field="generators",
+                )
     return GradedAlgebraAction(grading, tuple(canon), action)
-
-
-def _unit(d: int, i: int) -> Vec:
-    v = [Fraction(0)] * d
-    v[i] = Fraction(1)
-    return v
 
 
 def degree_one_action(g: GradedAlgebraAction) -> ValidatedAction:
@@ -200,23 +194,43 @@ def degree_one_action(g: GradedAlgebraAction) -> ValidatedAction:
 
 def derived_subalgebra(g: GradedAlgebraAction) -> RationalSubspace:
     """Span of all brackets of basis vectors."""
-    spans = [list(coords) for _, _, coords in g.brackets]
-    if not spans:
+    rows: dict[tuple[int, int], Vec] = {}
+    for a, b, c, value in g.brackets:
+        rows.setdefault((a, b), [Fraction(0)] * g.dim)[c] = value
+    if not rows:
         return RationalSubspace.from_vectors([])
-    reduced, pivots = linalg.rref(spans)
+    reduced, pivots = linalg.rref(list(rows.values()))
     return RationalSubspace.from_vectors(reduced[: len(pivots)])
 
 
 def is_totally_reducible_graded(g: GradedAlgebraAction) -> tuple[bool, dict]:
     """Totally reducible iff the degree-1 quotient action is totally
-    reducible (that is, semisimple) and the derived subalgebra has an
-    invariant complement."""
+    reducible (that is, semisimple) and the derived subalgebra D has an
+    invariant complement.  The basis brackets are homogeneous and the
+    generators preserve the grading, so D is the sum of its degree-m parts
+    D_m, and D has an invariant complement iff every D_m has one under the
+    degree-m blocks: a projection onto D commuting with the generators
+    restricts to one onto each D_m, and complements of the D_m add up."""
     q_ok = is_semisimple(degree_one_action(g))
     derived = derived_subalgebra(g)
-    comp = invariant_complement(g.action.generator_mats(), derived)
+    comp: list[Vec] | None = []
+    lo = 0
+    for m, n in enumerate(g.grading, start=1):
+        hi = lo + n
+        reduced, pivots = linalg.rref([v[lo:hi] for v in derived.basis_vectors()])
+        part = invariant_complement(
+            [g.degree_block(gi, m) for gi in range(g.rank)],
+            RationalSubspace.from_vectors(reduced[: len(pivots)]),
+        )
+        if part is None:
+            comp = None
+            break
+        zero = [Fraction(0)]
+        comp += [zero * lo + v + zero * (g.dim - hi) for v in part.basis_vectors()]
+        lo = hi
     witness = {
         "degree1_totally_reducible": q_ok,
         "derived_dimension": derived.dimension,
-        "derived_complement": comp,
+        "derived_complement": None if comp is None else RationalSubspace.from_vectors(comp),
     }
     return q_ok and comp is not None, witness

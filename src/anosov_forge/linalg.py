@@ -70,25 +70,40 @@ def is_zero_mat(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
+def _integral(a) -> tuple[list[list[int]], int]:
+    """(B, den) with A = B / den, den the common denominator of A."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
 def det(a: Mat) -> Fraction:
+    """Determinant, by fraction-free Bareiss elimination on B = den * A:
+    det A = det B / den^n.  A step only scales a row with 0 in the pivot
+    column, by the pivot over the previous one; these factors telescope, so
+    the row keeps the pivot it was last updated at and is rescaled once."""
     n = len(a)
-    m = [row[:] for row in a]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    m, den = _integral(a)
+    level = [1] * n  # the pivot each row was last updated at
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
             return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return result
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            level[k], level[pivot] = level[pivot], level[k]
+            sign = -sign
+        top = [x * prev // level[k] for x in m[k][k + 1 :]]
+        p = m[k][k] * prev // level[k]
+        for i in range(k + 1, n):
+            row, f = m[i], m[i][k]
+            if f:
+                # exact: the Bareiss value of the row brought up to date
+                tail = zip(row[k + 1 :], top)
+                row[k + 1 :] = [(p * x - f * y) // level[i] for x, y in tail]
+                level[i] = p
+        prev = p
+    return Fraction(sign * prev, den**n)
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
@@ -195,8 +210,8 @@ def _berkowitz(b: list[list[int]]) -> list[int]:
 def _scaled_charpoly(a: Mat) -> tuple[list[int], int]:
     """(e, den): det(x I - A) = sum_k e[k] den^-k x^(n-k), with den the
     common denominator of A and e from Berkowitz on den * A."""
-    den = math.lcm(*(Fraction(x).denominator for row in a for x in row))
-    return _berkowitz([[int(x * den) for x in row] for row in a]), den
+    b, den = _integral(a)
+    return _berkowitz(b), den
 
 
 def charpoly(a: Mat) -> IntPolynomial:
@@ -237,8 +252,7 @@ def poly_at_matrix(p: IntPolynomial, a: Mat) -> Mat:
     n = len(a)
     if p.is_zero:
         return zeros(n, n)
-    den = math.lcm(*(Fraction(x).denominator for row in a for x in row))
-    b = [[int(x * den) for x in row] for row in a]
+    b, den = _integral(a)
     cols = list(zip(*b))
     h = [[p.leading * (i == j) for j in range(n)] for i in range(n)]
     scale = 1

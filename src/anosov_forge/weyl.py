@@ -70,24 +70,11 @@ _WITNESS_CAP = 10**6
 
 @dataclass(frozen=True)
 class LyapunovFunctional:
-    """A Lyapunov exponent: values[i] = chi(e_i) = log|lambda_i|.
-
-    moduli stores |lambda_i|^2 as canonical real algebraic numbers when the
-    functional came from an actual action (None for synthetic test inputs);
-    values are the corresponding log-linear components in either case.
-    """
+    """A Lyapunov exponent: values[i] = chi(e_i) = log|lambda_i|."""
 
     values: tuple[LogLinearValue, ...]
     multiplicity: int
     origin: int | None = None
-    moduli: tuple[RealAlgebraic, ...] | None = None
-
-    @classmethod
-    def from_moduli(
-        cls, msqs, multiplicity: int, origin: int | None = None
-    ) -> "LyapunovFunctional":
-        vals = tuple(LogLinearValue.half_log(m) for m in msqs)
-        return cls(vals, multiplicity, origin, tuple(msqs))
 
     @property
     def rank(self) -> int:
@@ -282,7 +269,7 @@ def lyapunov_data(action: ValidatedAction) -> list[LyapunovFunctional]:
             else:
                 merged.append((msqs, mult, origin))
     out = [
-        LyapunovFunctional.from_moduli(msqs, mult, origin)
+        LyapunovFunctional(tuple(LogLinearValue.half_log(m) for m in msqs), mult, origin)
         for msqs, mult, origin in merged
     ]
     assert sum(f.multiplicity for f in out) == action.dim

@@ -82,7 +82,7 @@ def fixture_path(name: str) -> str:
 
 
 def rational_functional(vec, multiplicity: int = 1):
-    """A synthetic Lyapunov functional with rational values and no moduli."""
+    """A synthetic Lyapunov functional with rational values."""
     return LyapunovFunctional(
         tuple(LogLinearValue.from_rational(v) for v in vec), multiplicity
     )

@@ -74,11 +74,11 @@ def test_minimal_polynomial_jordan():
 
 def test_primary_decomposition_block_diag():
     m = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
-    parts, semisimple_sub = rational_primary_decomposition(linalg.to_mat(m))
+    parts = rational_primary_decomposition(linalg.to_mat(m))
     dims = sorted(sub.dimension for _, _, sub in parts)
     assert dims == [2, 2]
-    # only the cat-map block is semisimple
-    assert semisimple_sub.dimension == 3  # cat block + one eigenvector of Jordan
+    # the Jordan block is not semisimple
+    assert not is_semisimple(validate([m]))
 
 
 def test_semisimple_part_annihilates_nilpotent():
@@ -162,7 +162,7 @@ def unimodular_2x2(draw):
 @given(unimodular_2x2())
 @settings(max_examples=40, deadline=None)
 def test_primary_decomposition_dimensions_sum(m):
-    parts, _ = rational_primary_decomposition(m)
+    parts = rational_primary_decomposition(m)
     assert sum(f.degree * mult for f, mult, _ in parts) == 2
     assert sum(sub.dimension for _, _, sub in parts) == 2
 

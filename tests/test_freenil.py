@@ -96,10 +96,7 @@ def test_lift_passes_graded_validation(request, base, step):
     # grading, sparse brackets and generators must pass the Jacobi and
     # automorphism checks and give back the same object
     lift = free_nilpotent_lift(request.getfixturevalue(base), step)
-    sparse = [
-        (a, b, c, val) for a, b, coords in lift.brackets for c, val in enumerate(coords) if val
-    ]
-    again = validate_graded(lift.grading, sparse, lift.action.generators, name=lift.name)
+    again = validate_graded(lift.grading, lift.brackets, lift.action.generators, name=lift.name)
     assert again == lift
 
 

@@ -1,10 +1,11 @@
 """The exact integer kernels against sympy: Zassenhaus factoring, primitive
-pseudo-remainder gcds and Berkowitz characteristic polynomials."""
+pseudo-remainder gcds, Berkowitz characteristic polynomials and Bareiss
+determinants."""
 
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import from_sympy, to_sympy
@@ -125,15 +126,17 @@ def test_berkowitz_like_sympy_on_integer_matrices(rows):
     assert list(linalg.charpoly(a).coeffs) == sympy_charpoly(a)
 
 
-@given(
-    st.integers(1, 5).flatmap(
+def rational_matrices(max_n=5):
+    return st.integers(1, max_n).flatmap(
         lambda n: st.lists(
             st.lists(st.fractions(-5, 5, max_denominator=6), min_size=n, max_size=n),
             min_size=n,
             max_size=n,
         )
     )
-)
+
+
+@given(rational_matrices())
 @settings(max_examples=60, deadline=None)
 def test_berkowitz_like_sympy_on_rational_matrices(a):
     poly, fracs = linalg.charpoly_rational(a)
@@ -142,11 +145,25 @@ def test_berkowitz_like_sympy_on_rational_matrices(a):
     assert poly == from_sympy(sympy.Poly(list(reversed(expected)), sympy.Symbol("x"))).primitive()
 
 
+@given(rational_matrices(max_n=7))
+@example([[0, 1], [1, 0]])  # a row swap
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])  # singular
+@example([[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 3, 1], [0, 0, 5, 2]])  # rows rescaled late
+@example([[3, 1, 2], [0, 0, 1], [0, 2, 5]])  # a swap of two rows not yet rescaled
+@settings(max_examples=80, deadline=None)
+def test_det_like_sympy_on_rational_matrices(a):
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a])
+    expected = sympy.Rational(m.det())
+    got = linalg.det(linalg.to_mat(a))
+    assert isinstance(got, Fraction)
+    assert got == Fraction(int(expected.p), int(expected.q))
+
+
 @given(int_matrices(max_n=5, bound=4))
 @settings(max_examples=40, deadline=None)
 def test_berkowitz_like_sympy_on_rational_restrictions(rows):
     a = linalg.to_mat(rows)
-    parts, _ = rational_primary_decomposition(a)
+    parts = rational_primary_decomposition(a)
     for _, _, sub in parts:
         restricted = linalg.restrict_to_invariant(a, sub.basis_vectors())
         assert list(linalg.charpoly(restricted).coeffs) == sympy_charpoly(restricted)

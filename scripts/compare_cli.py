@@ -11,9 +11,11 @@ and exits 1 if any does, 0 if all agree.  OLD_SRC and NEW_SRC are the
 
 The corpus: `analyze` (summary and --json), `chambers` and `lift --step 2
 --out --json` on the four torus fixtures, and `lift --step 3 --out` on
-cartan_t3; `normal-forms` on the spectrum fixture; `analyze --json` on each
-graded file that OLD_SRC's `lift --step 2 --out` writes for the four torus
-fixtures and on its `lift --step 3 --out` file of cartan_t3 (dimension 14);
+cartan_t3 and symplectic_pair; `normal-forms` on the spectrum fixture;
+`analyze --json` on each graded file that OLD_SRC's `lift --step 2 --out`
+writes for the four torus fixtures and on its `lift --step 3 --out` files
+of cartan_t3 (dimension 14) and symplectic_pair (dimension 30, where the
+exact linear algebra of the joint components dominates);
 `analyze --json` and `chambers` on the seeded spectral pairs of
 perfbench seeds 1-4, on cartan_t4 (embedded 128-bit cap and default cap),
 the dependent pair (A, A^2), the coplanar action (A, A - I, A(A - I)) and
@@ -36,6 +38,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "fixtures")
 TORUS_FIXTURES = ("cartan_t3", "fibonacci", "example82", "symplectic_pair")
+STEP3_FIXTURES = ("cartan_t3", "symplectic_pair")
 SEEDS = (1, 2, 3, 4)
 RUNNER = "import sys\nfrom anosov_forge.cli import main\nsys.exit(main(sys.argv[1:]))"
 
@@ -67,10 +70,12 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
         ]
         graded.append(os.path.join(work, f"{name}-lift2.json"))
         run_cli(old_src, ["lift", path, "--step", "2", "--out", graded[-1]], work)
+    for name in STEP3_FIXTURES:
+        path = os.path.join(FIXTURES, f"{name}.json")
+        calls.append(["lift", path, "--step", "3", "--out", f"{name}-lift3.out.json"])
+        graded.append(os.path.join(work, f"{name}-lift3.json"))
+        run_cli(old_src, ["lift", path, "--step", "3", "--out", graded[-1]], work)
     cartan = os.path.join(FIXTURES, "cartan_t3.json")
-    calls.append(["lift", cartan, "--step", "3", "--out", "cartan_t3-lift3.out.json"])
-    graded.append(os.path.join(work, "cartan_t3-lift3.json"))
-    run_cli(old_src, ["lift", cartan, "--step", "3", "--out", graded[-1]], work)
     calls += [["analyze", g, "--json"] for g in graded]
     calls += [
         ["chambers", cartan, "--format", "svg"],

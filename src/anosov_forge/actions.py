@@ -1,8 +1,8 @@
 """Z^k actions by commuting unimodular integer matrices.
 
 Validation, semisimplicity, rational primary decomposition following the
-kernel-of-products construction, invariant complements via an exact
-projection system, and the totally-reducible decision through the
+kernel-of-products construction, invariant complements from one exact
+linear system, and the totally-reducible decision through the
 semisimplicity equivalence.
 """
 
@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import NonCommuting, NotInvariant, NotUnimodular, ShapeMismatch
-from .intpoly import IntPolynomial, factor_cached, squarefree_part
+from .intpoly import IntPolynomial, factor_cached
 from .linalg import Mat
 
 
@@ -31,21 +31,35 @@ class ValidatedAction:
 
 @dataclass(frozen=True)
 class RationalSubspace:
+    """A subspace of Q^d in echelon form: basis rows, and coords, the
+    columns where the basis is the identity.  A vector of the subspace is
+    the sum of the basis rows weighted by its entries at coords."""
+
     basis: tuple[tuple[Fraction, ...], ...]
+    coords: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def basis_vectors(self) -> list[list[Fraction]]:
-        return [list(v) for v in self.basis]
+    @classmethod
+    def span(cls, vectors) -> "RationalSubspace":
+        """The span of the vectors, as the nonzero rows of their rref."""
+        reduced, pivots = linalg.rref([[Fraction(x) for x in v] for v in vectors])
+        return cls(_frozen(reduced[: len(pivots)]), tuple(pivots))
 
     @classmethod
-    def from_vectors(cls, vectors) -> "RationalSubspace":
-        vecs = [[Fraction(x) for x in v] for v in vectors]
-        if vecs and linalg.rank(linalg.from_columns(vecs)) != len(vecs):
-            raise ValueError("basis vectors are linearly dependent")
-        return cls(tuple(tuple(v) for v in vecs))
+    def kernel(cls, a) -> "RationalSubspace":
+        """The right kernel of the matrix a."""
+        basis, free = linalg.nullspace(a)
+        return cls(_frozen(basis), tuple(free))
+
+    def restrict(self, a) -> Mat:
+        """The matrix of a on the subspace in its basis, read off at coords:
+        column j holds the entries of a v_j there.  The subspace must be
+        invariant under a."""
+        support = [[(t, x) for t, x in enumerate(v) if x] for v in self.basis]
+        return [[sum(a[c][t] * x for t, x in nz) for nz in support] for c in self.coords]
 
 
 def validate(generators, name: str = "") -> ValidatedAction:
@@ -57,16 +71,13 @@ def validate(generators, name: str = "") -> ValidatedAction:
     for g in mats:
         if len(g) != d or any(len(row) != d for row in g):
             raise ShapeMismatch("generators must be square matrices of equal size")
-    qmats = [linalg.to_mat(g) for g in mats]
-    for i, g in enumerate(qmats):
+    for i, g in enumerate(mats):
         dv = linalg.det(g)
         if dv not in (1, -1):
             raise NotUnimodular(i, dv)
-    for i in range(len(qmats)):
-        for j in range(i + 1, len(qmats)):
-            if not linalg.mat_eq(
-                linalg.mat_mul(qmats[i], qmats[j]), linalg.mat_mul(qmats[j], qmats[i])
-            ):
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if linalg.int_mat_mul(mats[i], mats[j]) != linalg.int_mat_mul(mats[j], mats[i]):
                 raise NonCommuting(i, j)
     return ValidatedAction(
         dim=d,
@@ -115,19 +126,17 @@ def _primary_decomposition(
         power = base
         for _ in range(mult - 1):
             power = linalg.mat_mul(power, base)
-        kernel = linalg.nullspace(power)
-        parts.append((factor, mult, RationalSubspace.from_vectors(kernel)))
+        parts.append((factor, mult, RationalSubspace.kernel(power)))
     return tuple(parts)
 
 
-def semisimple_part(a: Mat) -> Mat:
+def semisimple_part(a: Mat, m0: IntPolynomial) -> Mat:
     """Jordan-Chevalley semisimple summand, computed by Newton iteration in Q[A].
 
-    The iteration runs on m0, the product of the distinct irreducible
-    factors of the characteristic polynomial (the squarefree part of the
-    minimal polynomial); A is semisimple iff m0(A) = 0.
+    The iteration runs on the given m0, the product of the distinct
+    irreducible factors of the characteristic polynomial (the squarefree
+    part of the minimal polynomial); A is semisimple iff m0(A) = 0.
     """
-    m0 = squarefree_part(linalg.charpoly(a))
     s = [row[:] for row in a]
     deriv = m0.derivative()
     for _ in range(len(a).bit_length() + 2):
@@ -144,112 +153,88 @@ def semisimple_part(a: Mat) -> Mat:
 def invariant_complement(
     generators: list[Mat], subspace: RationalSubspace
 ) -> RationalSubspace | None:
-    """Invariant direct complement of an invariant subspace, or None.
+    """Invariant direct complement of an invariant subspace V, or None.
 
-    Solves for a projection commuting with every generator, fixing the
-    subspace pointwise, with image inside the subspace; its kernel is the
-    complement.  Infeasibility of the linear system is exactly the failure
-    of an invariant complement to exist.
+    With R_g the restriction of A_g to V, solves X V = I and X A_g = R_g X
+    for a map X onto the coordinates of V (m d unknowns for dim V = m in
+    Q^d); ker X is then an invariant complement.  Such an X exists iff V
+    has an invariant complement W, since the projection onto V along W, in
+    the coordinates of V, is one (Roth, Proc. AMS 3, 1952); so an
+    inconsistent system is exactly the failure of a complement to exist.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    d = len(generators[0])
-    basis = subspace.basis_vectors()
-    for idx, g in enumerate(generators):
-        for v in basis:
-            if not linalg.in_span(basis, linalg.mat_vec(g, v)):
-                raise NotInvariant(idx)
-    if len(basis) == d:
-        return RationalSubspace.from_vectors([])
-    if not basis:
-        return RationalSubspace.from_vectors(linalg.identity(d))
+    d, m = len(generators[0]), subspace.dimension
+    basis = subspace.basis
+    if m == d:
+        return RationalSubspace.span([])
+    restrictions = [subspace.restrict(g) for g in generators]
+    for idx, (g, r) in enumerate(zip(generators, restrictions)):
+        av = [linalg.mat_vec(g, v) for v in basis]
+        vr = [[sum(r[i][j] * basis[i][t] for i in range(m)) for t in range(d)] for j in range(m)]
+        if av != vr:
+            raise NotInvariant(idx)
+    if not m:
+        return RationalSubspace.span(linalg.identity(d))
 
-    # rows annihilating the subspace: left kernel of the basis matrix
-    bmat = linalg.from_columns(basis)
-    ann = linalg.nullspace(linalg.transpose(bmat))
-
+    # unknown i * d + t is X[i][t]
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-
-    def entry(i: int, j: int) -> int:
-        return i * d + j
-
-    # P b = b for basis vectors b
-    for v in basis:
-        for i in range(d):
-            row = [Fraction(0)] * (d * d)
-            for j in range(d):
-                row[entry(i, j)] = v[j]
+    for i in range(m):
+        for j, v in enumerate(basis):  # X v_j = e_j
+            row = [Fraction(0)] * (m * d)
+            row[i * d : (i + 1) * d] = v
             rows.append(row)
-            rhs.append(v[i])
-    # c^T P = 0 for annihilator rows c (image inside the subspace)
-    for c in ann:
-        for j in range(d):
-            row = [Fraction(0)] * (d * d)
-            for i in range(d):
-                row[entry(i, j)] = c[i]
-            rows.append(row)
-            rhs.append(Fraction(0))
-    # P A = A P for every generator
-    for g in generators:
-        for i in range(d):
+            rhs.append(Fraction(int(i == j)))
+    for g, r in zip(generators, restrictions):  # X A = R X
+        for i in range(m):
             for j in range(d):
-                row = [Fraction(0)] * (d * d)
+                row = [Fraction(0)] * (m * d)
                 for t in range(d):
-                    row[entry(i, t)] += g[t][j]
-                    row[entry(t, j)] -= g[i][t]
+                    row[i * d + t] += g[t][j]
+                for s in range(m):
+                    row[s * d + j] -= r[i][s]
                 rows.append(row)
                 rhs.append(Fraction(0))
 
-    sol = linalg.solve(rows, rhs)
+    (sol,) = linalg.solve(rows, [rhs])
     if sol is None:
         return None
-    proj = [[sol[entry(i, j)] for j in range(d)] for i in range(d)]
-    kernel = linalg.nullspace(proj)
-    return RationalSubspace.from_vectors(kernel)
+    return RationalSubspace.kernel([sol[i * d : (i + 1) * d] for i in range(m)])
 
 
 @dataclass(frozen=True)
 class PrimaryComponent:
-    """A joint primary component: its ambient basis, the restrictions of all
-    generators in that basis, and one (factor, multiplicity) label per
-    generator refined so far."""
+    """A joint primary component: the restrictions of all generators to it,
+    in one basis, and one (factor, multiplicity) label per generator
+    refined so far."""
 
-    basis: tuple[tuple[Fraction, ...], ...]
     mats: tuple[tuple[tuple[Fraction, ...], ...], ...]
     labels: tuple[tuple[IntPolynomial, int], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.mats[0])
 
 
 @lru_cache(maxsize=64)
 def joint_primary_components(action: ValidatedAction) -> tuple[PrimaryComponent, ...]:
-    """Simultaneous primary decomposition, refining one generator at a time.
+    """Simultaneous primary decomposition, refining one generator at a time:
+    each primary component of the next generator on a component is invariant
+    under all generators, which restrict to it by reading coordinates.
 
     Computed once per action; the result is immutable and shared.
     """
-    d = action.dim
-    identity = _frozen(linalg.identity(d))
-    comps = [PrimaryComponent(identity, tuple(_frozen(g) for g in action.generators), ())]
+    comps = [PrimaryComponent(tuple(_frozen(g) for g in action.generators), ())]
     for gi in range(action.rank):
-        refined = []
-        for comp in comps:
-            for factor, mult, sub in rational_primary_decomposition(comp.mats[gi]):
-                local = sub.basis_vectors()
-                # ambient basis of the refined component
-                ambient = tuple(
-                    tuple(
-                        sum(comp.basis[t][j] * v[t] for t in range(len(v)))
-                        for j in range(d)
-                    )
-                    for v in local
-                )
-                new_mats = tuple(
-                    _frozen(linalg.restrict_to_invariant(m, local))
-                    for m in comp.mats
-                )
-                refined.append(
-                    PrimaryComponent(ambient, new_mats, comp.labels + ((factor, mult),))
-                )
-        comps = refined
+        comps = [
+            PrimaryComponent(
+                tuple(_frozen(sub.restrict(m)) for m in comp.mats),
+                comp.labels + ((factor, mult),),
+            )
+            for comp in comps
+            for factor, mult, sub in rational_primary_decomposition(comp.mats[gi])
+        ]
     return tuple(comps)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import linalg
 from .actions import (
     RationalSubspace,
     ValidatedAction,
@@ -197,10 +196,7 @@ def derived_subalgebra(g: GradedAlgebraAction) -> RationalSubspace:
     rows: dict[tuple[int, int], Vec] = {}
     for a, b, c, value in g.brackets:
         rows.setdefault((a, b), [Fraction(0)] * g.dim)[c] = value
-    if not rows:
-        return RationalSubspace.from_vectors([])
-    reduced, pivots = linalg.rref(list(rows.values()))
-    return RationalSubspace.from_vectors(reduced[: len(pivots)])
+    return RationalSubspace.span(rows.values())
 
 
 def is_totally_reducible_graded(g: GradedAlgebraAction) -> tuple[bool, dict]:
@@ -217,20 +213,19 @@ def is_totally_reducible_graded(g: GradedAlgebraAction) -> tuple[bool, dict]:
     lo = 0
     for m, n in enumerate(g.grading, start=1):
         hi = lo + n
-        reduced, pivots = linalg.rref([v[lo:hi] for v in derived.basis_vectors()])
         part = invariant_complement(
             [g.degree_block(gi, m) for gi in range(g.rank)],
-            RationalSubspace.from_vectors(reduced[: len(pivots)]),
+            RationalSubspace.span(v[lo:hi] for v in derived.basis),
         )
         if part is None:
             comp = None
             break
         zero = [Fraction(0)]
-        comp += [zero * lo + v + zero * (g.dim - hi) for v in part.basis_vectors()]
+        comp += [zero * lo + list(v) + zero * (g.dim - hi) for v in part.basis]
         lo = hi
     witness = {
         "degree1_totally_reducible": q_ok,
         "derived_dimension": derived.dimension,
-        "derived_complement": None if comp is None else RationalSubspace.from_vectors(comp),
+        "derived_complement": None if comp is None else RationalSubspace.span(comp),
     }
     return q_ok and comp is not None, witness

@@ -42,6 +42,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
+def int_mat_mul(a, b) -> list[list[int]]:
+    """Product of integer matrices, in integers."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 def mat_vec(a: Mat, v: Vec) -> Vec:
     return [sum(r[j] * v[j] for j in range(len(v))) for r in a]
 
@@ -56,14 +62,6 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
 
 def mat_scale(a: Mat, c: Fraction) -> Mat:
     return [[c * x for x in row] for row in a]
-
-
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def is_zero_mat(a: Mat) -> bool:
@@ -106,9 +104,10 @@ def det(a: Mat) -> Fraction:
     return Fraction(sign * prev, den**n)
 
 
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0]) if m else 0
+def _reduce(m: Mat, cols: int) -> list[int]:
+    """Bring m to reduced row echelon form in place, pivoting in its first
+    cols columns only; returns the pivot columns."""
+    rows = len(m)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -126,7 +125,12 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
                 m[i] = [v - f * w for v, w in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    return m, pivots
+    return pivots
+
+
+def rref(a: Mat) -> tuple[Mat, list[int]]:
+    m = [row[:] for row in a]
+    return m, _reduce(m, len(m[0]) if m else 0)
 
 
 def rank(a: Mat) -> int:
@@ -135,10 +139,9 @@ def rank(a: Mat) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a: Mat) -> list[Vec]:
-    """Basis of the right kernel, deterministic free-variable order."""
-    if not a:
-        return []
+def nullspace(a: Mat) -> tuple[list[Vec], list[int]]:
+    """Basis of the right kernel, one vector per free column in increasing
+    order, and the free columns: at them the basis is the identity."""
     red, pivots = rref(a)
     cols = len(a[0])
     free = [c for c in range(cols) if c not in pivots]
@@ -149,29 +152,33 @@ def nullspace(a: Mat) -> list[Vec]:
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
-    return basis
+    return basis, free
 
 
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One solution of A x = b, or None if inconsistent."""
+def solve(a: Mat, bs: list[Vec]) -> list[Vec | None]:
+    """One solution of A x = b for each right-hand side b, or None where it
+    is inconsistent, from one elimination of A with every b appended; the
+    free unknowns are 0."""
     rows, cols = len(a), len(a[0])
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+    m = [a[i] + [b[i] for b in bs] for i in range(rows)]
+    pivots = _reduce(m, cols)
+    out: list[Vec | None] = []
+    for k in range(cols, cols + len(bs)):
+        if any(m[i][k] for i in range(len(pivots), rows)):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * cols
+        for r, pc in enumerate(pivots):
+            x[pc] = m[r][k]
+        out.append(x)
+    return out
 
 
 def inverse(a: Mat) -> Mat:
-    n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    cols = solve(a, identity(len(a)))
+    if None in cols:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [list(row) for row in zip(*cols)]
 
 
 def mat_pow(a: Mat, n: int) -> Mat:
@@ -253,41 +260,12 @@ def poly_at_matrix(p: IntPolynomial, a: Mat) -> Mat:
     if p.is_zero:
         return zeros(n, n)
     b, den = _integral(a)
-    cols = list(zip(*b))
     h = [[p.leading * (i == j) for j in range(n)] for i in range(n)]
     scale = 1
     for c in reversed(p.coeffs[:-1]):
         scale *= den
-        h = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in h]
+        h = int_mat_mul(h, b)
         if c:
             for i in range(n):
                 h[i][i] += c * scale
     return [[Fraction(x, scale) for x in row] for row in h]
-
-
-def columns(a: Mat) -> list[Vec]:
-    return [list(col) for col in zip(*a)]
-
-
-def from_columns(cols: list[Vec]) -> Mat:
-    return [list(row) for row in zip(*cols)]
-
-
-def in_span(basis: list[Vec], v: Vec) -> bool:
-    if not basis:
-        return all(x == 0 for x in v)
-    a = from_columns(basis)
-    return solve(a, v) is not None
-
-
-def restrict_to_invariant(a: Mat, basis: list[Vec]) -> Mat:
-    """Matrix of a on span(basis) in the given coordinates; basis must be invariant."""
-    bmat = from_columns(basis)
-    cols_out = []
-    for v in basis:
-        av = mat_vec(a, v)
-        x = solve(bmat, av)
-        if x is None:
-            raise ValueError("subspace is not invariant")
-        cols_out.append(x)
-    return from_columns(cols_out)

@@ -11,7 +11,7 @@ import itertools
 import json
 from fractions import Fraction
 
-from .actions import ValidatedAction, is_semisimple, is_totally_reducible
+from .actions import ValidatedAction, is_totally_reducible
 from .config import DEFAULT_CAP
 from .errors import NotAnosovAction, UndecidedProportionality
 from .graded import GradedAlgebraAction, is_totally_reducible_graded
@@ -98,16 +98,16 @@ def audit_action(action: ValidatedAction, cap: int = DEFAULT_CAP) -> dict:
     hyp = report["hypotheses"]
     hyp["commuting"] = {"kind": "true"}
     hyp["unimodular"] = {"kind": "true"}
-    semi = is_semisimple(action)
+    # totally reducible and semisimple are the same for a toral action
+    semi, witness = is_totally_reducible(action)
     hyp["semisimple"] = {"kind": "true" if semi else "false"}
-    reducible, witness = is_totally_reducible(action)
     hyp["totally_reducible"] = {
-        "kind": "true" if reducible else "false",
+        "kind": "true" if semi else "false",
         "witness_components": None
         if witness is None
         else [
             {
-                "dimension": len(comp.basis),
+                "dimension": comp.dim,
                 "labels": [
                     [frac_str(c) for c in factor.coeffs]
                     for factor, _ in comp.labels

@@ -150,7 +150,8 @@ def _cyclic_generator(semis: list) -> tuple[list, list[list[Fraction]]]:
     A generic linear combination works because the algebra is etale over Q.
     The coefficients q of s = q(C) solve q(C) e_j = s e_j, stacked for
     e_1, e_2, ... until the Krylov vectors C^i e_j span Q^m: one m x m
-    system when e_1 is a cyclic vector of C.  That is enough, since s
+    system when e_1 is a cyclic vector of C, eliminated once for every s
+    as its right-hand sides.  That is enough, since s
     commutes with C: q(C) p(C) e_j = p(C) s e_j = s p(C) e_j for every p.
     """
     m = len(semis[0])
@@ -172,13 +173,10 @@ def _cyclic_generator(semis: list) -> tuple[list, list[list[Fraction]]]:
             krylov += vecs
             if linalg.rank(linalg.to_mat(krylov)) == m:
                 break
-        qs = []
-        for r in rhs:
-            sol = linalg.solve(rows, r)
-            if sol is None:
-                return None
-            qs.append([x * den**i for i, x in enumerate(sol)])
-        return qs
+        sols = linalg.solve(rows, rhs)
+        if None in sols:
+            return None
+        return [[x * den**i for i, x in enumerate(sol)] for sol in sols]
 
     def candidates():
         yield from semis
@@ -239,7 +237,11 @@ def _msq_enclosure(p: IntPolynomial, base_disk, q: list[Fraction]):
 def _component_functionals(
     comp: PrimaryComponent,
 ) -> list[tuple[tuple[RealAlgebraic, ...], int]]:
-    semis = [semisimple_part(linalg.to_mat(b)) for b in comp.mats]
+    # on a joint component the squarefree part of the minimal polynomial of
+    # a generator is the irreducible factor labelling it there
+    semis = [
+        semisimple_part(linalg.to_mat(b), factor) for b, (factor, _) in zip(comp.mats, comp.labels)
+    ]
     cyc, qs = _cyclic_generator(semis)
     cp, _ = linalg.charpoly_rational(cyc)
     out = []

@@ -81,6 +81,18 @@ def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
+def restricts_exactly(a, sub) -> bool:
+    """A V = V R, exactly, for V the basis vectors of the subspace as
+    columns and R = sub.restrict(a); holds iff the subspace is invariant
+    under a."""
+    r, basis = sub.restrict(a), sub.basis
+    return all(
+        linalg.mat_vec(a, list(v))
+        == [sum(r[i][j] * basis[i][t] for i in range(len(basis))) for t in range(len(v))]
+        for j, v in enumerate(basis)
+    )
+
+
 def rational_functional(vec, multiplicity: int = 1):
     """A synthetic Lyapunov functional with rational values."""
     return LyapunovFunctional(

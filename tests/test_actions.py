@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import restricts_exactly
+
 from anosov_forge import linalg
 from anosov_forge.actions import (
     RationalSubspace,
@@ -18,7 +20,7 @@ from anosov_forge.actions import (
     validate,
 )
 from anosov_forge.errors import NonCommuting, NotUnimodular, ShapeMismatch
-from anosov_forge.intpoly import IntPolynomial, factor_rational, poly_gcd
+from anosov_forge.intpoly import IntPolynomial, factor_rational, poly_gcd, squarefree_part
 
 CAT = [[2, 1], [1, 1]]
 JORDAN = [[1, 1], [0, 1]]
@@ -82,15 +84,15 @@ def test_primary_decomposition_block_diag():
 
 
 def test_semisimple_part_annihilates_nilpotent():
-    s = semisimple_part(linalg.to_mat(JORDAN))
-    assert s == linalg.identity(2)
+    j = linalg.to_mat(JORDAN)
+    assert semisimple_part(j, squarefree_part(linalg.charpoly(j))) == linalg.identity(2)
     c = linalg.to_mat(CAT)
-    assert semisimple_part(c) == c
+    assert semisimple_part(c, squarefree_part(linalg.charpoly(c))) == c
 
 
 def test_joint_primary_components_span(cartan_action):
     comps = joint_primary_components(cartan_action)
-    assert sum(len(c.basis) for c in comps) == cartan_action.dim
+    assert sum(c.dim for c in comps) == cartan_action.dim
 
 
 def test_totally_reducible_matches_semisimple(cartan_action):
@@ -105,14 +107,14 @@ def test_invariant_complement_exists_for_semisimple():
     g = linalg.to_mat(CAT)
     # the expanding eigendirection is irrational, so take the invariant
     # subspace {0}; complement is everything
-    sub = RationalSubspace(basis=())
+    sub = RationalSubspace.span([])
     comp = invariant_complement([g], sub)
     assert comp is not None and comp.dimension == 2
 
 
 def test_invariant_complement_fails_for_jordan():
     g = linalg.to_mat(JORDAN)
-    sub = RationalSubspace(basis=((Fraction(1), Fraction(0)),))
+    sub = RationalSubspace.span([[1, 0]])
     assert invariant_complement([g], sub) is None
 
 
@@ -120,14 +122,47 @@ def test_invariant_complement_splits_block_diag():
     m = linalg.to_mat(
         [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
     )
-    sub = RationalSubspace(
-        basis=(
-            (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
-        )
-    )
+    sub = RationalSubspace.span([[1, 0, 0, 0], [0, 1, 0, 0]])
     comp = invariant_complement([m], sub)
     assert comp is not None and comp.dimension == 2
+
+
+def int_blocks(draw, n: int, m: int) -> list[list[int]]:
+    return [[draw(st.integers(-3, 3)) for _ in range(m)] for _ in range(n)]
+
+
+@st.composite
+def planted_splits(draw):
+    """(a, generators T diag(A_g, B_g) T^-1) for T = [[I, Y], [0, I]] and
+    one Y: every generator is [[A_g, Y B_g - A_g Y], [0, B_g]], so Q^a + 0
+    is invariant, with the invariant complement T(0 + Q^b)."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    y = int_blocks(draw, a, b)
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        ga, gb = int_blocks(draw, a, a), int_blocks(draw, b, b)
+        top = [
+            ga[i]
+            + [
+                sum(y[i][t] * gb[t][j] for t in range(b)) - sum(ga[i][t] * y[t][j] for t in range(a))
+                for j in range(b)
+            ]
+            for i in range(a)
+        ]
+        gens.append(linalg.to_mat(top + [[0] * a + row for row in gb]))
+    return a, gens
+
+
+@given(planted_splits())
+@settings(max_examples=60, deadline=None)
+def test_invariant_complement_of_planted_split(case):
+    a, gens = case
+    d = len(gens[0])
+    sub = RationalSubspace.span(linalg.identity(d)[:a])
+    comp = invariant_complement(gens, sub)
+    assert comp is not None and comp.dimension == d - a
+    assert all(restricts_exactly(g, comp) for g in gens)
+    assert linalg.rank([list(v) for v in sub.basis + comp.basis]) == d
 
 
 def test_is_anosov_matrix():

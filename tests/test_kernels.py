@@ -1,6 +1,7 @@
 """The exact integer kernels against sympy: Zassenhaus factoring, primitive
 pseudo-remainder gcds, Berkowitz characteristic polynomials and Bareiss
-determinants."""
+determinants; and restrictions to invariant subspaces read off at their
+echelon coordinates."""
 
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import from_sympy, to_sympy
+from conftest import from_sympy, restricts_exactly, to_sympy
 
 from anosov_forge import linalg
-from anosov_forge.actions import rational_primary_decomposition
+from anosov_forge.actions import RationalSubspace, rational_primary_decomposition
 from anosov_forge.intpoly import (
     IntPolynomial,
     composed_product_poly,
@@ -165,5 +166,21 @@ def test_berkowitz_like_sympy_on_rational_restrictions(rows):
     a = linalg.to_mat(rows)
     parts = rational_primary_decomposition(a)
     for _, _, sub in parts:
-        restricted = linalg.restrict_to_invariant(a, sub.basis_vectors())
+        restricted = sub.restrict(a)
         assert list(linalg.charpoly(restricted).coeffs) == sympy_charpoly(restricted)
+
+
+@given(int_matrices(max_n=5, bound=4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_restriction_to_kernels_and_their_sums(rows, data):
+    # primary components are kernels, with the identity at their free
+    # columns; a sum of them is an invariant span, with the identity at the
+    # pivots of its rref
+    a = linalg.to_mat(rows)
+    parts = [sub for _, _, sub in rational_primary_decomposition(a)]
+    for sub in parts:
+        assert restricts_exactly(a, sub)
+    picks = data.draw(st.sets(st.integers(0, len(parts) - 1), min_size=1))
+    total = RationalSubspace.span([v for i in picks for v in parts[i].basis])
+    assert total.dimension == sum(parts[i].dimension for i in picks)
+    assert restricts_exactly(a, total)

@@ -19,10 +19,13 @@ exact linear algebra of the joint components dominates);
 `analyze --json` and `chambers` on the seeded spectral pairs of
 perfbench seeds 1-4, on cartan_t4 (embedded 128-bit cap and default cap),
 the dependent pair (A, A^2), the coplanar action (A, A - I, A(A - I)) and
-one seeded rank-3 action; the `normal-forms --element` calls of the
-perfbench `subresonance` workload, with the JSON on stdout. Inputs come
-from perfbench/inputs.py and perfbench/run.py and are written to a
-temporary directory that both trees read.
+one seeded rank-3 action; `analyze --json` on the T^6 actions
+diag(g, h^13) over the cartan_t3 generators g, for h = g and h = g^-T
+(the corpus's one certified ratio other than 1); the `normal-forms
+--element` calls of the perfbench `subresonance` workload, with the JSON
+on stdout: 145 calls.  Inputs come from perfbench/inputs.py and
+perfbench/run.py and are written to a temporary directory that both trees
+read.
 """
 
 from __future__ import annotations
@@ -48,6 +51,41 @@ def _write(work: str, name: str, doc: dict) -> str:
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return path
+
+
+def block_power_double(lower_inverse: bool, e: int = 13) -> dict:
+    """diag(g, h^e) on T^6 for the cartan_t3 generators g, with h = g or
+    h = g^-T: functionals f and e f (TNS), or f and -e f (not TNS)."""
+    with open(os.path.join(FIXTURES, "cartan_t3.json")) as fh:
+        flat = json.load(fh)["generators"]
+    gens = []
+    for f in flat:
+        g = [f[3 * i : 3 * i + 3] for i in range(3)]
+        h = g
+        if lower_inverse:
+            # cofactors over the determinant, +-1: the inverse transpose
+            cof = [
+                [
+                    g[(i + 1) % 3][(j + 1) % 3] * g[(i + 2) % 3][(j + 2) % 3]
+                    - g[(i + 1) % 3][(j + 2) % 3] * g[(i + 2) % 3][(j + 1) % 3]
+                    for j in range(3)
+                ]
+                for i in range(3)
+            ]
+            det = sum(x * c for x, c in zip(g[0], cof[0]))
+            h = [[c * det for c in row] for row in cof]
+        p = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(e):
+            p = [[sum(p[i][r] * h[r][j] for r in range(3)) for j in range(3)] for i in range(3)]
+        gens.append([row + [0] * 3 for row in g] + [[0] * 3 + row for row in p])
+    name = f"block-power-{'inverse' if lower_inverse else 'same'}-{e}"
+    return {
+        "schema_version": 1,
+        "kind": "torus",
+        "name": name,
+        "dim": 6,
+        "generators": [[v for row in g for v in row] for g in gens],
+    }
 
 
 def corpus(work: str, old_src: str) -> list[list[str]]:
@@ -102,6 +140,9 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
     both("coplanar", coplanar.document())
     for action in inputs.rank3_actions(random.Random(1), 1):
         both(f"s1-{action.name}", action.document())
+    for lower_inverse in (False, True):
+        doc = block_power_double(lower_inverse)
+        calls.append(["analyze", _write(work, doc["name"], doc), "--json"])
 
     for op in bench.subresonance_ops(random.Random(0), work):
         if any(a.startswith("--element=") for a in op.argv):

@@ -14,7 +14,6 @@ from .freenil import free_nilpotent_lift, hall_basis, lift_is_anosov, witt_dimen
 from .graded import GradedAlgebraAction, is_totally_reducible_graded, validate_graded
 from .normalforms import ContractionSpectrum, sr_group_dimension, subresonance_indices
 from .report import audit_action, audit_graded, exit_code_for, report_to_json
-from .verdict import Verdict3
 from .weyl import (
     CoarseClass,
     LyapunovFunctional,
@@ -38,7 +37,6 @@ __all__ = [
     "GradedAlgebraAction",
     "LyapunovFunctional",
     "ValidatedAction",
-    "Verdict3",
     "WeylChamber",
     "anosov_in_every_chamber",
     "audit_action",

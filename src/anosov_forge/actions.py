@@ -8,6 +8,7 @@ semisimplicity equivalence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -122,11 +123,10 @@ def _primary_decomposition(
     for factor, mult in factor_cached(linalg.charpoly(m)):
         if factor.degree < 1:
             continue
-        base = linalg.poly_at_matrix(factor, m)
-        power = base
-        for _ in range(mult - 1):
-            power = linalg.mat_mul(power, base)
-        parts.append((factor, mult, RationalSubspace.kernel(power)))
+        # one integer evaluation of the product polynomial P_i^{d_i}
+        power = math.prod([factor] * mult, start=IntPolynomial([1]))
+        kernel = RationalSubspace.kernel(linalg.poly_at_matrix(power, m))
+        parts.append((factor, mult, kernel))
     return tuple(parts)
 
 

@@ -3,11 +3,10 @@
 Coefficients are stored lowest degree first.  Gcds are primitive
 pseudo-remainder sequences over Z; factorisation over Q is Zassenhaus's
 (zassenhaus.py), on the squarefree part.  Composed polynomials, whose roots
-are products r*s, powers r^n or images q(r) of roots, come from power sums
-by Newton's identities in integers; `resultant_y` computes the same
-polynomials by a sympy resultant, as a reference for tests.  The Sturm
-machinery is done directly on integer coefficient lists so that sign counts
-stay exact.  Signs at rational points come from `sign_at`, one integer
+are products r*s or powers r^n of roots, come from power sums by Newton's
+identities in integers; `resultant_y` computes the same polynomials by a
+sympy resultant, as a reference for tests.  The Sturm machinery is done
+directly on integer coefficient lists so that sign counts stay exact.  Signs at rational points come from `sign_at`, one integer
 Horner pass with no `Fraction` arithmetic.
 """
 
@@ -320,38 +319,6 @@ def power_poly(p: IntPolynomial, n: int) -> IntPolynomial:
     of (lc r)^n is the (n k)-th power sum of lc r."""
     t = power_sums(scaled_monic(p), n * p.degree)
     return poly_from_power_sums(t[::n], p.leading**n)
-
-
-def image_poly(p: IntPolynomial, q: Sequence[Fraction]) -> IntPolynomial:
-    """Primitive polynomial of {q(r) : p(r) = 0}, with multiplicity.
-
-    Its power sums are the traces of q(C)^k for C the companion matrix of
-    p, computed in Z[u]/(m) with u = lc*x and m the scaled monic p: there
-    Q(u) = den * lc^e * q(x) has integer coefficients, and the trace of u^j
-    is the j-th power sum of the roots of m.
-    """
-    d, lc = p.degree, p.leading
-    e = len(q) - 1
-    den = math.lcm(*(c.denominator for c in q))
-    big_q = [c.numerator * (den // c.denominator) * lc ** (e - t) for t, c in enumerate(q)]
-    m = scaled_monic(p)
-    traces = power_sums(m, d - 1)
-    sums, h = [d], [1]
-    for _ in range(d):
-        prod = [0] * (len(h) + len(big_q) - 1)
-        for i, a in enumerate(h):
-            if a:
-                for j, b in enumerate(big_q):
-                    prod[i + j] += a * b
-        # reduce modulo the monic m from the top
-        for k in range(len(prod) - 1, d - 1, -1):
-            c = prod[k]
-            if c:
-                for i in range(d):
-                    prod[k - d + i] -= c * m[i]
-        h = prod[:d]
-        sums.append(sum(a * b for a, b in zip(h, traces)))
-    return poly_from_power_sums(sums, den * lc**e)
 
 
 def inverse_poly(p: IntPolynomial) -> IntPolynomial:

@@ -214,21 +214,18 @@ def _berkowitz(b: list[list[int]]) -> list[int]:
     return poly
 
 
-def _scaled_charpoly(a: Mat) -> tuple[list[int], int]:
-    """(e, den): det(x I - A) = sum_k e[k] den^-k x^(n-k), with den the
-    common denominator of A and e from Berkowitz on den * A."""
-    b, den = _integral(a)
-    return _berkowitz(b), den
-
-
 def charpoly(a: Mat) -> IntPolynomial:
     """Characteristic polynomial; must have integer coefficients.
 
-    Holds for integer matrices and for restrictions of integer matrices to
-    invariant rational subspaces (monic rational divisors of integer monic
-    polynomials are integral).
+    Holds for every rational matrix whose eigenvalues are algebraic
+    integers: integer matrices, their restrictions to invariant rational
+    subspaces, and integer combinations of commuting semisimple parts of
+    integer matrices.  With den the common denominator of A,
+    det(x I - A) = sum_k e[k] den^-k x^(n-k) for e the Berkowitz
+    coefficients of den * A.
     """
-    e, den = _scaled_charpoly(a)
+    b, den = _integral(a)
+    e = _berkowitz(b)
     coeffs = []
     for k, c in enumerate(e):
         q, r = divmod(c, den**k)
@@ -236,21 +233,6 @@ def charpoly(a: Mat) -> IntPolynomial:
             raise ValueError("characteristic polynomial is not integral")
         coeffs.append(q)
     return IntPolynomial(reversed(coeffs))
-
-
-def charpoly_rational(a: Mat) -> tuple[IntPolynomial, list[Fraction]]:
-    """Characteristic polynomial of a rational matrix.
-
-    Returns both the exact rational monic coefficients (lowest first) and an
-    integer polynomial with the same roots and multiplicities (denominators
-    cleared).
-    """
-    e, den = _scaled_charpoly(a)
-    n = len(e) - 1
-    fracs = [Fraction(c, den**k) for k, c in enumerate(e)][::-1]
-    # den^n det(x I - A) = sum_k e[k] den^(n-k) x^(n-k)
-    ints = [c * den ** (n - k) for k, c in enumerate(e)][::-1]
-    return IntPolynomial(ints).primitive(), fracs
 
 
 def poly_at_matrix(p: IntPolynomial, a: Mat) -> Mat:

@@ -15,7 +15,6 @@ from .actions import ValidatedAction, is_totally_reducible
 from .config import DEFAULT_CAP
 from .errors import NotAnosovAction, UndecidedProportionality
 from .graded import GradedAlgebraAction, is_totally_reducible_graded
-from .verdict import Verdict3
 from .weyl import (
     CoarseClass,
     LyapunovFunctional,
@@ -35,13 +34,6 @@ def frac_str(x) -> str:
 
 def _dec(x: float) -> str:
     return f"{x:.12f}"
-
-
-def verdict_json(v: Verdict3) -> dict:
-    out = {"kind": v.kind}
-    if v.kind == "undecided":
-        out["precision_bits"] = v.precision_bits
-    return out
 
 
 def functional_json(f: LyapunovFunctional) -> dict:
@@ -144,15 +136,15 @@ def audit_action(action: ValidatedAction, cap: int = DEFAULT_CAP) -> dict:
         return report
 
     report["arrangement"]["classes"] = [class_json(c) for c in classes]
-    tns_verdict, tns_info = is_tns(classes, cap)
+    tns, tns_info = is_tns(classes)
     chambers = weyl_chambers(classes, cap)
-    hyp["tns"] = verdict_json(tns_verdict)
-    if tns_verdict.kind == "true":
+    hyp["tns"] = {"kind": "true" if tns else "false"}
+    if tns:
         hyp["tns"]["joint_contraction_witnesses"] = {
             f"{i},{j}": _joint_contraction_witness(chambers, i, j)
             for i, j in itertools.combinations(range(len(classes)), 2)
         }
-    elif tns_verdict.kind == "false":
+    else:
         hyp["tns"]["negative_pair"] = list(tns_info["negative_pair"])
         if tns_info.get("ratio") is not None:
             hyp["tns"]["ratio"] = frac_str(tns_info["ratio"])
@@ -161,12 +153,8 @@ def audit_action(action: ValidatedAction, cap: int = DEFAULT_CAP) -> dict:
     ok = anosov_in_every_chamber(chambers)
     hyp["anosov_in_every_chamber"] = {"kind": "true" if ok else "false"}
 
-    aggregate = "true"
-    if tns_verdict.kind == "undecided":
-        aggregate = "undecided"
-    elif not (semi and tns_verdict.kind == "true" and ok):
-        aggregate = "false"
-    report["theorem_1_1_hypotheses"] = {"kind": aggregate}
+    aggregate = semi and tns and ok
+    report["theorem_1_1_hypotheses"] = {"kind": "true" if aggregate else "false"}
     return report
 
 

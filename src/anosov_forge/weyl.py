@@ -13,8 +13,9 @@ values with exact vanishing tests and refinable signs.
 Chambers are read off the certified signs of the minors of the class
 normals, in every rank: a sign vector is a chamber iff no signed circuit
 matches it, and its witness is built from the vertices of the arrangement.
-TNS is decided by proportionality alone.  The certified chamber signs are
-the one certificate for the rest: a witness with strict signs is an Anosov
+TNS is read off the coarse classes, which certify every negative
+proportionality they meet.  The certified chamber signs are the one
+certificate for the rest: a witness with strict signs is an Anosov
 element (eigenvalue moduli exp chi(b)), and a chamber negative on two
 classes contracts both.  Splittings and fast stable elements are chamber
 witnesses as well: of the class traces on a plane, and of the differences
@@ -46,17 +47,10 @@ from .errors import (
     UndecidedProportionality,
     WitnessSearchExhausted,
 )
-from .intpoly import (
-    IntPolynomial,
-    factor_cached,
-    image_poly,
-    pair_product_parts,
-    squarefree_part,
-)
+from .intpoly import IntPolynomial, factor_cached, pair_product_parts
 from .logval import LogLinearValue
 from .numutil import certified_root_disks, modulus_squared_bounds, sqrt_bounds
 from .realalg import RealAlgebraic, _interval_mul
-from .verdict import VERDICT_FALSE, VERDICT_TRUE, Verdict3, undecided
 
 # largest smaller term (numerator or denominator) of a rational ratio that
 # certifies two functionals proportional, and largest entry of an integer
@@ -95,11 +89,16 @@ class LyapunovFunctional:
 
 @dataclass(frozen=True)
 class CoarseClass:
-    """Maximal group of positively proportional Lyapunov functionals."""
+    """Maximal group of positively proportional Lyapunov functionals.
+
+    opposite is (j, c) when class j is negatively proportional to this one,
+    its normal being -c times this normal (c None when not certified
+    rational); there is at most one such class."""
 
     index: int
     members: tuple[LyapunovFunctional, ...]
     total_multiplicity: int
+    opposite: tuple[int, Fraction | None] | None = None
 
     @property
     def hyperplane_normal(self) -> LyapunovFunctional:
@@ -243,12 +242,14 @@ def _component_functionals(
         semisimple_part(linalg.to_mat(b), factor) for b, (factor, _) in zip(comp.mats, comp.labels)
     ]
     cyc, qs = _cyclic_generator(semis)
-    cp, _ = linalg.charpoly_rational(cyc)
+    # for a root r of a factor of charpoly(C), q_j(r) is an eigenvalue of
+    # s_j = q_j(C), whose minimal polynomial is the label f_j: the moduli
+    # candidates are those of f_j, for every factor
+    cands = [pair_product_parts(factor) for factor, _ in comp.labels]
     out = []
-    for p, mult in factor_cached(cp):
+    for p, mult in factor_cached(linalg.charpoly(cyc)):
         if p.degree < 1:
             continue
-        cands = [pair_product_parts(squarefree_part(image_poly(p, q))) for q in qs]
         for disk in certified_root_disks(p.coeffs, INITIAL_BITS):
             msqs = tuple(
                 RealAlgebraic.from_enclosure(cands[j], _msq_enclosure(p, disk, qs[j]))
@@ -358,7 +359,12 @@ def _proportionality(
 def coarse_classes(
     functionals: list[LyapunovFunctional], cap: int = DEFAULT_CAP
 ) -> list[CoarseClass]:
-    """Partition functionals into maximal positively proportional groups."""
+    """Partition functionals into maximal positively proportional groups,
+    each knowing the class negatively proportional to it, if any.
+
+    Positive proportionality is decided exactly, so every union-find root
+    is the least member of its class and the classes are ordered by their
+    normals' indices."""
     n = len(functionals)
     for f in functionals:
         if f.is_zero_functional():
@@ -371,21 +377,32 @@ def coarse_classes(
             i = parent[i]
         return i
 
+    negative: dict[tuple[int, int], Fraction | None] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            rel, _ = _proportionality(functionals[i], functionals[j], cap)
+            rel, ratio = _proportionality(functionals[i], functionals[j], cap)
             if rel == "undecided":
                 raise UndecidedProportionality((i, j), cap)
             if rel == "pos":
                 parent[find(j)] = find(i)
+            elif rel == "neg":
+                negative[i, j] = ratio
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
+    roots = sorted(groups)
+    opposite = {}
+    for a, b in itertools.combinations(range(len(roots)), 2):
+        if (roots[a], roots[b]) in negative:
+            c = negative[roots[a], roots[b]]
+            opposite[a], opposite[b] = (b, c), (a, None if c is None else 1 / c)
     out = []
-    for idx, root in enumerate(sorted(groups)):
+    for idx, root in enumerate(roots):
         members = tuple(functionals[i] for i in groups[root])
         out.append(
-            CoarseClass(idx, members, sum(f.multiplicity for f in members))
+            CoarseClass(
+                idx, members, sum(f.multiplicity for f in members), opposite.get(idx)
+            )
         )
     return out
 
@@ -393,26 +410,21 @@ def coarse_classes(
 # -- TNS ----------------------------------------------------------------------
 
 
-def is_tns(
-    classes: list[CoarseClass], cap: int = DEFAULT_CAP
-) -> tuple[Verdict3, dict]:
+def is_tns(classes: list[CoarseClass]) -> tuple[bool, dict]:
     """Totally non-symplectic: no two classes negatively proportional.
 
-    Decided by proportionality alone.  info is {} when true, names the
-    negative pair (and the ratio when rational) when false, and the pair
-    when undecided.  Non-proportional classes have intersecting negative
-    half-spaces, so an element contracting both is read off any chamber
-    negative on the two (see report.audit_action)."""
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            rel, ratio = _proportionality(
-                classes[i].hyperplane_normal, classes[j].hyperplane_normal, cap
-            )
-            if rel == "neg":
-                return VERDICT_FALSE, {"negative_pair": (i, j), "ratio": ratio}
-            if rel == "undecided":
-                return undecided(cap), {"pair": (i, j)}
-    return VERDICT_TRUE, {}
+    Read off the negative relations that coarse_classes certified.  info is
+    {} when true, and names the first negative pair (i, j), i < j, and the
+    ratio of their normals (None when not certified rational) when false.
+    Non-proportional classes have intersecting negative half-spaces, so an
+    element contracting both is read off any chamber negative on the two
+    (see report.audit_action)."""
+    for cls in classes:
+        if cls.opposite is not None:
+            # the first class with a partner is the lower of its pair
+            j, ratio = cls.opposite
+            return False, {"negative_pair": (cls.index, j), "ratio": ratio}
+    return True, {}
 
 
 # -- chambers -----------------------------------------------------------------
@@ -615,8 +627,7 @@ def complementary_splitting(
     other from the target's (the sign of a 2 x 2 minor).  Each witness is
     read off the chamber of the traces with the signs it needs, all of
     which lie next to the target's trace line."""
-    verdict, _ = is_tns(classes, cap)
-    if verdict.kind == "false":
+    if not is_tns(classes)[0]:
         raise NotTNS("splitting requires a TNS action")
     if len(classes) < 2:
         raise NotTNS("splitting needs at least two coarse classes")

@@ -221,8 +221,7 @@ def test_criterion_6_cartan_t3_end_to_end():
         classes = coarse_classes(lyapunov_data(action), CAP)
         assert len(classes) == 3
 
-        verdict, _ = is_tns(classes, CAP)
-        assert verdict.kind == "true"
+        assert is_tns(classes)[0]
         tns = audit_action(action, CAP)["hypotheses"]["tns"]
         for key, w in tns["joint_contraction_witnesses"].items():
             for c in map(int, key.split(",")):

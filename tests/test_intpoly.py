@@ -11,7 +11,6 @@ from anosov_forge.intpoly import (
     cauchy_root_bound,
     composed_product_poly,
     factor_rational,
-    image_poly,
     inverse_poly,
     isolate_real_roots,
     pair_product_parts,
@@ -208,22 +207,6 @@ def test_composed_product_poly_matches_resultant(p, q):
 @settings(max_examples=40, deadline=None)
 def test_power_poly_matches_resultant(p, n):
     assert power_poly(p, n) == _resultant_reference(p, lambda x, y: y - x**n)
-
-
-@given(
-    integer_polys(),
-    st.lists(
-        st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=1, max_size=9
-    ),
-)
-@settings(max_examples=60, deadline=None)
-def test_image_poly_matches_resultant(p, q):
-    reference = _resultant_reference(
-        p,
-        lambda x, y: y
-        - sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(q)),
-    )
-    assert image_poly(p, q) == reference
 
 
 # -- Sturm chains --------------------------------------------------------------

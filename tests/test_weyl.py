@@ -26,6 +26,7 @@ from anosov_forge.logval import LogLinearValue
 from anosov_forge.lp import maximize
 from anosov_forge.report import audit_action
 from anosov_forge.weyl import (
+    _proportionality,
     anosov_in_every_chamber,
     coarse_classes,
     complementary_splitting,
@@ -110,15 +111,14 @@ def test_zero_functional_raises():
 
 def test_tns_detects_negative_proportionality():
     classes = rational_classes([(1, 2), (-2, -4)])
-    verdict, info = is_tns(classes, CAP)
-    assert verdict.kind == "false"
+    tns, info = is_tns(classes)
+    assert not tns
     assert info["negative_pair"] == (0, 1)
 
 
 def test_tns_true_with_witnesses(cartan_action):
     classes = coarse_classes(lyapunov_data(cartan_action), CAP)
-    verdict, info = is_tns(classes, CAP)
-    assert verdict.kind == "true" and info == {}
+    assert is_tns(classes) == (True, {})
     tns = audit_action(cartan_action, CAP)["hypotheses"]["tns"]
     pairs = tns["joint_contraction_witnesses"]
     assert sorted(pairs) == ["0,1", "0,2", "1,2"]
@@ -147,14 +147,54 @@ def test_ratio_with_numerator_above_twelve_certifies(sign):
     lower = gens if sign > 0 else [[row[3:] for row in d[3:]] for d in symplectic_double(gens)]
     action = validate(_block_power_double(gens, lower, 13))
     classes = coarse_classes(lyapunov_data(action), CAP)
-    verdict, info = is_tns(classes, CAP)
     if sign > 0:
         assert [len(c.members) for c in classes] == [2, 2, 2]
-        assert verdict.kind == "true"
+        assert is_tns(classes) == (True, {})
     else:
         assert len(classes) == 6
-        assert verdict.kind == "false"
-        assert info["ratio"] in (13, Fraction(1, 13))
+        assert is_tns(classes) == (False, {"negative_pair": (0, 3), "ratio": Fraction(1, 13)})
+
+
+_PLANT_SCALES = (1, 2, Fraction(1, 2), 13, Fraction(1, 13))
+
+
+@st.composite
+def planted_functionals(draw):
+    """Rational rows: multiples +-c v of a few base vectors v, for c in
+    _PLANT_SCALES, and independent rows, in shuffled order."""
+    k = draw(st.integers(2, 3))
+    vec = st.lists(st.integers(-5, 5), min_size=k, max_size=k).filter(any)
+    rows = draw(st.lists(vec, max_size=3))
+    for v in draw(st.lists(vec, min_size=1, max_size=3)):
+        plants = st.tuples(st.sampled_from((1, -1)), st.sampled_from(_PLANT_SCALES))
+        rows += [[s * c * x for x in v] for s, c in draw(st.lists(plants, min_size=1, max_size=4))]
+    return [rational_functional(r) for r in draw(st.permutations(rows))]
+
+
+@given(planted_functionals())
+@settings(max_examples=60, deadline=None)
+def test_tns_matches_pairwise_proportionality_of_class_normals(fs):
+    # is_tns reads the relations that coarse_classes certified: each class's
+    # opposite, the first negative pair and its ratio are those of
+    # _proportionality run on every pair of class normals, and the normals
+    # come in functional order
+    classes = coarse_classes(fs, CAP)
+    opposite = [None] * len(classes)
+    expected = (True, {})
+    for i, j in itertools.combinations(range(len(classes)), 2):
+        a, b = classes[i].hyperplane_normal, classes[j].hyperplane_normal
+        rel, ratio = _proportionality(a, b, CAP)
+        if rel == "neg":
+            inverse = None if ratio is None else 1 / ratio
+            opposite[i], opposite[j] = (j, ratio), (i, inverse)
+            if expected[0]:
+                expected = (False, {"negative_pair": (i, j), "ratio": ratio})
+    assert [c.opposite for c in classes] == opposite
+    assert is_tns(classes) == expected
+    position = {id(f): t for t, f in enumerate(fs)}
+    firsts = [min(position[id(f)] for f in c.members) for c in classes]
+    assert firsts == sorted(firsts)
+    assert [position[id(c.hyperplane_normal)] for c in classes] == firsts
 
 
 def test_symplectic_pair_not_tns():
@@ -178,8 +218,7 @@ def test_symplectic_pair_not_tns():
     g1 = bd(a, at_inv)
     action = validate([g1, sq(g1)])
     classes = coarse_classes(lyapunov_data(action), CAP)
-    verdict, _ = is_tns(classes, CAP)
-    assert verdict.kind == "false"
+    assert not is_tns(classes)[0]
 
 
 # -- chambers ------------------------------------------------------------------
@@ -355,7 +394,7 @@ def test_symplectic_double_chambers_match_cartan_t4():
     double = validate(symplectic_double(cartan_t4_generators()), name="t4-double")
     classes = coarse_classes(lyapunov_data(double), CAP)
     assert len(classes) == 8
-    assert is_tns(classes, CAP)[0].kind == "false"
+    assert not is_tns(classes)[0]
     cap = CAP
     expected = {
         tuple(c.value_at(ch.witness).sign(cap) for c in classes)

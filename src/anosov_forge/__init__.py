@@ -10,7 +10,7 @@ silently rounded.
 
 from .actions import ValidatedAction, is_semisimple, is_totally_reducible, validate
 from .errors import AnosovForgeError
-from .freenil import free_nilpotent_lift, hall_basis, lift_is_anosov, witt_dimension
+from .freenil import free_nilpotent_lift, hall_basis, witt_dimension
 from .graded import GradedAlgebraAction, is_totally_reducible_graded, validate_graded
 from .normalforms import ContractionSpectrum, sr_group_dimension, subresonance_indices
 from .report import audit_action, audit_graded, exit_code_for, report_to_json
@@ -51,7 +51,6 @@ __all__ = [
     "is_tns",
     "is_totally_reducible",
     "is_totally_reducible_graded",
-    "lift_is_anosov",
     "lyapunov_data",
     "report_to_json",
     "sr_group_dimension",

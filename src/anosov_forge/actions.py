@@ -107,25 +107,14 @@ def rational_primary_decomposition(
     a: Mat | list,
 ) -> tuple[tuple[IntPolynomial, int, RationalSubspace], ...]:
     """Primary components ker P_i(A)^{d_i}, one per irreducible factor P_i
-    of multiplicity d_i in the characteristic polynomial.
-
-    Computed once per matrix; the result is immutable and shared.
-    """
-    return _primary_decomposition(_frozen(a))
-
-
-@lru_cache(maxsize=256)
-def _primary_decomposition(
-    a: tuple[tuple[Fraction, ...], ...],
-) -> tuple[tuple[IntPolynomial, int, RationalSubspace], ...]:
-    m = [list(row) for row in a]
+    of multiplicity d_i in the characteristic polynomial."""
     parts = []
-    for factor, mult in factor_cached(linalg.charpoly(m)):
+    for factor, mult in factor_cached(linalg.charpoly(a)):
         if factor.degree < 1:
             continue
         # one integer evaluation of the product polynomial P_i^{d_i}
         power = math.prod([factor] * mult, start=IntPolynomial([1]))
-        kernel = RationalSubspace.kernel(linalg.poly_at_matrix(power, m))
+        kernel = RationalSubspace.kernel(linalg.poly_at_matrix(power, a))
         parts.append((factor, mult, kernel))
     return tuple(parts)
 

@@ -1,12 +1,13 @@
-"""Free nilpotent lifts: Hall bases, induced graded matrices, Anosov tests.
+"""Free nilpotent lifts: Hall bases and induced graded matrices.
 
 A linear action on R^d extends canonically to the free k-step nilpotent Lie
 algebra on d generators.  We fix a classical Hall basis (ordered by degree,
 then by construction order) so structure constants — and hence every induced
-matrix — are reproducible byte for byte.  The lifted element is Anosov iff
-no degree block of its induced matrix has an eigenvalue of modulus one;
-since degree-m eigenvalues are m-fold products of base eigenvalues, this is
-the paper-style eigenvalue-product criterion, decided exactly.
+matrix — are reproducible byte for byte.  The induced matrices are block
+diagonal over the grading, and the eigenvalues of a degree-m block are
+m-fold products of base eigenvalues.  So the paper-style eigenvalue-product
+criterion for a lifted element b is decided exactly by
+`is_anosov_matrix(product_matrix(lift.action, b))`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 from .actions import ValidatedAction, validate
 from .errors import SizeCap
 from .graded import GradedAlgebraAction, bracket, bracket_table
-from .modulus import has_unit_modulus_root
 
 # the largest lift dimension that hall_basis builds
 SIZE_CAP = 2000
@@ -157,22 +156,3 @@ def free_nilpotent_lift(action: ValidatedAction, k: int) -> GradedAlgebraAction:
         tuple((a, b, c, Fraction(value)) for a, b, c, value in constants),
         validate(full, name=f"{action.name}-lift{k}" if action.name else ""),
     )
-
-
-def _degree_block_product(lift: GradedAlgebraAction, degree: int, b) -> list[list[Fraction]]:
-    out = linalg.identity(lift.grading[degree - 1])
-    for gen, exp in enumerate(b):
-        block = lift.degree_block(gen, degree)
-        out = linalg.mat_mul(out, linalg.mat_pow(block, int(exp)))
-    return out
-
-
-def lift_is_anosov(lift: GradedAlgebraAction, b) -> bool:
-    """Exact: no degree block of the lifted element has a unit-modulus
-    eigenvalue (equivalently, no product of <= k base eigenvalues does)."""
-    for degree in range(1, lift.step + 1):
-        mat = _degree_block_product(lift, degree, b)
-        cp = linalg.charpoly(mat)
-        if has_unit_modulus_root(cp):
-            return False
-    return True

@@ -321,13 +321,6 @@ def power_poly(p: IntPolynomial, n: int) -> IntPolynomial:
     return poly_from_power_sums(t[::n], p.leading**n)
 
 
-def inverse_poly(p: IntPolynomial) -> IntPolynomial:
-    """Polynomial with roots {1/r}; requires p(0) != 0."""
-    if not p.coeffs or p.coeffs[0] == 0:
-        raise ValueError("polynomial has a zero root; not invertible")
-    return p.reciprocal().primitive()
-
-
 # -- Sturm chains -------------------------------------------------------
 
 

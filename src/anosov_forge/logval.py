@@ -3,10 +3,11 @@
 Values of Lyapunov functionals at lattice points are rational combinations
 of log-moduli, i.e. expressions  c0 + sum c_j * log(alpha_j)  with rational
 c_j and positive real algebraic alpha_j.  Signs are decided by interval
-refinement; exact vanishing is certified algebraically (a product of powers
-equal to one).  A nonzero value with c0 != 0 can never vanish (log of an
-algebraic number is transcendental unless the argument is 1), so the
-refinement loop always terminates on true nonzero inputs.
+refinement; exact vanishing is certified algebraically (two products of
+powers of the alpha_j, one over the positive and one over the negative
+coefficients, are equal).  A nonzero value with c0 != 0 can never vanish
+(log of an algebraic number is transcendental unless the argument is 1), so
+the refinement loop always terminates on true nonzero inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT_CAP, precisions
+from .config import DEFAULT_CAP, INITIAL_BITS, precisions
 from .errors import PrecisionExhausted
 from .intpoly import IntPolynomial, cauchy_root_bound
 from .numutil import log_interval
@@ -54,9 +55,9 @@ class LogLinearValue:
         return cls.build(const=Fraction(value))
 
     @classmethod
-    def half_log(cls, alpha: RealAlgebraic, scale=1) -> "LogLinearValue":
-        """log|lambda| = (scale/2) * log(|lambda|^2)."""
-        return cls.build(terms=[(Fraction(scale, 2), alpha)])
+    def half_log(cls, alpha: RealAlgebraic) -> "LogLinearValue":
+        """log|lambda| = (1/2) * log(|lambda|^2)."""
+        return cls.build(terms=[(Fraction(1, 2), alpha)])
 
     # -- algebra -------------------------------------------------------------
     def __add__(self, other: "LogLinearValue") -> "LogLinearValue":
@@ -99,17 +100,32 @@ class LogLinearValue:
         return lo, hi
 
     def is_exactly_zero(self) -> bool:
-        """Certified vanishing test (no precision involved)."""
+        """Certified vanishing test (no precision involved).
+
+        With the coefficients scaled to integers n_j, the value vanishes
+        iff prod_{n_j > 0} alpha_j^n_j = prod_{n_j < 0} alpha_j^-n_j: every
+        alpha_j is positive, so no inverse is built."""
         if not self.terms:
             return self.const == 0
         if self.const != 0:
             # const + sum c_j log a_j = 0 would make exp(-const) algebraic
             return False
         den = math.lcm(*[c.denominator for c, _ in self.terms])
-        product = RealAlgebraic.from_rational(1)
+        pos = neg = RealAlgebraic.from_rational(1)
         for coeff, alpha in self.terms:
-            product = product.mul(alpha.pow(int(coeff * den)))
-        return product == 1
+            n = int(coeff * den)
+            if n > 0:
+                pos = pos.mul(alpha.pow(n))
+            else:
+                neg = neg.mul(alpha.pow(-n))
+        return pos == neg
+
+    def vanishes(self) -> bool:
+        """Exact zero test, run only when the enclosure at the initial
+        precision holds 0: a value that separates from 0 there never builds
+        the products of algebraic powers that the exact test multiplies out."""
+        lo, hi = self.interval(INITIAL_BITS)
+        return lo <= 0 <= hi and self.is_exactly_zero()
 
     def sign(self, cap: int = DEFAULT_CAP) -> int:
         """Exact sign: -1, 0, +1.  Raises PrecisionExhausted when no
@@ -126,7 +142,7 @@ class LogLinearValue:
             if hi < 0:
                 return -1
             if not checked_zero and bits >= 256:
-                if self.is_exactly_zero():
+                if self.vanishes():
                     return 0
                 checked_zero = True
         raise PrecisionExhausted("sign of log-linear value unresolved", cap)

@@ -20,7 +20,6 @@ from .intpoly import (
     IntPolynomial,
     composed_product_poly,
     factor_cached,
-    inverse_poly,
     isolate_real_roots,
     power_poly,
     sign_at,
@@ -185,27 +184,11 @@ class RealAlgebraic:
 
         return RealAlgebraic.from_enclosure(composed, enclosure)
 
-    def inverse(self) -> "RealAlgebraic":
-        if self.is_rational:
-            return RealAlgebraic.from_rational(1 / self.as_rational())
-        inv = inverse_poly(self.poly)
-
-        def enclosure(bits: int) -> tuple[Fraction, Fraction]:
-            lo, hi = self.interval(bits)
-            if lo <= 0 <= hi:
-                # refine past zero; the value itself is nonzero
-                lo, hi = self.interval(bits * 4)
-                if lo <= 0 <= hi:
-                    return Fraction(-(2 ** (bits // 2))), Fraction(2 ** (bits // 2))
-            return 1 / hi, 1 / lo
-
-        return RealAlgebraic.from_enclosure(inv, enclosure)
-
     def pow(self, n: int) -> "RealAlgebraic":
+        if n < 0:
+            raise ValueError("negative exponent")
         if n == 0:
             return RealAlgebraic.from_rational(1)
-        if n < 0:
-            return self.inverse().pow(-n)
         if n == 1:
             return self
         if self.is_rational:

@@ -240,7 +240,6 @@ def chambers_svg(classes: list[CoarseClass], chambers: list[WeylChamber]) -> str
 def chambers_json(
     classes: list[CoarseClass],
     chambers: list[WeylChamber],
-    bits: int = 128,
 ) -> dict:
     from math import floor
 
@@ -255,7 +254,8 @@ def chambers_json(
     for c in classes:
         enclosures = []
         for v in c.hyperplane_normal.values:
-            lo, hi = v.interval(bits)
+            # 128 bits: far narrower than the 1e-18 outward rounding
+            lo, hi = v.interval(128)
             enclosures.append([outward(lo, False), outward(hi, True)])
         lines.append({"class": c.index, "normal_enclosures": enclosures})
     return {

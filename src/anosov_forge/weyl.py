@@ -81,7 +81,7 @@ class LyapunovFunctional:
         return out
 
     def is_zero_functional(self) -> bool:
-        return all(_vanishes(v) for v in self.values)
+        return all(v.vanishes() for v in self.values)
 
     def approx(self, bits: int = 64) -> list[float]:
         return [float(v.midpoint(bits)) for v in self.values]
@@ -142,20 +142,27 @@ class Splitting:
 # -- lyapunov functional extraction ------------------------------------------
 
 
-def _cyclic_generator(semis: list) -> tuple[list, list[list[Fraction]]]:
+def _cyclic_generator(
+    semis: list,
+) -> tuple[list[tuple[IntPolynomial, int]], list[list[Fraction]]]:
     """Find C in the algebra generated by the commuting semisimple matrices
-    with every generator a polynomial in C; returns (C, poly coefficients).
+    with every generator a polynomial in C; returns (the factorisation of
+    charpoly(C), poly coefficients).
 
     A generic linear combination works because the algebra is etale over Q.
-    The coefficients q of s = q(C) solve q(C) e_j = s e_j, stacked for
-    e_1, e_2, ... until the Krylov vectors C^i e_j span Q^m: one m x m
-    system when e_1 is a cyclic vector of C, eliminated once for every s
-    as its right-hand sides.  That is enough, since s
-    commutes with C: q(C) p(C) e_j = p(C) s e_j = s p(C) e_j for every p.
+    C is semisimple, so its minimal polynomial has degree r, the sum of the
+    degrees of the distinct factors, and C^r e_j is a combination of the
+    lower Krylov vectors.  The coefficients q of s = q(C) solve
+    q(C) e_j = s e_j, stacked for e_1, e_2, ... until the Krylov vectors
+    C^i e_j (i < r) span Q^m: one system eliminated once for every s as its
+    right-hand sides.  That is enough, since s commutes with C:
+    q(C) p(C) e_j = p(C) s e_j = s p(C) e_j for every p.
     """
     m = len(semis[0])
 
     def try_candidate(c):
+        factors = factor_cached(linalg.charpoly(c))
+        r = sum(p.degree for p, _ in factors)
         # Krylov vectors of the integer matrix B = den*C: B^i e_j = den^i C^i e_j
         den = math.lcm(*(x.denominator for row in c for x in row))
         b = [[int(x * den) for x in row] for row in c]
@@ -164,18 +171,18 @@ def _cyclic_generator(semis: list) -> tuple[list, list[list[Fraction]]]:
         krylov: list[list[int]] = []
         for j in range(m):
             vecs = [[int(i == j) for i in range(m)]]
-            for _ in range(m - 1):
+            for _ in range(r - 1):
                 vecs.append([sum(x * y for x, y in zip(row, vecs[-1])) for row in b])
             rows += [[Fraction(v[i]) for v in vecs] for i in range(m)]
-            for r, s in zip(rhs, semis):
-                r += [s[i][j] for i in range(m)]
+            for col, s in zip(rhs, semis):
+                col += [s[i][j] for i in range(m)]
             krylov += vecs
             if linalg.rank(linalg.to_mat(krylov)) == m:
                 break
         sols = linalg.solve(rows, rhs)
         if None in sols:
             return None
-        return [[x * den**i for i, x in enumerate(sol)] for sol in sols]
+        return factors, [[x * den**i for i, x in enumerate(sol)] for sol in sols]
 
     def candidates():
         yield from semis
@@ -186,9 +193,9 @@ def _cyclic_generator(semis: list) -> tuple[list, list[list[Fraction]]]:
             yield acc
 
     for c in candidates():
-        qs = try_candidate(c)
-        if qs is not None:
-            return c, qs
+        found = try_candidate(c)
+        if found is not None:
+            return found
     raise RuntimeError("no cyclic generator found for semisimple algebra")
 
 
@@ -241,13 +248,13 @@ def _component_functionals(
     semis = [
         semisimple_part(linalg.to_mat(b), factor) for b, (factor, _) in zip(comp.mats, comp.labels)
     ]
-    cyc, qs = _cyclic_generator(semis)
+    factors, qs = _cyclic_generator(semis)
     # for a root r of a factor of charpoly(C), q_j(r) is an eigenvalue of
     # s_j = q_j(C), whose minimal polynomial is the label f_j: the moduli
     # candidates are those of f_j, for every factor
     cands = [pair_product_parts(factor) for factor, _ in comp.labels]
     out = []
-    for p, mult in factor_cached(linalg.charpoly(cyc)):
+    for p, mult in factors:
         if p.degree < 1:
             continue
         for disk in certified_root_disks(p.coeffs, INITIAL_BITS):
@@ -306,8 +313,8 @@ def _proportionality(
     """Decide whether g = c*f for real c: ("pos"|"neg", |c| if rational and
     certified), ("none", None), or ("undecided", None)."""
     k = f.rank
-    fz = [_vanishes(v) for v in f.values]
-    gz = [_vanishes(v) for v in g.values]
+    fz = [v.vanishes() for v in f.values]
+    gz = [v.vanishes() for v in g.values]
     if fz != gz:
         return "none", None
     idx = [i for i in range(k) if not fz[i]]
@@ -351,7 +358,7 @@ def _proportionality(
             c = 1 / (1 / mid).limit_denominator(_MAX_DEN)
         if lo <= c <= hi and c not in tried:
             tried.add(c)
-            if all(_vanishes(g.values[i] - f.values[i].scale(c)) for i in idx):
+            if all((g.values[i] - f.values[i].scale(c)).vanishes() for i in idx):
                 return ("pos" if sigma > 0 else "neg"), abs(c)
     return "undecided", None
 
@@ -607,14 +614,6 @@ def stable_set(
     return out
 
 
-def _vanishes(value: LogLinearValue) -> bool:
-    """Exact zero test, run only when the enclosure at the initial precision
-    holds 0: a value that separates from 0 there never builds the product
-    of algebraic powers that the exact test multiplies out."""
-    lo, hi = value.interval(INITIAL_BITS)
-    return lo <= 0 <= hi and value.is_exactly_zero()
-
-
 def complementary_splitting(
     classes: list[CoarseClass],
     target: CoarseClass,
@@ -644,7 +643,7 @@ def complementary_splitting(
             for cls in classes:
                 gx = cls.value_at(p)
                 gy = cls.value_at(q)
-                if _vanishes(gx) and _vanishes(gy):
+                if gx.vanishes() and gy.vanishes():
                     raise DegeneratePlane("class vanishes on the plane")
                 traces.append((gx, gy))
             t = target.index

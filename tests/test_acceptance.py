@@ -20,10 +20,16 @@ import mpmath
 from conftest import cartan_generators, fixture_path, rational_functional
 
 from anosov_forge import linalg
-from anosov_forge.actions import is_semisimple, is_totally_reducible, validate
+from anosov_forge.actions import (
+    is_anosov_matrix,
+    is_semisimple,
+    is_totally_reducible,
+    product_matrix,
+    validate,
+)
 from anosov_forge.cli import main as cli_main
 from anosov_forge.config import DEFAULT_CAP
-from anosov_forge.freenil import free_nilpotent_lift, hall_basis, lift_is_anosov
+from anosov_forge.freenil import free_nilpotent_lift, hall_basis
 from anosov_forge.intpoly import IntPolynomial
 from anosov_forge.normalforms import ContractionSpectrum, sr_group_dimension
 from anosov_forge.numutil import certified_root_disks, modulus_squared_bounds
@@ -153,7 +159,7 @@ def test_criterion_3_lift_criterion_vs_numeric_oracle_100_cases():
             a = random_unimodular(rng, d)
             action = validate([a])
             lift = free_nilpotent_lift(action, k)
-            exact = lift_is_anosov(lift, (1,))
+            exact = is_anosov_matrix(product_matrix(lift.action, (1,)))
             oracle, borderline = numeric_lift_oracle(a, k)
             cases += 1
             if borderline:

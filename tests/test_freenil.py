@@ -5,12 +5,11 @@ import mpmath
 import pytest
 
 from anosov_forge import linalg
-from anosov_forge.actions import validate
+from anosov_forge.actions import is_anosov_matrix, product_matrix, validate
 from anosov_forge.errors import SizeCap
 from anosov_forge.freenil import (
     free_nilpotent_lift,
     hall_basis,
-    lift_is_anosov,
     structure_constants,
     witt_dimension,
 )
@@ -125,14 +124,15 @@ def numeric_anosov_oracle(lift, b, digits=50) -> bool:
 def test_cat_lift_not_anosov_at_step2(fibonacci_action):
     # degree-2 block of a 2x2 lift is det = +-1, killing hyperbolicity
     lift = free_nilpotent_lift(fibonacci_action, 2)
-    assert not lift_is_anosov(lift, (1,))
+    assert not is_anosov_matrix(product_matrix(lift.action, (1,)))
     assert not numeric_anosov_oracle(lift, (1,))
 
 
 def test_cartan_lift_anosov_matches_oracle(cartan_action):
     lift = free_nilpotent_lift(cartan_action, 2)
     for b in [(1, 0), (0, 1), (1, 1), (2, -1), (-1, 3)]:
-        assert lift_is_anosov(lift, b) == numeric_anosov_oracle(lift, b)
+        exact = is_anosov_matrix(product_matrix(lift.action, b))
+        assert exact == numeric_anosov_oracle(lift, b)
 
 
 def test_lift_generator_unimodular_and_block_triangular(cartan_action):

@@ -11,7 +11,6 @@ from anosov_forge.intpoly import (
     cauchy_root_bound,
     composed_product_poly,
     factor_rational,
-    inverse_poly,
     isolate_real_roots,
     pair_product_parts,
     power_poly,
@@ -80,14 +79,6 @@ def test_power_poly_squares_roots():
     q = power_poly(X2_MINUS_2, 2)
     # sqrt2^2 = 2 must be a root
     assert q(2) == 0
-
-
-def test_inverse_poly_golden_ratio():
-    q = inverse_poly(FIB)
-    # 1/phi = phi - 1 satisfies x^2 + x - 1
-    assert q(Fraction(-1)) != 0
-    phi_inv_poly = IntPolynomial((-1, 1, 1))
-    assert q.primitive() in (phi_inv_poly, -phi_inv_poly)
 
 
 def test_cauchy_bound_is_a_bound():

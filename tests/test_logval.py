@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosov_forge.config import precisions
 from anosov_forge.errors import PrecisionExhausted
@@ -37,11 +39,68 @@ def test_cancellation_is_exact():
     assert w.sign() == 0
 
 
+def phi_inv_sq() -> RealAlgebraic:
+    # phi^-2 = (3-sqrt5)/2, the smaller root of x^2 - 3x + 1
+    return RealAlgebraic(IntPolynomial([1, -3, 1]), 0)
+
+
 def test_multiplicative_cancellation():
-    # log(phi^2) and log(phi^-2) built from different minimal polynomials
-    inv = phi_sq().inverse()
-    v = LogLinearValue.half_log(phi_sq()) + LogLinearValue.half_log(inv)
+    # log(phi^2) and log(phi^-2): two conjugate roots of x^2 - 3x + 1
+    v = LogLinearValue.half_log(phi_sq()) + LogLinearValue.half_log(phi_inv_sq())
     assert v.is_exactly_zero()
+
+
+def theta_sq() -> RealAlgebraic:
+    # theta = 2 cos(2 pi / 9), the largest root of x^3 - 3x + 1, in (1, 2)
+    theta = RealAlgebraic.from_enclosure(
+        IntPolynomial((1, -3, 0, 1)), lambda bits: (Fraction(3, 2), Fraction(2))
+    )
+    return theta.pow(2)
+
+
+UNITS = {"phi^2": phi_sq(), "theta^2": theta_sq()}
+ratios = st.builds(
+    Fraction,
+    st.integers(1, 4).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.integers(1, 4),
+)
+
+
+@given(
+    st.sampled_from(sorted(UNITS)),
+    st.lists(st.integers(1, 6), min_size=2, max_size=2),
+    ratios,
+    ratios,
+    st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_exact_zero_matches_planted_exponents(unit, exps, c1, c2, planted):
+    # alpha = u^a and beta = u^b, so c1 log alpha + c2 log beta
+    # = (c1 a + c2 b) log u, zero exactly when c1 a + c2 b = 0
+    u = UNITS[unit]
+    a, b = exps
+    if planted:
+        c2 = -c1 * a / b
+    v = LogLinearValue.build(terms=[(c1, u.pow(a)), (c2, u.pow(b))])
+    assert v.is_exactly_zero() == (c1 * a + c2 * b == 0)
+
+
+@given(
+    st.sampled_from(sorted(UNITS)),
+    st.lists(st.integers(1, 6), min_size=3, max_size=3, unique=True),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+)
+@settings(max_examples=20, deadline=None)
+def test_exact_zero_with_two_terms_on_one_side(unit, exps, c1, c2, planted):
+    # c1 log u^a + c2 log u^b against c3 log u^c: the positive side is a
+    # product of two powers
+    u = UNITS[unit]
+    a, b, c = exps
+    c3 = -Fraction(c1 * a + c2 * b, c) if planted else Fraction(-1)
+    v = LogLinearValue.build(terms=[(c1, u.pow(a)), (c2, u.pow(b)), (c3, u.pow(c))])
+    assert v.is_exactly_zero() == (c1 * a + c2 * b + c3 * c == 0)
 
 
 def test_lindemann_rejects_rational_offset():
@@ -80,7 +139,7 @@ def test_interval_of_a_modulus_below_the_precision():
         IntPolynomial((1, -(2**80), 1)), lambda bits: (Fraction(0), Fraction(1, 2**79))
     )
     assert tiny.interval(64)[0] <= 0
-    lo, hi = LogLinearValue.half_log(tiny, 2).interval(64)
+    lo, hi = LogLinearValue.half_log(tiny).scale(2).interval(64)
     assert 0 < hi - lo < Fraction(1, 2**60)
     assert abs(float((lo + hi) / 2) + 80 * math.log(2)) < 1e-12
 
@@ -98,7 +157,7 @@ def test_precisions_double_from_64_and_stop_at_the_cap():
 
 def test_sign_asks_for_the_schedule_and_then_raises(monkeypatch):
     # exactly zero, with no exact test below 256 bits: never separated
-    v = LogLinearValue.half_log(phi_sq()) + LogLinearValue.half_log(phi_sq().inverse())
+    v = LogLinearValue.half_log(phi_sq()) + LogLinearValue.half_log(phi_inv_sq())
     asked = []
     interval = LogLinearValue.interval
 

@@ -42,23 +42,20 @@ def test_interval_contains_and_shrinks():
 
 
 def test_golden_identity():
-    # phi^2 * phi^-1 = phi, and phi^2 != phi
+    # phi^2 * phi = phi^3 = phi * phi^2, and phi^2 != phi
     phi = golden()
     sq = phi.mul(phi)
-    assert sq.mul(phi.inverse()) == phi
+    assert sq == phi.pow(2)
+    assert sq.mul(phi) == phi.pow(3) == phi.mul(sq)
     assert sq != phi
-
-
-def test_inverse():
-    s = sqrt2()
-    inv = s.inverse()
-    assert s.mul(inv) == RealAlgebraic.from_rational(1)
 
 
 def test_pow():
     s = sqrt2()
     assert s.pow(4) == RealAlgebraic.from_rational(4)
-    assert s.pow(-2) == RealAlgebraic.from_rational(Fraction(1, 2))
+    assert s.pow(0) == RealAlgebraic.from_rational(1)
+    with pytest.raises(ValueError):
+        s.pow(-2)
 
 
 def test_equality_distinguishes_conjugates():

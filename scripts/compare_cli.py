@@ -11,7 +11,9 @@ and exits 1 if any does, 0 if all agree.  OLD_SRC and NEW_SRC are the
 
 The corpus: `analyze` (summary and --json), `chambers` and `lift --step 2
 --out --json` on the four torus fixtures, and `lift --step 3 --out` on
-cartan_t3 and symplectic_pair; `normal-forms` on the spectrum fixture;
+cartan_t3 and symplectic_pair; `normal-forms` on the spectrum fixture
+and on a spectrum of non-integer exponents (-1/3, -1/2, -5/6, -8/7) with
+the exact tie -5/6 = -1/3 - 1/2;
 `analyze --json` on each graded file that OLD_SRC's `lift --step 2 --out`
 writes for the four torus fixtures and on its `lift --step 3 --out` files
 of cartan_t3 (dimension 14) and symplectic_pair (dimension 30, where the
@@ -23,7 +25,7 @@ one seeded rank-3 action; `analyze --json` on the T^6 actions
 diag(g, h^13) over the cartan_t3 generators g, for h = g and h = g^-T
 (the corpus's one certified ratio other than 1); the `normal-forms
 --element` calls of the perfbench `subresonance` workload, with the JSON
-on stdout: 145 calls.  Inputs come from perfbench/inputs.py and
+on stdout: 146 calls.  Inputs come from perfbench/inputs.py and
 perfbench/run.py and are written to a temporary directory that both trees
 read.
 """
@@ -120,6 +122,13 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
         ["analyze", *(os.path.join(FIXTURES, f"{n}.json") for n in TORUS_FIXTURES), "--json"],
         ["normal-forms", os.path.join(FIXTURES, "spectrum_12.json"), "--json"],
     ]
+    tie = {
+        "schema_version": 1,
+        "kind": "spectrum",
+        "exponents": ["-1/3", "-1/2", "-5/6", "-8/7"],
+        "multiplicities": [1, 2, 1, 1],
+    }
+    calls.append(["normal-forms", _write(work, "spectrum-tie", tie), "--json"])
 
     def both(name: str, doc: dict) -> None:
         path = _write(work, name, doc)

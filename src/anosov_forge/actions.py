@@ -107,14 +107,21 @@ def rational_primary_decomposition(
     a: Mat | list,
 ) -> tuple[tuple[IntPolynomial, int, RationalSubspace], ...]:
     """Primary components ker P_i(A)^{d_i}, one per irreducible factor P_i
-    of multiplicity d_i in the characteristic polynomial."""
+    of multiplicity d_i in the characteristic polynomial.
+
+    ker P_i(A) lies in ker P_i(A)^{d_i}, whose dimension is d_i deg P_i, so
+    the two are equal when ker P_i(A) has that dimension, as on every
+    component where A is semisimple; P_i^{d_i} is evaluated only
+    otherwise.  Equal kernels have the same echelon basis."""
     parts = []
     for factor, mult in factor_cached(linalg.charpoly(a)):
         if factor.degree < 1:
             continue
-        # one integer evaluation of the product polynomial P_i^{d_i}
-        power = math.prod([factor] * mult, start=IntPolynomial([1]))
-        kernel = RationalSubspace.kernel(linalg.poly_at_matrix(power, a))
+        kernel = RationalSubspace.kernel(linalg.poly_at_matrix(factor, a))
+        if kernel.dimension != mult * factor.degree:
+            # one integer evaluation of the product polynomial P_i^{d_i}
+            power = math.prod([factor] * mult, start=IntPolynomial([1]))
+            kernel = RationalSubspace.kernel(linalg.poly_at_matrix(power, a))
         parts.append((factor, mult, kernel))
     return tuple(parts)
 

@@ -8,6 +8,7 @@ Exit codes: 0 = hypotheses verified, 1 = some hypothesis refuted,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -425,7 +426,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on the first `main` call; each
+    subcommand's handler binds then.  `parse_args` makes a fresh Namespace
+    and never mutates the parser, so one parser serves every call."""
     p = _ArgumentParser(
         prog="anosov-forge",
         description="Certified checks for higher-rank actions by toral and "

@@ -82,14 +82,17 @@ def subresonance_indices(
     s_j grows or the search goes deeper: once it drops below chi_i, no
     larger s_j and no extension can recover, and the loop over s_j stops.
     The search is therefore finite, and every leaf it reaches is admissible
-    without a further test.  Rational spectra are summed as Fractions;
-    log-linear ones are compared by their certified sign, where an exact
-    zero counts as admissible and an unresolved sign at the precision cap
-    raises UndecidedBoundary.
+    without a further test.  Rational spectra are scaled to integers by
+    the common denominator of their exponents, which keeps every
+    comparison and tie; log-linear ones are compared by their certified
+    sign, where an exact zero counts as admissible and an unresolved sign
+    at the precision cap raises UndecidedBoundary.
     """
     if all(not e.terms for e in spec.exponents):
-        chis = [e.const for e in spec.exponents]
-        start = Fraction(0)
+        consts = [e.const for e in spec.exponents]
+        den = math.lcm(*(c.denominator for c in consts))
+        chis = [c.numerator * (den // c.denominator) for c in consts]
+        start = 0
 
         def below(total, chi_i) -> bool:
             return total < chi_i

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -74,13 +75,26 @@ def test_minimal_polynomial_jordan():
     assert minimal_polynomial(linalg.identity(3)).degree == 1
 
 
+def full_power_kernel(factor, mult, a) -> RationalSubspace:
+    """Reference: ker P(A)^m, from one evaluation of the product P^m."""
+    power = math.prod([factor] * mult, start=IntPolynomial([1]))
+    return RationalSubspace.kernel(linalg.poly_at_matrix(power, a))
+
+
 def test_primary_decomposition_block_diag():
     m = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
-    parts = rational_primary_decomposition(linalg.to_mat(m))
+    a = linalg.to_mat(m)
+    parts = rational_primary_decomposition(a)
     dims = sorted(sub.dimension for _, _, sub in parts)
     assert dims == [2, 2]
     # the Jordan block is not semisimple
     assert not is_semisimple(validate([m]))
+    # on it ker (A - I) is a line, so only ker (A - I)^2 is the component
+    (jordan,) = [(f, k, sub) for f, k, sub in parts if f.degree == 1]
+    assert jordan[1] == 2
+    assert RationalSubspace.kernel(linalg.poly_at_matrix(jordan[0], a)).dimension == 1
+    for factor, mult, sub in parts:
+        assert sub == full_power_kernel(factor, mult, a)
 
 
 def test_semisimple_part_annihilates_nilpotent():
@@ -267,3 +281,15 @@ def test_is_semisimple_matches_squarefree_minimal_polynomial(gens):
     )
     assert is_semisimple(action) == expected
     assert is_totally_reducible(action)[0] == expected
+
+
+@given(commuting_tuples())
+@settings(max_examples=40, deadline=None)
+def test_primary_components_are_kernels_of_the_full_power(gens):
+    # diag(g, g) repeats every block, so every factor has multiplicity > 1;
+    # a Jordan-type block with a nonzero exponent makes ker P(A) too small
+    for g in gens:
+        a = linalg.to_mat(_block_diagonal([g, g]))
+        for factor, mult, sub in rational_primary_decomposition(a):
+            assert mult > 1
+            assert sub == full_power_kernel(factor, mult, a)

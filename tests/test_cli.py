@@ -323,6 +323,26 @@ def test_identity_generator_exit_one(tmp_path):
     assert run_cli("analyze", str(p)).returncode == 1
 
 
+def test_repeated_main_calls_in_one_process(tmp_path, capsys):
+    # one parser serves every call in a process, so no call may see the
+    # options of the one before it
+    from anosov_forge.cli import main
+
+    spectrum = fixture_path("spectrum_12.json")
+    out = tmp_path / "nf.json"
+    assert main(["normal-forms", spectrum, "--json", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["normal-forms", spectrum]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    cartan = fixture_path("cartan_t3.json")
+    assert main(["analyze", cartan, "--json"]) == 0
+    assert capsys.readouterr().out == run_cli("analyze", cartan, "--json").stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", cartan])
+    assert exc.value.code == 3
+    assert "the following arguments are required: --step" in capsys.readouterr().err
+
+
 def test_lift_step_below_two_exit_three():
     proc = run_cli("lift", fixture_path("cartan_t3.json"), "--step", "1")
     assert proc.returncode == 3

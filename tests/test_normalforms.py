@@ -129,17 +129,27 @@ def test_oracle_agreement_random(neg_exps, mult):
     assert got == brute_force_indices(exps)
 
 
+def test_exact_tie_is_admissible():
+    # chi_2 = chi_0 + chi_1 exactly, with common denominator 6
+    exps = [F(-1, 3), F(-1, 2), F(-5, 6)]
+    spec = spectrum(exps, [1, 1, 1])
+    got = [(ix.target, ix.degrees) for ix in subresonance_indices(spec, cap=CAP)]
+    assert (2, (1, 1, 0)) in got
+    assert got == sorted(brute_force_indices(exps))
+
+
 @given(
     st.lists(
-        st.fractions(min_value=-4, max_value=F(-1, 2), max_denominator=4),
+        st.fractions(min_value=-4, max_value=F(-1, 2), max_denominator=9),
         min_size=1,
         max_size=4,
         unique=True,
     ),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_pruned_search_matches_box_scan_in_order(neg_exps):
-    # targets in order, degree vectors in lexicographic order
+    # targets in order, degree vectors in lexicographic order; denominators
+    # up to 9 make the common denominator of the scaled search up to 2520
     exps = sorted(neg_exps, reverse=True)
     spec = ContractionSpectrum.build(exps, [1] * len(exps), CAP)
     got = [(ix.target, ix.degrees) for ix in subresonance_indices(spec, cap=CAP)]

@@ -25,7 +25,10 @@ one seeded rank-3 action; `analyze --json` on the T^6 actions
 diag(g, h^13) over the cartan_t3 generators g, for h = g and h = g^-T
 (the corpus's one certified ratio other than 1); the `normal-forms
 --element` calls of the perfbench `subresonance` workload, with the JSON
-on stdout: 146 calls.  Inputs come from perfbench/inputs.py and
+on stdout; the input reader's errors: `analyze` on a torus file with a 1.5
+entry and on a graded file with a "1/0" entry, `normal-forms` on a
+spectrum file with an unknown field, and `lift --step 2`, `normal-forms
+--element=1,0` and `chambers` on the step-2 lift of cartan_t3: 152 calls.  Inputs come from perfbench/inputs.py and
 perfbench/run.py and are written to a temporary directory that both trees
 read.
 """
@@ -129,6 +132,21 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
         "multiplicities": [1, 2, 1, 1],
     }
     calls.append(["normal-forms", _write(work, "spectrum-tie", tie), "--json"])
+
+    with open(cartan) as fh:
+        half = json.load(fh)
+    half["generators"][0][0] = 1.5
+    with open(graded[0]) as fh:
+        zero_den = json.load(fh)
+    zero_den["generators"][0][0] = "1/0"
+    calls += [
+        ["analyze", _write(work, "torus-1.5", half)],
+        ["analyze", _write(work, "graded-1-0", zero_den)],
+        ["normal-forms", _write(work, "spectrum-unknown", {**tie, "extra": 0})],
+        ["lift", graded[0], "--step", "2"],
+        ["normal-forms", graded[0], "--element=1,0"],
+        ["chambers", graded[0]],
+    ]
 
     def both(name: str, doc: dict) -> None:
         path = _write(work, name, doc)

@@ -46,16 +46,16 @@ def _frac(x, field: str) -> Fraction:
     raise InputError(f"{field}: expected an integer or 'p/q' string, got {x!r}")
 
 
+def _int(x, field: str) -> int:
+    if not _is_int(x):
+        raise InputError(f"{field}: entries must be integers")
+    return x
+
+
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
     extra = sorted(set(obj) - allowed)
     if extra:
         raise InputError(f"{where}: unknown field(s) {', '.join(extra)}")
-
-
-def _unflatten(flat, dim: int, field: str):
-    if not isinstance(flat, list) or len(flat) != dim * dim:
-        raise InputError(f"{field}: expected a row-major array of {dim * dim} entries")
-    return [flat[r * dim : (r + 1) * dim] for r in range(dim)]
 
 
 OPTION_FIELDS = {"precision_cap_bits"}
@@ -73,25 +73,43 @@ def _parse_options(doc: dict, path: str) -> int:
     return opts.get("precision_cap_bits", DEFAULT_CAP)
 
 
-def _read_json(path: str):
+def _read_document(path: str) -> dict:
+    """The JSON object in the file, whose schema_version must be 1."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: top level must be an object")
+    if not _is_int(doc.get("schema_version")) or doc["schema_version"] != 1:
+        raise InputError(f"{path}: schema_version must be 1")
+    return doc
+
+
+def _generators(doc: dict, dim: int, path: str, entry) -> list:
+    """The `generators` array, each a row-major array of dim x dim entries,
+    as matrices; `entry(value, field)` reads each entry."""
+    gens_raw = doc.get("generators")
+    if not isinstance(gens_raw, list) or not gens_raw:
+        raise InputError(f"{path}: generators must be a non-empty array")
+    gens = []
+    for gi, flat in enumerate(gens_raw):
+        field = f"{path}: generators[{gi}]"
+        if not isinstance(flat, list) or len(flat) != dim * dim:
+            raise InputError(f"{field}: expected a row-major array of {dim * dim} entries")
+        rows = [flat[r * dim : (r + 1) * dim] for r in range(dim)]
+        gens.append([[entry(v, field) for v in row] for row in rows])
+    return gens
 
 
 def load_action_file_with_options(path: str):
     """Parse an ActionFile; returns (action, precision cap in bits).
 
     The cap is the file's embedded `precision_cap_bits`, or DEFAULT_CAP."""
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: top level must be an object")
-    if not _is_int(doc.get("schema_version")) or doc["schema_version"] != 1:
-        raise InputError(f"{path}: schema_version must be 1")
+    doc = _read_document(path)
     kind = doc.get("kind")
     cap = _parse_options(doc, path)
     name = doc.get("name", "")
@@ -106,19 +124,7 @@ def load_action_file_with_options(path: str):
         dim = doc.get("dim")
         if not _is_int(dim) or dim < 1:
             raise InputError(f"{path}: dim must be a positive integer")
-        gens_raw = doc.get("generators")
-        if not isinstance(gens_raw, list) or not gens_raw:
-            raise InputError(f"{path}: generators must be a non-empty array")
-        gens = []
-        for gi, flat in enumerate(gens_raw):
-            mat = _unflatten(flat, dim, f"{path}: generators[{gi}]")
-            for row in mat:
-                for v in row:
-                    if not _is_int(v):
-                        raise InputError(
-                            f"{path}: generators[{gi}]: entries must be integers"
-                        )
-            gens.append(mat)
+        gens = _generators(doc, dim, path, _int)
         rank = doc.get("rank")
         if rank is not None and (not _is_int(rank) or rank != len(gens)):
             raise InputError(
@@ -146,7 +152,6 @@ def load_action_file_with_options(path: str):
             raise InputError(
                 f"{path}: grading must list the graded component dimensions"
             )
-        dim = sum(grading)
         sc_raw = doc.get("structure_constants", [])
         if not isinstance(sc_raw, list):
             raise InputError(f"{path}: structure_constants must be an array")
@@ -162,20 +167,17 @@ def load_action_file_with_options(path: str):
                     f"{path}: structure_constants[{qi}]: indices must be integers"
                 )
             sc.append((a, b, c, _frac(val, f"{path}: structure_constants[{qi}]")))
-        gens_raw = doc.get("generators")
-        if not isinstance(gens_raw, list) or not gens_raw:
-            raise InputError(f"{path}: generators must be a non-empty array")
-        gens = []
-        for gi, flat in enumerate(gens_raw):
-            mat = _unflatten(flat, dim, f"{path}: generators[{gi}]")
-            gens.append(
-                [
-                    [_frac(v, f"{path}: generators[{gi}]") for v in row]
-                    for row in mat
-                ]
-            )
+        gens = _generators(doc, sum(grading), path, _frac)
         return validate_graded(grading, sc, gens, name=name), cap
     raise InputError(f"{path}: kind must be 'torus' or 'graded'")
+
+
+def _torus_action(path: str, command: str):
+    """(action, cap) of an action file, which must be a torus action."""
+    obj, cap = load_action_file_with_options(path)
+    if isinstance(obj, GradedAlgebraAction):
+        raise InputError(f"{path}: {command} requires a torus action")
+    return obj, cap
 
 
 def graded_action_file(g: GradedAlgebraAction) -> dict:
@@ -271,29 +273,19 @@ def cmd_chambers(args) -> int:
             raise RankUnsupported(obj.rank)
         _emit(chambers_svg(classes, chambers), args.out)
     else:
-        _emit(
-            json.dumps(chambers_json(classes, chambers), indent=2, sort_keys=True)
-            + "\n",
-            args.out,
-        )
+        _emit(report_to_json(chambers_json(classes, chambers)), args.out)
     return EXIT_TRUE
 
 
 def cmd_lift(args) -> int:
     from .freenil import free_nilpotent_lift
 
-    obj, cap = load_action_file_with_options(args.file)
-    if isinstance(obj, GradedAlgebraAction):
-        raise InputError(f"{args.file}: lift requires a torus action")
+    obj, cap = _torus_action(args.file, "lift")
     if args.step < 2:
         raise InputError(f"lift step must be at least 2, got {args.step}")
     lift = free_nilpotent_lift(obj, args.step)
     if args.out:
-        _emit(
-            json.dumps(graded_action_file(lift), indent=2, sort_keys=True)
-            + "\n",
-            args.out,
-        )
+        _emit(report_to_json(graded_action_file(lift)), args.out)
     rep = audit_action(lift.action, cap)
     rep["kind"] = "free_nilpotent_lift"
     rep["step"] = lift.step
@@ -318,13 +310,13 @@ def cmd_normal_forms(args) -> int:
     from .weyl import coarse_classes, lyapunov_data, stable_set
 
     cap = DEFAULT_CAP
-    doc = _read_json(args.file)
-    if isinstance(doc, dict) and doc.get("kind") == "spectrum":
+    doc = _read_document(args.file)
+    if doc.get("kind") == "spectrum":
+        if args.element is not None:
+            raise InputError("--element: applies to action files, not to a spectrum")
         _reject_unknown(
             doc, {"schema_version", "kind", "exponents", "multiplicities"}, args.file
         )
-        if not _is_int(doc.get("schema_version")) or doc["schema_version"] != 1:
-            raise InputError(f"{args.file}: schema_version must be 1")
         exps = doc.get("exponents")
         if not isinstance(exps, list):
             raise InputError(f"{args.file}: exponents must be an array")
@@ -338,9 +330,7 @@ def cmd_normal_forms(args) -> int:
             raise InputError(
                 "--element is required when the input is an action file"
             )
-        obj, cap = load_action_file_with_options(args.file)
-        if isinstance(obj, GradedAlgebraAction):
-            raise InputError(f"{args.file}: normal-forms requires a torus action")
+        obj, cap = _torus_action(args.file, "normal-forms")
         b = _parse_element(args.element, obj.rank)
         classes = coarse_classes(lyapunov_data(obj), cap)
         stable = stable_set(classes, b, cap)
@@ -368,7 +358,7 @@ def cmd_normal_forms(args) -> int:
         ],
         "sr_group_dimension": _dimension(spec, indices),
     }
-    _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.json or None)
+    _emit(report_to_json(out), args.json or None)
     return EXIT_TRUE
 
 

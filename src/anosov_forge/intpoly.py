@@ -19,14 +19,15 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import EndpointRoot
-from .zassenhaus import exact_quotient, factor_squarefree, gcd_mod
-
-
-def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+from .zassenhaus import (
+    exact_quotient,
+    factor_squarefree,
+    gcd_mod,
+    primitive,
+    trim,
+    zadd,
+    zmul,
+)
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int]):
-        object.__setattr__(self, "coeffs", _strip([int(c) for c in coeffs]))
+        object.__setattr__(self, "coeffs", tuple(trim([int(c) for c in coeffs])))
 
     # -- basic structure ------------------------------------------------
     @property
@@ -63,17 +64,9 @@ class IntPolynomial:
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def content(self) -> int:
-        return math.gcd(*[abs(c) for c in self.coeffs]) if self.coeffs else 0
-
     def primitive(self) -> "IntPolynomial":
         """Divide by content and normalise the leading coefficient positive."""
-        if self.is_zero:
-            return self
-        g = self.content()
-        if self.leading < 0:
-            g = -g
-        return IntPolynomial([c // g for c in self.coeffs])
+        return IntPolynomial(primitive(self.coeffs)) if self.coeffs else self
 
     def reciprocal(self) -> "IntPolynomial":
         """x^deg * p(1/x)."""
@@ -90,19 +83,10 @@ class IntPolynomial:
 
     # -- arithmetic ------------------------------------------------------
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(zmul(self.coeffs, other.coeffs))
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return IntPolynomial([u + v for u, v in zip(a, b)])
+        return IntPolynomial(zadd(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial([-c for c in self.coeffs])
@@ -147,14 +131,14 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         if c:
             for i in range(n):
                 r[k - n + i] -= c * b[i]
-    return list(_strip(r))
+    return trim(r)
 
 
 def _coprime_mod_prime(a: Sequence[int], b: Sequence[int]) -> bool:
     """True when a and b are coprime modulo _GCD_PRIME, which does not
     divide lc(a): then they are coprime over Q."""
     p = _GCD_PRIME
-    bp = list(_strip([c % p for c in b]))
+    bp = trim([c % p for c in b])
     if a[-1] % p == 0 or not bp:
         return False
     return len(gcd_mod([c % p for c in a], bp, p)) == 1
@@ -374,7 +358,8 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
-def _safe_endpoint(p: IntPolynomial, v: Fraction, step: Fraction) -> Fraction:
+def safe_endpoint(p: IntPolynomial, v: Fraction, step: Fraction) -> Fraction:
+    """The first of v, v + step, v + 2 step, ... that is not a root of p."""
     while sign_at(p.coeffs, v) == 0:
         v += step
     return v
@@ -389,8 +374,8 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     if p.degree < 1:
         return []
     bound = cauchy_root_bound(p)
-    lo = _safe_endpoint(p, -bound, Fraction(-1, 7))
-    hi = _safe_endpoint(p, bound, Fraction(1, 7))
+    lo = safe_endpoint(p, -bound, Fraction(-1, 7))
+    hi = safe_endpoint(p, bound, Fraction(1, 7))
     total = sturm_count(p, lo, hi)
     out: list[tuple[Fraction, Fraction]] = []
 
@@ -400,7 +385,7 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
         if count == 1:
             out.append((a, b))
             return
-        mid = _safe_endpoint(p, (a + b) / 2, (b - a) / 257)
+        mid = safe_endpoint(p, (a + b) / 2, (b - a) / 257)
         left = sturm_count(p, a, mid)
         recurse(a, mid, left)
         recurse(mid, b, count - left)

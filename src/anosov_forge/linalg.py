@@ -68,7 +68,7 @@ def is_zero_mat(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def _integral(a) -> tuple[list[list[int]], int]:
+def integral(a) -> tuple[list[list[int]], int]:
     """(B, den) with A = B / den, den the common denominator of A."""
     den = math.lcm(*(x.denominator for row in a for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
@@ -80,7 +80,7 @@ def det(a: Mat) -> Fraction:
     column, by the pivot over the previous one; these factors telescope, so
     the row keeps the pivot it was last updated at and is rescaled once."""
     n = len(a)
-    m, den = _integral(a)
+    m, den = integral(a)
     level = [1] * n  # the pivot each row was last updated at
     sign, prev = 1, 1
     for k in range(n):
@@ -224,7 +224,7 @@ def charpoly(a: Mat) -> IntPolynomial:
     det(x I - A) = sum_k e[k] den^-k x^(n-k) for e the Berkowitz
     coefficients of den * A.
     """
-    b, den = _integral(a)
+    b, den = integral(a)
     e = _berkowitz(b)
     coeffs = []
     for k, c in enumerate(e):
@@ -241,7 +241,7 @@ def poly_at_matrix(p: IntPolynomial, a: Mat) -> Mat:
     n = len(a)
     if p.is_zero:
         return zeros(n, n)
-    b, den = _integral(a)
+    b, den = integral(a)
     h = [[p.leading * (i == j) for j in range(n)] for i in range(n)]
     scale = 1
     for c in reversed(p.coeffs[:-1]):

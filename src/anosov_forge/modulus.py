@@ -2,9 +2,11 @@
 
 has_unit_modulus_root decides whether some complex root of p has modulus
 one: roots on the unit circle come in reciprocal pairs, so they are roots of
-gcd(p, reciprocal p); after stripping x = +-1 that gcd is palindromic, and
-x + 1/x maps its unit-circle roots onto real roots in [-2, 2], which a Sturm
-count detects.  Everything is exact integer polynomial arithmetic.
+gcd(p, reciprocal p).  A root x = +-1 of p answers at once; otherwise that
+gcd, which divides p, has no root +-1, so being self-reciprocal it is
+palindromic of even degree, and x + 1/x maps its unit-circle roots onto real
+roots in (-2, 2), which a Sturm count detects.  Everything is exact integer
+polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -12,18 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .intpoly import IntPolynomial, poly_gcd, squarefree_part, sturm_count
-
-
-def _strip_unit_factors(g: IntPolynomial) -> IntPolynomial:
-    """Divide out every factor x - 1 and x + 1, by synthetic division."""
-    for root in (1, -1):
-        while g.degree >= 1 and g(root) == 0:
-            quotient, acc = [], 0
-            for c in reversed(g.coeffs[1:]):
-                acc = acc * root + c
-                quotient.append(acc)
-            g = IntPolynomial(reversed(quotient))
-    return g
 
 
 def _chebyshev_like_transform(g: IntPolynomial) -> IntPolynomial:
@@ -50,15 +40,15 @@ def has_unit_modulus_root(p: IntPolynomial) -> bool:
     if p(Fraction(1)) == 0 or p(Fraction(-1)) == 0:
         return True
     g = poly_gcd(p, p.reciprocal())
-    g = _strip_unit_factors(g)
     if g.degree < 1:
         return False
     if g.degree % 2 == 1 or g.coeffs != tuple(reversed(g.coeffs)):
-        # an anti-palindromic self-reciprocal factor would carry x = +-1,
-        # and those were already stripped
-        raise RuntimeError("unexpected non-palindromic self-reciprocal gcd")
+        # an odd or anti-palindromic self-reciprocal g has a root x = +-1,
+        # which g, a divisor of p, cannot have
+        raise RuntimeError("self-reciprocal gcd is not palindromic of even degree")
     h = squarefree_part(_chebyshev_like_transform(g))
     lo, hi = Fraction(-2), Fraction(2)
     if h(lo) == 0 or h(hi) == 0:
-        raise RuntimeError("unit factors were not fully stripped")
+        # h(+-2) = 0 exactly when g(+-1) = 0
+        raise RuntimeError("gcd has a root x = +-1")
     return sturm_count(h, lo, hi) > 0

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_CAP
 from .errors import InputError, PrecisionExhausted, UndecidedBoundary
+from .linalg import integral
 from .logval import LogLinearValue
 
 
@@ -89,9 +90,7 @@ def subresonance_indices(
     at the precision cap raises UndecidedBoundary.
     """
     if all(not e.terms for e in spec.exponents):
-        consts = [e.const for e in spec.exponents]
-        den = math.lcm(*(c.denominator for c in consts))
-        chis = [c.numerator * (den // c.denominator) for c in consts]
+        (chis,), _ = integral([[e.const for e in spec.exponents]])
         start = 0
 
         def below(total, chi_i) -> bool:

@@ -22,6 +22,7 @@ from .intpoly import (
     factor_cached,
     isolate_real_roots,
     power_poly,
+    safe_endpoint,
     sign_at,
     sturm_count,
 )
@@ -90,7 +91,9 @@ class RealAlgebraic:
             for f in factors:
                 if f.degree < 1:
                     continue
-                a, b = _nudge(f, lo, hi)
+                # endpoints moved off roots of f, by steps far below the width
+                eps = (hi - lo) / 65537
+                a, b = safe_endpoint(f, lo, -eps), safe_endpoint(f, hi, eps)
                 n = sturm_count(f, a, b)
                 if n:
                     hits.append((f, n, a, b))
@@ -101,17 +104,14 @@ class RealAlgebraic:
 
     @classmethod
     def _locate(cls, poly: IntPolynomial, lo: Fraction, hi: Fraction) -> "RealAlgebraic":
-        """poly irreducible; (lo, hi) contains exactly one of its real roots."""
-        iso = _isolations(poly.coeffs)
-        for idx, (a, b) in enumerate(iso):
-            # the unique root in (lo, hi) is the unique root in (a, b) iff the
-            # overlapped window still counts one root
-            lo2, hi2 = max(lo, a), min(hi, b)
-            if lo2 < hi2:
-                a2, b2 = _nudge(poly, lo2, hi2)
-                if sturm_count(poly, a2, b2) == 1:
-                    return cls(poly, idx)
-        raise ValueError("enclosure does not match any canonical root interval")
+        """poly irreducible; (lo, hi) contains exactly one of its real roots,
+        and lo is not a root.
+
+        Every real root lies above the lower end `first` of the first
+        canonical interval, so the index of the root is the number of roots
+        in (first, lo)."""
+        first = _isolations(poly.coeffs)[0][0]
+        return cls(poly, sturm_count(poly, first, lo) if lo > first else 0)
 
     # -- rationality -------------------------------------------------------
     @property
@@ -215,24 +215,15 @@ def _interval_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
     return min(products), max(products)
 
 
-def _nudge(p: IntPolynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Move endpoints off roots of p without leaving (lo-eps, hi+eps) wide."""
-    eps = (hi - lo) / 65537
-    while sign_at(p.coeffs, lo) == 0:
-        lo -= eps
-    while sign_at(p.coeffs, hi) == 0:
-        hi += eps
-    return lo, hi
-
-
 def _halvings(width: Fraction, bits: int) -> int:
-    """Least m >= 0 with width / 2^m <= 2^-bits."""
+    """Least m >= 0 with width / 2^m <= 2^-bits.
+
+    With k the difference of the bit lengths of num = width 2^bits and den,
+    2^(k-1) < num/den < 2^(k+1): m is k or k + 1, or 0 when k < 0."""
     num, den = width.numerator << bits, width.denominator
     m = max(0, num.bit_length() - den.bit_length())
-    while num > den << m:
+    if num > den << m:
         m += 1
-    while m and num <= den << (m - 1):
-        m -= 1
     return m
 
 

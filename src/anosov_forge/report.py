@@ -179,6 +179,8 @@ def audit_graded(g: GradedAlgebraAction, cap: int = DEFAULT_CAP) -> dict:
 
 
 def report_to_json(report: dict) -> str:
+    """The text of every JSON document the command line writes: reports,
+    chamber arrangements, normal forms and lifted ActionFiles."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 

@@ -164,8 +164,7 @@ def _cyclic_generator(
         factors = factor_cached(linalg.charpoly(c))
         r = sum(p.degree for p, _ in factors)
         # Krylov vectors of the integer matrix B = den*C: B^i e_j = den^i C^i e_j
-        den = math.lcm(*(x.denominator for row in c for x in row))
-        b = [[int(x * den) for x in row] for row in c]
+        b, den = linalg.integral(c)
         rows: list[list[Fraction]] = []
         rhs: list[list[Fraction]] = [[] for _ in semis]
         krylov: list[list[int]] = []
@@ -452,8 +451,7 @@ def _rounded_integer_witness(x, predicate) -> tuple[int, ...]:
 
 
 def _integer_scale(vec: list[Fraction]) -> tuple[int, ...]:
-    den = math.lcm(*[v.denominator for v in vec])
-    ints = [int(v * den) for v in vec]
+    (ints,), _ = linalg.integral([vec])
     g = math.gcd(*ints)
     if g:
         ints = [v // g for v in ints]

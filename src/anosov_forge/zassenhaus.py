@@ -39,7 +39,8 @@ def _primes():
 # -- polynomials over F_p ---------------------------------------------------
 
 
-def _trim(a: list[int]) -> list[int]:
+def trim(a: list[int]) -> list[int]:
+    """a without its trailing zeros, in place."""
     while a and not a[-1]:
         a.pop()
     return a
@@ -51,18 +52,11 @@ def _sub(a: list[int], b: list[int], p: int) -> list[int]:
     out = list(a)
     for i, c in enumerate(b):
         out[i] = (out[i] - c) % p
-    return _trim(out)
+    return trim(out)
 
 
 def _mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([c % p for c in out])
+    return _reduce(zmul(a, b), p)
 
 
 def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -79,7 +73,7 @@ def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
             q[k - n] = c
             for i in range(n):
                 r[k - n + i] -= c * b[i]
-    return q, _trim([x % p for x in r[:n]])
+    return q, trim([x % p for x in r[:n]])
 
 
 def _monic(a: list[int], p: int) -> list[int]:
@@ -140,7 +134,7 @@ def _frobenius(h: list[int], rows: list[list[int]], p: int) -> list[int]:
         if c:
             for i, v in enumerate(row):
                 out[i] += c * v
-    return _trim([x % p for x in out])
+    return trim([x % p for x in out])
 
 
 def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
@@ -168,7 +162,7 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
         return [g]
     e = (p**d - 1) // 2
     while True:
-        a = _trim([rng.randrange(p) for _ in range(n)])
+        a = trim([rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
         h = gcd_mod(g, _sub(_powmod(a, e, g, p), [1], p), p)
@@ -180,7 +174,8 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
 # -- Hensel lifting and recombination over Z ---------------------------------
 
 
-def _zmul(a: list[int], b: list[int]) -> list[int]:
+def zmul(a: list[int], b: list[int]) -> list[int]:
+    """The product a b in Z[x]."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
@@ -189,7 +184,8 @@ def _zmul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _zadd(*polys: list[int]) -> list[int]:
+def zadd(*polys: list[int]) -> list[int]:
+    """The sum of the polys in Z[x]."""
     out = [0] * max(len(a) for a in polys)
     for a in polys:
         for i, c in enumerate(a):
@@ -198,7 +194,7 @@ def _zadd(*polys: list[int]) -> list[int]:
 
 
 def _reduce(a: list[int], m: int) -> list[int]:
-    return _trim([c % m for c in a])
+    return trim([c % m for c in a])
 
 
 def _divmod_monic(a: list[int], h: list[int]) -> tuple[list[int], list[int]]:
@@ -221,14 +217,14 @@ def _hensel_step(m, f, g, h, s, t):
     """From f = g h and s g + t h = 1 mod m, with h monic, the same
     relations mod m^2 (von zur Gathen-Gerhard, Algorithm 15.10)."""
     mm = m * m
-    e = _reduce(_zadd(f, [-c for c in _zmul(g, h)]), mm)
-    q, r = _divmod_monic(_reduce(_zmul(s, e), mm), h)
-    g1 = _reduce(_zadd(g, _zmul(t, e), _zmul(q, g)), mm)
-    h1 = _reduce(_zadd(h, r), mm)
-    b = _reduce(_zadd(_zmul(s, g1), _zmul(t, h1), [-1]), mm)
-    c, d = _divmod_monic(_reduce(_zmul(s, b), mm), h1)
-    s1 = _reduce(_zadd(s, [-x for x in d]), mm)
-    t1 = _reduce(_zadd(t, [-x for x in _zmul(t, b)], [-x for x in _zmul(c, g1)]), mm)
+    e = _reduce(zadd(f, [-c for c in zmul(g, h)]), mm)
+    q, r = _divmod_monic(_reduce(zmul(s, e), mm), h)
+    g1 = _reduce(zadd(g, zmul(t, e), zmul(q, g)), mm)
+    h1 = _reduce(zadd(h, r), mm)
+    b = _reduce(zadd(zmul(s, g1), zmul(t, h1), [-1]), mm)
+    c, d = _divmod_monic(_reduce(zmul(s, b), mm), h1)
+    s1 = _reduce(zadd(s, [-x for x in d]), mm)
+    t1 = _reduce(zadd(t, [-x for x in zmul(t, b)], [-x for x in zmul(c, g1)]), mm)
     return g1, h1, s1, t1
 
 
@@ -253,7 +249,8 @@ def _hensel_lift(f: list[int], factors: list[list[int]], p: int, pl: int) -> lis
     return _hensel_lift(g, factors[:k], p, pl) + _hensel_lift(h, factors[k:], p, pl)
 
 
-def _primitive(a: list[int]) -> list[int]:
+def primitive(a: list[int]) -> list[int]:
+    """a over its content, with a positive leading coefficient (a != 0)."""
     g = math.gcd(*a)
     if a[-1] < 0:
         g = -g
@@ -300,8 +297,8 @@ def _recombine(f: list[int], lifted: list[list[int]], pl: int, allowed: int) -> 
                 continue
             g = [lc]
             for i in subset:
-                g = _reduce(_zmul(g, lifted[i]), pl)
-            g = _primitive([c - pl if c > half else c for c in g])
+                g = _reduce(zmul(g, lifted[i]), pl)
+            g = primitive([c - pl if c > half else c for c in g])
             q = exact_quotient(f, g)
             if q is not None:
                 out.append(g)
@@ -329,7 +326,7 @@ def factor_squarefree(f: list[int]) -> list[list[int]]:
         if f[-1] % p == 0:
             continue
         fp = _monic([c % p for c in f], p)
-        dfp = _trim([i * c % p for i, c in enumerate(fp)][1:])
+        dfp = trim([i * c % p for i, c in enumerate(fp)][1:])
         if len(gcd_mod(fp, dfp, p)) > 1:
             continue
         ddf = _distinct_degree(fp, p)

@@ -586,6 +586,15 @@ def _cartan_entry_true():
         ("chambers", {**_cartan_doc(), "name": [1]}, "name"),
         ("analyze", {**_graded_doc(), "name": {}}, "name"),
         ("chambers", {**_graded_doc(), "name": {}}, "name"),
+        # the file's header is read before --element is asked for, and
+        # before unknown fields
+        ("normal-forms", [1], "top level must be an object"),
+        ("normal-forms", {**_cartan_doc(), "schema_version": 2}, "schema_version"),
+        (
+            "normal-forms",
+            {**_spectrum_doc(["-1"], [1]), "schema_version": 2, "extra": 0},
+            "schema_version",
+        ),
     ],
 )
 def test_ill_typed_json_exit_three(tmp_path, command, doc, named):
@@ -596,3 +605,126 @@ def test_ill_typed_json_exit_three(tmp_path, command, doc, named):
     assert proc.returncode == 3
     assert proc.stderr.startswith(f"error: {p}: ")
     assert named in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def cartan_lift_file(tmp_path_factory):
+    """The graded ActionFile that `lift --step 2 --out` writes for cartan_t3."""
+    path = tmp_path_factory.mktemp("lift") / "cartan-lift2.json"
+    proc = run_cli("lift", fixture_path("cartan_t3.json"), "--step", "2", "--out", str(path))
+    assert proc.returncode in (0, 1)
+    return path
+
+
+def _heisenberg_text(**changes):
+    return json.dumps({**_graded_doc(), **changes})
+
+
+def _heisenberg_entry(value):
+    return _heisenberg_text(generators=[[value, "1", "0", "1", "0", "0", "0", "0", "-1"]])
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, stderr",
+    [
+        (
+            ["analyze"],
+            "{",
+            3,
+            "error: {p}: invalid JSON (Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1))",
+        ),
+        (
+            ["analyze"],
+            _heisenberg_entry("1/0"),
+            3,
+            "error: {p}: generators[0]: expected an integer or 'p/q' string, got '1/0'",
+        ),
+        (
+            ["analyze"],
+            _heisenberg_text(structure_constants=[[0, 1, 2, "x"]]),
+            3,
+            "error: {p}: structure_constants[0]: expected an integer or 'p/q' "
+            "string, got 'x'",
+        ),
+        (
+            ["analyze"],
+            _heisenberg_text(
+                structure_constants=[[0, 1, 2, 1]],
+                generators=[[1, 1, 0, 1, 0, 0, 0, 0, -1]],
+            ),
+            1,
+            "",
+        ),
+        (
+            ["analyze"],
+            _heisenberg_text(grading=[2, -1]),
+            3,
+            "error: {p}: grading must list the graded component dimensions",
+        ),
+        (
+            ["analyze"],
+            _heisenberg_text(grading=3),
+            3,
+            "error: {p}: grading must list the graded component dimensions",
+        ),
+        (
+            ["analyze"],
+            _heisenberg_text(structure_constants=[[0, 1, 2]]),
+            3,
+            "error: {p}: structure_constants[0] must be [a, b, c, value]",
+        ),
+        (
+            ["analyze"],
+            _heisenberg_entry("1/2"),
+            3,
+            "error: generators: generator 0 is not integral on the lattice basis",
+        ),
+        (
+            ["normal-forms"],
+            json.dumps(_cartan_doc()),
+            3,
+            "error: --element is required when the input is an action file",
+        ),
+        (["chambers"], None, 0, ""),
+        (["lift", "--step", "2"], None, 3, "error: {p}: lift requires a torus action"),
+        (
+            ["normal-forms", "--element=1,0"],
+            None,
+            3,
+            "error: {p}: normal-forms requires a torus action",
+        ),
+    ],
+    ids=[
+        "invalid-json",
+        "graded-entry-zero-denominator",
+        "bracket-value-x",
+        "graded-integer-entries",
+        "negative-grading",
+        "grading-not-a-list",
+        "bracket-of-three",
+        "graded-entry-one-half",
+        "action-without-element",
+        "chambers-graded",
+        "lift-graded",
+        "normal-forms-graded",
+    ],
+)
+def test_reader_error_lines(tmp_path, cartan_lift_file, argv, text, code, stderr):
+    # text None: the step-2 lift of cartan_t3, a graded file
+    if text is None:
+        p = cartan_lift_file
+    else:
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+    proc = run_cli(argv[0], str(p), *argv[1:])
+    assert proc.returncode == code
+    assert proc.stderr == (stderr.format(p=p) + "\n" if stderr else "")
+
+
+def test_normal_forms_spectrum_rejects_element():
+    # an option that is accepted and never read is an input error
+    proc = run_cli("normal-forms", fixture_path("spectrum_12.json"), "--element=garbage")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: --element:")
+    assert proc.stdout == ""

@@ -50,6 +50,14 @@ def test_multiplicative_cancellation():
     assert v.is_exactly_zero()
 
 
+def test_sign_of_a_multiplicative_cancellation_is_zero():
+    # two terms that no interval separates from 0: sign() settles it by
+    # the exact test
+    v = LogLinearValue.half_log(phi_sq()) + LogLinearValue.half_log(phi_inv_sq())
+    assert len(v.terms) == 2
+    assert v.sign() == 0
+
+
 def theta_sq() -> RealAlgebraic:
     # theta = 2 cos(2 pi / 9), the largest root of x^3 - 3x + 1, in (1, 2)
     theta = RealAlgebraic.from_enclosure(

@@ -21,6 +21,28 @@ def golden() -> RealAlgebraic:
     )
 
 
+@pytest.mark.parametrize(
+    "lo, hi, index",
+    [
+        (Fraction(-5), Fraction(-1), 0),
+        (Fraction(-2), Fraction(1, 4), 0),
+        (Fraction(-1), Fraction(1), 1),
+        (Fraction(1, 4), Fraction(3, 2), 1),
+        (Fraction(1, 2), Fraction(5, 2), 2),
+    ],
+)
+def test_enclosure_across_canonical_intervals(lo, hi, index):
+    # x^3 - 3x + 1 has roots near -1.88, 0.35 and 1.53, isolated in
+    # (-4, 0), (0, 1) and (1, 2); each enclosure holds one root and,
+    # except the first, meets two of those intervals
+    p = IntPolynomial((1, -3, 0, 1))
+    assert realalg._isolations(p.coeffs) == ((-4, 0), (0, 1), (1, 2))
+    r = RealAlgebraic.from_enclosure(p, lambda bits: (lo, hi))
+    assert r.index == index
+    a, b = r.interval(64)
+    assert lo < a <= b < hi
+
+
 def test_rational_roundtrip():
     x = RealAlgebraic.from_rational(Fraction(3, 7))
     assert x.is_rational

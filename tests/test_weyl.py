@@ -22,8 +22,10 @@ from anosov_forge.cli import load_action_file_with_options
 from anosov_forge.config import DEFAULT_CAP, INITIAL_BITS
 from anosov_forge.errors import NotAnosovAction, NotTNS, SingularElement
 from anosov_forge.freenil import free_nilpotent_lift
+from anosov_forge.intpoly import IntPolynomial
 from anosov_forge.logval import LogLinearValue
 from anosov_forge.lp import maximize
+from anosov_forge.realalg import RealAlgebraic
 from anosov_forge.report import audit_action
 from anosov_forge.weyl import (
     _proportionality,
@@ -86,6 +88,28 @@ def test_cartan_lyapunov_data(cartan_action):
         for f in fs[1:]:
             total = total + f.values[coord].scale(f.multiplicity)
         assert total.is_exactly_zero()
+
+
+def test_functionals_that_need_a_combined_cyclic_generator():
+    # On T^4, (A + A, A + A^-1) with A = [[2, 1], [1, 1]]: both generators
+    # have charpoly (x^2 - 3x + 1)^2, so neither generates the algebra and
+    # the cyclic generator is a combination (g1 + 2 g2; g1 + g2 has the
+    # double eigenvalue 3).  L = log phi^2, the larger eigenvalue of A.
+    a = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]
+    b = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 2]]
+    fs = lyapunov_data(validate([a, b]))
+    phi_sq = RealAlgebraic.from_enclosure(
+        IntPolynomial((1, -3, 1)), lambda bits: (Fraction(2), Fraction(3))
+    )
+    big_l = LogLinearValue.half_log(phi_sq).scale(2)
+    signs = []
+    for f in fs:
+        assert f.multiplicity == 1
+        pair = tuple(1 if v.sign() > 0 else -1 for v in f.values)
+        for s, v in zip(pair, f.values):
+            assert (v - big_l.scale(s)).sign() == 0
+        signs.append(pair)
+    assert sorted(signs) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
 def test_multiplicity_sums_to_dimension(fibonacci_action, cartan_action):

@@ -21,16 +21,18 @@ exact linear algebra of the joint components dominates);
 `analyze --json` and `chambers` on the seeded spectral pairs of
 perfbench seeds 1-4, on cartan_t4 (embedded 128-bit cap and default cap),
 the dependent pair (A, A^2), the coplanar action (A, A - I, A(A - I)) and
-one seeded rank-3 action; `analyze --json` on the T^6 actions
+one seeded rank-3 action; `analyze --json` on the dependent pair with
+embedded caps of 256 and 1024 bits, refined to those caps and undecided
+there; `analyze --json` on the T^6 actions
 diag(g, h^13) over the cartan_t3 generators g, for h = g and h = g^-T
 (the corpus's one certified ratio other than 1); the `normal-forms
 --element` calls of the perfbench `subresonance` workload, with the JSON
 on stdout; the input reader's errors: `analyze` on a torus file with a 1.5
 entry and on a graded file with a "1/0" entry, `normal-forms` on a
 spectrum file with an unknown field, and `lift --step 2`, `normal-forms
---element=1,0` and `chambers` on the step-2 lift of cartan_t3: 152 calls.  Inputs come from perfbench/inputs.py and
-perfbench/run.py and are written to a temporary directory that both trees
-read.
+--element=1,0` and `chambers` on the step-2 lift of cartan_t3: 154 calls.
+Inputs come from perfbench/inputs.py and perfbench/run.py and are written
+to a temporary directory that both trees read.
 """
 
 from __future__ import annotations
@@ -159,7 +161,12 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
     both("cartan-t4-cap128", t4.document())
     t4.options = None
     both("cartan-t4", t4.document())
-    both("dependent-pair", inputs.dependent_pair().document())
+    pair = inputs.dependent_pair()
+    both("dependent-pair", pair.document())
+    for cap in (256, 1024):
+        pair.options = {"precision_cap_bits": cap}
+        path = _write(work, f"dependent-pair-cap{cap}", pair.document())
+        calls.append(["analyze", path, "--json"])
     coplanar = inputs.polynomial_action(
         "coplanar", inputs.CARTAN_P, [[0, 1], [-1, 1], [0, -1, 1]],
         options={"precision_cap_bits": 128},

@@ -105,11 +105,13 @@ def _generators(doc: dict, dim: int, path: str, entry) -> list:
     return gens
 
 
-def load_action_file_with_options(path: str):
+def load_action_file_with_options(path: str, doc: dict | None = None):
     """Parse an ActionFile; returns (action, precision cap in bits).
 
-    The cap is the file's embedded `precision_cap_bits`, or DEFAULT_CAP."""
-    doc = _read_document(path)
+    The cap is the file's embedded `precision_cap_bits`, or DEFAULT_CAP.
+    `doc` is the file's document when the caller has already read it."""
+    if doc is None:
+        doc = _read_document(path)
     kind = doc.get("kind")
     cap = _parse_options(doc, path)
     name = doc.get("name", "")
@@ -168,13 +170,16 @@ def load_action_file_with_options(path: str):
                 )
             sc.append((a, b, c, _frac(val, f"{path}: structure_constants[{qi}]")))
         gens = _generators(doc, sum(grading), path, _frac)
-        return validate_graded(grading, sc, gens, name=name), cap
+        try:
+            return validate_graded(grading, sc, gens, name=name), cap
+        except InputError as exc:
+            raise InputError(str(exc), field=path) from exc
     raise InputError(f"{path}: kind must be 'torus' or 'graded'")
 
 
-def _torus_action(path: str, command: str):
+def _torus_action(path: str, command: str, doc: dict | None = None):
     """(action, cap) of an action file, which must be a torus action."""
-    obj, cap = load_action_file_with_options(path)
+    obj, cap = load_action_file_with_options(path, doc)
     if isinstance(obj, GradedAlgebraAction):
         raise InputError(f"{path}: {command} requires a torus action")
     return obj, cap
@@ -330,7 +335,7 @@ def cmd_normal_forms(args) -> int:
             raise InputError(
                 "--element is required when the input is an action file"
             )
-        obj, cap = _torus_action(args.file, "normal-forms")
+        obj, cap = _torus_action(args.file, "normal-forms", doc)
         b = _parse_element(args.element, obj.rank)
         classes = coarse_classes(lyapunov_data(obj), cap)
         stable = stable_set(classes, b, cap)

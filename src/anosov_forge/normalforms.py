@@ -51,12 +51,29 @@ class ContractionSpectrum:
             raise InputError("exponents and multiplicities must align")
         if any(m < 1 for m in mults):
             raise InputError("multiplicities must be positive")
-        for v in vals:
-            if _sign(v, cap) >= 0:
-                raise InputError("exponents must be strictly negative")
-        for a, b in zip(vals, vals[1:]):
-            if _sign(a - b, cap) <= 0:
-                raise InputError("exponents must be strictly decreasing")
+        if all(not v.terms for v in vals):
+            # a rational spectrum is checked by Fraction comparisons
+            chis = [v.const for v in vals]
+
+            def negative(x) -> bool:
+                return x < 0
+
+            def above(a, b) -> bool:
+                return a > b
+
+        else:
+            chis = vals
+
+            def negative(x) -> bool:
+                return _sign(x, cap) < 0
+
+            def above(a, b) -> bool:
+                return _sign(a - b, cap) > 0
+
+        if not all(negative(x) for x in chis):
+            raise InputError("exponents must be strictly negative")
+        if not all(above(a, b) for a, b in zip(chis, chis[1:])):
+            raise InputError("exponents must be strictly decreasing")
         return cls(vals, mults)
 
     @property

@@ -2,11 +2,13 @@
 
 Everything here returns rational (Fraction) bounds that provably contain the
 true value; mpmath supplies fast approximations, the certification is exact.
-Interval logs are directed-rounding libmp bounds, memoised per endpoint
-pair and working precision.  Root disks use the Newton inclusion radius
-d*|f(z)/f'(z)|, evaluated exactly at the mpmath approximations, which are
-computed only a few dozen bits past the requested accuracy; square roots
-are rounded on the requested grid.
+Interval logs are directed-rounding libmp bounds, each moved two units in
+the last place outward, at a working precision of 16 bits past the larger
+of the requested bits and the cell's own -log2(hi - lo); they are memoised
+per endpoint pair and working precision.  Root disks use the Newton
+inclusion radius d*|f(z)/f'(z)|, evaluated exactly at the mpmath
+approximations, which are computed only a few dozen bits past the
+requested accuracy; square roots are rounded on the requested grid.
 """
 
 from __future__ import annotations
@@ -48,27 +50,49 @@ def sqrt_bounds(v: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 
 
 def log_interval(lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of [log lo, log hi] for 0 < lo <= hi."""
+    """Certified enclosure of [log lo, log hi] for 0 < lo <= hi.
+
+    The working precision is 16 + max(bits, cell), with cell about
+    -log2(hi - lo), read off the bit lengths of the width (1 when
+    lo = hi).  A request for fewer bits than the cell carries gets the
+    cell's precision, not the endpoints' sizes, which are about twice the
+    cell: the result is at most (hi - lo)/lo + 2^-bits wide, and
+    log hi - log lo <= (hi - lo)/lo already."""
     if lo <= 0:
         raise ValueError("log of non-positive interval")
     # the result depends on (lo, hi, prec) alone; requests for fewer bits
-    # than the endpoints already carry meet at one prec and one memo entry
-    prec = 16 + max(
-        bits,
-        lo.numerator.bit_length() + lo.denominator.bit_length(),
-        hi.numerator.bit_length() + hi.denominator.bit_length(),
-    )
-    return _log_bounds(lo, hi, prec)
+    # than the cell meet at one prec and one memo entry
+    width = hi - lo
+    cell = width.denominator.bit_length() - width.numerator.bit_length()
+    return _log_bounds(lo, hi, 16 + max(bits, cell))
 
 
 @lru_cache(maxsize=1024)
 def _log_bounds(lo: Fraction, hi: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """log lo rounded down and log hi rounded up, each after a quotient
-    rounded the same way: the two bounds that interval division and log
-    keep, without the two they discard."""
+    """log lo rounded down and log hi rounded up at prec bits, each after
+    a quotient rounded the same way, then moved two units in the last
+    place outward.
+
+    The quotients are correctly rounded, but mpf_log rounds a fixed-point
+    approximation that is off by less than one unit in the last place, so
+    its directed rounding can land one unit on the wrong side of the log
+    (log(1 + 2^-25) at 30 to 33 bits rounds up to 2^-25 - 2^-51, below
+    it).  Two units outward cover that."""
     a = mpf_log(from_rational(lo.numerator, lo.denominator, prec, round_floor), prec, round_floor)
     b = mpf_log(from_rational(hi.numerator, hi.denominator, prec, round_ceiling), prec, round_ceiling)
-    return _raw_mpf_to_fraction(a), _raw_mpf_to_fraction(b)
+    return _outward(a, prec, -2), _outward(b, prec, 2)
+
+
+def _outward(raw, prec: int, units: int) -> Fraction:
+    """The libmp value raw plus `units` units in the last place of a
+    prec-bit mantissa; an exact zero (log 1) stays 0."""
+    sign, man, exp, bc = raw
+    if not man:
+        return Fraction(0)
+    # raw = m 2^e with m a prec-bit mantissa
+    e = exp + bc - prec
+    m = ((-man if sign else man) << (prec - bc)) + units
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 @lru_cache(maxsize=1024)

@@ -343,6 +343,27 @@ def test_repeated_main_calls_in_one_process(tmp_path, capsys):
     assert "the following arguments are required: --step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normal-forms", fixture_path("cartan_t3.json"), "--element=-1,-1"],
+        ["normal-forms", fixture_path("spectrum_12.json")],
+        ["analyze", fixture_path("cartan_t3.json"), "--json"],
+    ],
+    ids=["normal-forms-element", "normal-forms-spectrum", "analyze"],
+)
+def test_one_json_load_per_call(monkeypatch, capsys, argv):
+    # the document read to tell a spectrum from an action file is the one
+    # the action is built from
+    from anosov_forge.cli import main
+
+    loads, load = [], json.load
+    monkeypatch.setattr(json, "load", lambda fh: loads.append(fh.name) or load(fh))
+    assert main(argv) == 0
+    assert loads == [argv[1]]
+    assert json.loads(capsys.readouterr().out)
+
+
 def test_lift_step_below_two_exit_three():
     proc = run_cli("lift", fixture_path("cartan_t3.json"), "--step", "1")
     assert proc.returncode == 3
@@ -678,7 +699,7 @@ def _heisenberg_entry(value):
             ["analyze"],
             _heisenberg_entry("1/2"),
             3,
-            "error: generators: generator 0 is not integral on the lattice basis",
+            "error: {p}: generators: generator 0 is not integral on the lattice basis",
         ),
         (
             ["normal-forms"],

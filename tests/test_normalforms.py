@@ -59,6 +59,30 @@ def test_build_rejects_nondecreasing():
         spectrum([-1, -1], [1, 1])
 
 
+_fraction_lists = st.lists(
+    st.fractions(min_value=-4, max_value=1, max_denominator=6), min_size=1, max_size=6
+)
+
+
+@given(st.one_of(_fraction_lists, _fraction_lists.map(lambda xs: sorted(xs, reverse=True))))
+@settings(max_examples=200, deadline=None)
+def test_build_matches_negative_and_decreasing_reference(exps):
+    # the reference: every exponent < 0 first, then each one > the next;
+    # sorted lists reach the second check and the spectra that pass
+    mults = [1] * len(exps)
+    if not all(e < 0 for e in exps):
+        expected = "exponents must be strictly negative"
+    elif not all(a > b for a, b in zip(exps, exps[1:])):
+        expected = "exponents must be strictly decreasing"
+    else:
+        assert spectrum(exps, mults).exponents == tuple(
+            LogLinearValue.from_rational(e) for e in exps
+        )
+        return
+    with pytest.raises(InputError, match=f"^{expected}$"):
+        spectrum(exps, mults)
+
+
 def test_indices_simple_resonance():
     spec = spectrum([-1, -2], [1, 1])
     got = {(ix.target, ix.degrees) for ix in subresonance_indices(spec, cap=CAP)}

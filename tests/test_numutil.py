@@ -98,7 +98,8 @@ def test_modulus_enclosures_shrink_with_bits(p, bits):
 
 def _iv_log_interval(lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """The enclosure as mpmath.iv builds it: exact interval endpoints,
-    interval division, interval log, and the outer bound of each result."""
+    interval division, interval log, and the outer bound of each result,
+    at 16 bits past the larger of bits and either endpoint's size."""
     prec = 16 + max(
         bits,
         lo.numerator.bit_length() + lo.denominator.bit_length(),
@@ -153,11 +154,43 @@ def test_log_interval_encloses_a_log_at_four_times_the_precision(case):
     assert _log_at(hi, prec) - slack <= lb
 
 
+@pytest.mark.parametrize(
+    "lo, hi, bits",
+    [
+        (Fraction(1), 1 + Fraction(1, 1 << 25), 16),
+        # a point: 32 bits, where mpf_log rounds log(1 + 2^-25) "up" to
+        # 2^-25 - 2^-51, below it
+        (1 + Fraction(1, 1 << 25), 1 + Fraction(1, 1 << 25), 16),
+    ],
+    ids=["cell", "point"],
+)
+def test_log_interval_encloses_log_of_one_plus_two_to_the_minus_25(lo, hi, bits):
+    la, lb = log_interval(lo, hi, bits)
+    size = max(x.numerator.bit_length() + x.denominator.bit_length() for x in (lo, hi))
+    prec = 4 * (16 + max(bits, size))
+    slack = Fraction(1, 1 << (prec - 64))
+    assert la <= _log_at(lo, prec) + slack
+    assert _log_at(hi, prec) - slack <= lb
+
+
 @given(_log_cases())
 @settings(max_examples=40, deadline=None)
-def test_log_interval_matches_the_interval_arithmetic_reference(case):
+def test_log_interval_contains_the_interval_arithmetic_reference(case):
+    # mpmath.iv at the precision 16 + max(bits, size of either endpoint),
+    # about twice the cell's, lies inside the enclosure at the cell's
     lo, hi, bits = case
-    assert log_interval(lo, hi, bits) == _iv_log_interval(lo, hi, bits)
+    la, lb = log_interval(lo, hi, bits)
+    ia, ib = _iv_log_interval(lo, hi, bits)
+    assert la <= ia and ib <= lb
+
+
+@given(_log_cases())
+@settings(max_examples=40, deadline=None)
+def test_log_interval_is_no_wider_than_the_cell_and_the_request(case):
+    # log hi - log lo <= (hi - lo)/lo, and the rounding adds at most 2^-bits
+    lo, hi, bits = case
+    la, lb = log_interval(lo, hi, bits)
+    assert lb - la <= (hi - lo) / lo + Fraction(1, 1 << bits)
 
 
 @given(_log_cases())

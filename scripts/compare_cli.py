@@ -25,12 +25,17 @@ one seeded rank-3 action; `analyze --json` on the dependent pair with
 embedded caps of 256 and 1024 bits, refined to those caps and undecided
 there; `analyze --json` on the T^6 actions
 diag(g, h^13) over the cartan_t3 generators g, for h = g and h = g^-T
-(the corpus's one certified ratio other than 1); the `normal-forms
---element` calls of the perfbench `subresonance` workload, with the JSON
-on stdout; the input reader's errors: `analyze` on a torus file with a 1.5
-entry and on a graded file with a "1/0" entry, `normal-forms` on a
+(the corpus's one certified ratio other than 1); `analyze --json` on
+the T^7 block sum of example82 and cartan_t3 (one component not
+semisimple, one semisimple) and on the T^6 block sum diag(a1, a1),
+diag(a2, a1 a2) of the cartan_t3 generators, and `normal-forms
+--element=1,0` on the latter, where two stable classes have equal
+values; the `normal-forms --element` calls of the perfbench
+`subresonance` workload, with the JSON on stdout; the input reader's
+errors: `analyze` on a torus file with a 1.5 entry and on a graded file
+with a "1/0" entry, `normal-forms` on a
 spectrum file with an unknown field, and `lift --step 2`, `normal-forms
---element=1,0` and `chambers` on the step-2 lift of cartan_t3: 154 calls.
+--element=1,0` and `chambers` on the step-2 lift of cartan_t3: 157 calls.
 Inputs come from perfbench/inputs.py and perfbench/run.py and are written
 to a temporary directory that both trees read.
 """
@@ -60,14 +65,41 @@ def _write(work: str, name: str, doc: dict) -> str:
     return path
 
 
+def fixture_generators(name: str) -> list[list[list[int]]]:
+    """The generators of a torus fixture, as square matrices."""
+    with open(os.path.join(FIXTURES, f"{name}.json")) as fh:
+        doc = json.load(fh)
+    n = doc["dim"]
+    return [[f[n * i : n * i + n] for i in range(n)] for f in doc["generators"]]
+
+
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def block_sum(name: str, left: list, right: list) -> dict:
+    """The torus file of the generators diag(l_i, r_i) for two tuples of
+    square integer matrices."""
+    n, m = len(left[0]), len(right[0])
+    gens = [
+        [row + [0] * m for row in g] + [[0] * n + row for row in h]
+        for g, h in zip(left, right)
+    ]
+    return {
+        "schema_version": 1,
+        "kind": "torus",
+        "name": name,
+        "dim": n + m,
+        "generators": [[v for row in g for v in row] for g in gens],
+    }
+
+
 def block_power_double(lower_inverse: bool, e: int = 13) -> dict:
     """diag(g, h^e) on T^6 for the cartan_t3 generators g, with h = g or
     h = g^-T: functionals f and e f (TNS), or f and -e f (not TNS)."""
-    with open(os.path.join(FIXTURES, "cartan_t3.json")) as fh:
-        flat = json.load(fh)["generators"]
-    gens = []
-    for f in flat:
-        g = [f[3 * i : 3 * i + 3] for i in range(3)]
+    left = fixture_generators("cartan_t3")
+    right = []
+    for g in left:
         h = g
         if lower_inverse:
             # cofactors over the determinant, +-1: the inverse transpose
@@ -83,16 +115,17 @@ def block_power_double(lower_inverse: bool, e: int = 13) -> dict:
             h = [[c * det for c in row] for row in cof]
         p = [[int(i == j) for j in range(3)] for i in range(3)]
         for _ in range(e):
-            p = [[sum(p[i][r] * h[r][j] for r in range(3)) for j in range(3)] for i in range(3)]
-        gens.append([row + [0] * 3 for row in g] + [[0] * 3 + row for row in p])
+            p = mat_mul(p, h)
+        right.append(p)
     name = f"block-power-{'inverse' if lower_inverse else 'same'}-{e}"
-    return {
-        "schema_version": 1,
-        "kind": "torus",
-        "name": name,
-        "dim": 6,
-        "generators": [[v for row in g for v in row] for g in gens],
-    }
+    return block_sum(name, left, right)
+
+
+def shared_exponents() -> dict:
+    """diag(a1, a1) and diag(a2, a1 a2) on T^6 for the cartan_t3 generators
+    a1, a2: two stable classes have equal values at (1, 0)."""
+    a1, a2 = fixture_generators("cartan_t3")
+    return block_sum("shared-exponents", [a1, a2], [a1, mat_mul(a1, a2)])
 
 
 def corpus(work: str, old_src: str) -> list[list[str]]:
@@ -177,6 +210,15 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
     for lower_inverse in (False, True):
         doc = block_power_double(lower_inverse)
         calls.append(["analyze", _write(work, doc["name"], doc), "--json"])
+    mixed = block_sum(
+        "example82-cartan-t3", fixture_generators("example82"), fixture_generators("cartan_t3")
+    )
+    shared = _write(work, "shared-exponents", shared_exponents())
+    calls += [
+        ["analyze", _write(work, mixed["name"], mixed), "--json"],
+        ["analyze", shared, "--json"],
+        ["normal-forms", shared, "--element=1,0", "--json"],
+    ]
 
     for op in bench.subresonance_ops(random.Random(0), work):
         if any(a.startswith("--element=") for a in op.argv):

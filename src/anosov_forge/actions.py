@@ -1,8 +1,9 @@
 """Z^k actions by commuting unimodular integer matrices.
 
-Validation, semisimplicity, rational primary decomposition following the
-kernel-of-products construction, invariant complements from one exact
-linear system, and the totally-reducible decision through the
+Validation, rational primary decomposition following the
+kernel-of-products construction, joint components that keep semisimple
+parts and decide semisimplicity once, invariant complements from one
+exact linear system, and the totally-reducible decision through the
 semisimplicity equivalence.
 """
 
@@ -90,13 +91,8 @@ def validate(generators, name: str = "") -> ValidatedAction:
 
 def is_semisimple(action: ValidatedAction) -> bool:
     """True iff every generator's minimal polynomial is squarefree over Q,
-    that is iff on every joint primary component the irreducible factor
-    labelling each generator annihilates its restriction there."""
-    return all(
-        linalg.is_zero_mat(linalg.poly_at_matrix(factor, mat))
-        for comp in joint_primary_components(action)
-        for (factor, _), mat in zip(comp.labels, comp.mats)
-    )
+    that is iff every joint primary component is flagged semisimple."""
+    return all(comp.semisimple for comp in joint_primary_components(action))
 
 
 def _frozen(a) -> tuple[tuple[Fraction, ...], ...]:
@@ -131,9 +127,10 @@ def semisimple_part(a: Mat, m0: IntPolynomial) -> Mat:
 
     The iteration runs on the given m0, the product of the distinct
     irreducible factors of the characteristic polynomial (the squarefree
-    part of the minimal polynomial); A is semisimple iff m0(A) = 0.
+    part of the minimal polynomial); A is semisimple iff m0(A) = 0, and
+    then A itself is returned.
     """
-    s = [row[:] for row in a]
+    s = a
     deriv = m0.derivative()
     for _ in range(len(a).bit_length() + 2):
         val = linalg.poly_at_matrix(m0, s)
@@ -201,12 +198,15 @@ def invariant_complement(
 
 @dataclass(frozen=True)
 class PrimaryComponent:
-    """A joint primary component: the restrictions of all generators to it,
-    in one basis, and one (factor, multiplicity) label per generator
-    refined so far."""
+    """A joint primary component: the semisimple parts of the restrictions
+    of all generators to it, in one basis, one (factor, multiplicity)
+    label per generator, and whether every restriction was semisimple
+    already.  Each label annihilates its matrix, whose characteristic
+    polynomial is a power of the label."""
 
     mats: tuple[tuple[tuple[Fraction, ...], ...], ...]
     labels: tuple[tuple[IntPolynomial, int], ...]
+    semisimple: bool
 
     @property
     def dim(self) -> int:
@@ -219,19 +219,26 @@ def joint_primary_components(action: ValidatedAction) -> tuple[PrimaryComponent,
     each primary component of the next generator on a component is invariant
     under all generators, which restrict to it by reading coordinates.
 
+    Each restriction is then replaced by its semisimple part for its label,
+    the squarefree part of its minimal polynomial there: the restriction
+    itself exactly when the label annihilates it, the one test of
+    semisimplicity.
+
     Computed once per action; the result is immutable and shared.
     """
-    comps = [PrimaryComponent(tuple(_frozen(g) for g in action.generators), ())]
+    comps = [(tuple(_frozen(g) for g in action.generators), ())]
     for gi in range(action.rank):
         comps = [
-            PrimaryComponent(
-                tuple(_frozen(sub.restrict(m)) for m in comp.mats),
-                comp.labels + ((factor, mult),),
-            )
-            for comp in comps
-            for factor, mult, sub in rational_primary_decomposition(comp.mats[gi])
+            (tuple(_frozen(sub.restrict(m)) for m in mats), labels + ((factor, mult),))
+            for mats, labels in comps
+            for factor, mult, sub in rational_primary_decomposition(mats[gi])
         ]
-    return tuple(comps)
+    out = []
+    for mats, labels in comps:
+        semis = [semisimple_part(m, factor) for m, (factor, _) in zip(mats, labels)]
+        flag = all(s is m for s, m in zip(semis, mats))
+        out.append(PrimaryComponent(tuple(map(_frozen, semis)), labels, flag))
+    return tuple(out)
 
 
 def is_totally_reducible(

@@ -25,6 +25,7 @@ from .report import (
     exit_code_for,
     frac_str,
     report_to_json,
+    value_str,
 )
 
 EXIT_TRUE, EXIT_FALSE, EXIT_UNDECIDED, EXIT_INPUT = 0, 1, 2, 3
@@ -341,21 +342,23 @@ def cmd_normal_forms(args) -> int:
         stable = stable_set(classes, b, cap)
         if not stable:
             raise InputError(f"element {b} has no stable classes")
-        vals = sorted(
+        # classes with exactly equal values at b form one block
+        exps, mults = [], []
+        for v, m in sorted(
             ((c.value_at(b), c.total_multiplicity) for c in stable),
             key=lambda p: p[0].midpoint(128),
             reverse=True,
-        )
-        spec = ContractionSpectrum.build(
-            [v for v, _ in vals], [m for _, m in vals], cap
-        )
+        ):
+            if exps and (exps[-1] - v).sign(cap) == 0:
+                mults[-1] += m
+            else:
+                exps.append(v)
+                mults.append(m)
+        spec = ContractionSpectrum.build(exps, mults, cap)
     indices = subresonance_indices(spec, cap)
     out = {
         "exponents": [
-            frac_str(e.const)
-            if not e.terms
-            else f"{float(e.midpoint(128)):.12f}"
-            for e in spec.exponents
+            frac_str(e.const) if not e.terms else value_str(e) for e in spec.exponents
         ],
         "multiplicities": list(spec.multiplicities),
         "subresonance_indices": [

@@ -34,21 +34,16 @@ class LogLinearValue:
         const=0,
         terms: list[tuple[Fraction, RealAlgebraic]] | None = None,
     ) -> "LogLinearValue":
-        merged: list[tuple[Fraction, RealAlgebraic]] = []
+        """Like terms merged, in order of first appearance; zero sums dropped."""
+        merged: dict[RealAlgebraic, Fraction] = {}
         for coeff, alpha in terms or []:
             coeff = Fraction(coeff)
             if coeff == 0 or alpha == 1:
                 continue
             if alpha.is_rational and alpha.as_rational() <= 0:
                 raise ValueError("log of non-positive value")
-            for i, (c0, a0) in enumerate(merged):
-                if a0 == alpha:
-                    merged[i] = (c0 + coeff, a0)
-                    break
-            else:
-                merged.append((coeff, alpha))
-        merged = [(c, a) for c, a in merged if c != 0]
-        return cls(Fraction(const), tuple(merged))
+            merged[alpha] = merged.get(alpha, 0) + coeff
+        return cls(Fraction(const), tuple((c, a) for a, c in merged.items() if c != 0))
 
     @classmethod
     def from_rational(cls, value) -> "LogLinearValue":
@@ -150,6 +145,3 @@ class LogLinearValue:
     def midpoint(self, bits: int = 64) -> Fraction:
         lo, hi = self.interval(bits)
         return (lo + hi) / 2
-
-    def __float__(self) -> float:
-        return float(self.midpoint(64))

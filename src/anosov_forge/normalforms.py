@@ -5,13 +5,15 @@ chi_1 > ... > chi_l (multiplicities m_1..m_l), a subresonance index (i, s)
 records that degree-s polynomial terms may map into the i-th block:
 chi_i <= sum_j s_j chi_j.  The sum runs over all j, so the identity linear
 term s = e_i is always admissible.  Exponents may be exact rationals or
-refinable log-linear values; boundary cases that exact arithmetic cannot
-settle raise UndecidedBoundary.
+refinable log-linear values, and each spectrum is ordered one way: by
+integer keys when it is rational, by certified signs otherwise, where
+boundary cases that exact arithmetic cannot settle raise UndecidedBoundary.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,11 +29,25 @@ def _as_value(x) -> LogLinearValue:
     return LogLinearValue.from_rational(Fraction(x))
 
 
-def _sign(value: LogLinearValue, cap: int) -> int:
-    try:
-        return value.sign(cap)
-    except PrecisionExhausted as exc:
-        raise UndecidedBoundary(exc.bits) from exc
+def _ordering(exponents, cap: int):
+    """(keys, zero, below): the exponents as keys, the key of 0, and the
+    strict order of keys, decided in one way per spectrum.  A rational
+    spectrum is scaled to integers by the common denominator of its
+    exponents, which keeps every comparison and tie, and compared with <;
+    a log-linear one is compared by the certified sign of the difference,
+    where an unresolved sign at the precision cap raises UndecidedBoundary.
+    """
+    if all(not e.terms for e in exponents):
+        (keys,), _ = integral([[e.const for e in exponents]])
+        return keys, 0, operator.lt
+
+    def below(a: LogLinearValue, b: LogLinearValue) -> bool:
+        try:
+            return (a - b).sign(cap) < 0
+        except PrecisionExhausted as exc:
+            raise UndecidedBoundary(exc.bits) from exc
+
+    return exponents, LogLinearValue.from_rational(0), below
 
 
 @dataclass(frozen=True)
@@ -51,28 +67,10 @@ class ContractionSpectrum:
             raise InputError("exponents and multiplicities must align")
         if any(m < 1 for m in mults):
             raise InputError("multiplicities must be positive")
-        if all(not v.terms for v in vals):
-            # a rational spectrum is checked by Fraction comparisons
-            chis = [v.const for v in vals]
-
-            def negative(x) -> bool:
-                return x < 0
-
-            def above(a, b) -> bool:
-                return a > b
-
-        else:
-            chis = vals
-
-            def negative(x) -> bool:
-                return _sign(x, cap) < 0
-
-            def above(a, b) -> bool:
-                return _sign(a - b, cap) > 0
-
-        if not all(negative(x) for x in chis):
+        chis, zero, below = _ordering(vals, cap)
+        if not all(below(x, zero) for x in chis):
             raise InputError("exponents must be strictly negative")
-        if not all(above(a, b) for a, b in zip(chis, chis[1:])):
+        if not all(below(b, a) for a, b in zip(chis, chis[1:])):
             raise InputError("exponents must be strictly decreasing")
         return cls(vals, mults)
 
@@ -100,26 +98,10 @@ def subresonance_indices(
     s_j grows or the search goes deeper: once it drops below chi_i, no
     larger s_j and no extension can recover, and the loop over s_j stops.
     The search is therefore finite, and every leaf it reaches is admissible
-    without a further test.  Rational spectra are scaled to integers by
-    the common denominator of their exponents, which keeps every
-    comparison and tie; log-linear ones are compared by their certified
-    sign, where an exact zero counts as admissible and an unresolved sign
-    at the precision cap raises UndecidedBoundary.
+    without a further test.  Sums are compared by the spectrum's one
+    ordering (_ordering), where an exact tie counts as admissible.
     """
-    if all(not e.terms for e in spec.exponents):
-        (chis,), _ = integral([[e.const for e in spec.exponents]])
-        start = 0
-
-        def below(total, chi_i) -> bool:
-            return total < chi_i
-
-    else:
-        chis = list(spec.exponents)
-        start = LogLinearValue.from_rational(0)
-
-        def below(total, chi_i) -> bool:
-            return _sign(total - chi_i, cap) < 0
-
+    chis, zero, below = _ordering(spec.exponents, cap)
     l = spec.blocks
     out: list[SubresonanceIndex] = []
     s = [0] * l
@@ -138,7 +120,7 @@ def subresonance_indices(
                 s[j] += 1
             s[j] = 0
 
-        rec(0, start)
+        rec(0, zero)
     return out
 
 

@@ -15,6 +15,7 @@ from .actions import ValidatedAction, is_totally_reducible
 from .config import DEFAULT_CAP
 from .errors import NotAnosovAction, UndecidedProportionality
 from .graded import GradedAlgebraAction, is_totally_reducible_graded
+from .logval import LogLinearValue
 from .weyl import (
     CoarseClass,
     LyapunovFunctional,
@@ -32,13 +33,18 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def _dec(x: float) -> str:
-    return f"{x:.12f}"
+# precision of every certified value a report renders
+REPORT_BITS = 128
+
+
+def value_str(v: LogLinearValue) -> str:
+    """A certified value as 12 decimals of its midpoint at REPORT_BITS."""
+    return f"{float(v.midpoint(REPORT_BITS)):.12f}"
 
 
 def functional_json(f: LyapunovFunctional) -> dict:
     return {
-        "log_values": [_dec(x) for x in f.approx(128)],
+        "log_values": [value_str(v) for v in f.values],
         "multiplicity": f.multiplicity,
         "origin": f.origin,
     }
@@ -49,7 +55,7 @@ def class_json(c: CoarseClass) -> dict:
         "index": c.index,
         "member_count": len(c.members),
         "total_multiplicity": c.total_multiplicity,
-        "normal": [_dec(x) for x in c.hyperplane_normal.approx(128)],
+        "normal": [value_str(v) for v in c.hyperplane_normal.values],
     }
 
 
@@ -210,7 +216,7 @@ def chambers_svg(classes: list[CoarseClass], chambers: list[WeylChamber]) -> str
         f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="none" stroke="#999"/>',
     ]
     for c in classes:
-        gx, gy = (float(v.midpoint(128)) for v in c.hyperplane_normal.values)
+        gx, gy = (float(v.midpoint(REPORT_BITS)) for v in c.hyperplane_normal.values)
         norm = math.hypot(gx, gy)
         # kernel line direction is the normal rotated a quarter turn
         dx, dy = -gy / norm, gx / norm
@@ -256,8 +262,8 @@ def chambers_json(
     for c in classes:
         enclosures = []
         for v in c.hyperplane_normal.values:
-            # 128 bits: far narrower than the 1e-18 outward rounding
-            lo, hi = v.interval(128)
+            # REPORT_BITS: far narrower than the 1e-18 outward rounding
+            lo, hi = v.interval(REPORT_BITS)
             enclosures.append([outward(lo, False), outward(hi, True)])
         lines.append({"class": c.index, "normal_enclosures": enclosures})
     return {

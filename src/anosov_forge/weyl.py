@@ -31,12 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .actions import (
-    PrimaryComponent,
-    ValidatedAction,
-    joint_primary_components,
-    semisimple_part,
-)
+from .actions import PrimaryComponent, ValidatedAction, joint_primary_components
 from .config import DEFAULT_CAP, INITIAL_BITS, precisions
 from .errors import (
     DegeneratePlane,
@@ -75,16 +70,13 @@ class LyapunovFunctional:
         return len(self.values)
 
     def value_at(self, b) -> LogLinearValue:
-        out = LogLinearValue.from_rational(0)
-        for bi, v in zip(b, self.values):
-            out = out + v.scale(Fraction(bi))
-        return out
+        return LogLinearValue.build(
+            sum(bi * v.const for bi, v in zip(b, self.values)),
+            [(bi * c, a) for bi, v in zip(b, self.values) for c, a in v.terms],
+        )
 
     def is_zero_functional(self) -> bool:
         return all(v.vanishes() for v in self.values)
-
-    def approx(self, bits: int = 64) -> list[float]:
-        return [float(v.midpoint(bits)) for v in self.values]
 
 
 @dataclass(frozen=True)
@@ -143,7 +135,7 @@ class Splitting:
 
 
 def _cyclic_generator(
-    semis: list,
+    semis: tuple,
 ) -> tuple[list[tuple[IntPolynomial, int]], list[list[Fraction]]]:
     """Find C in the algebra generated by the commuting semisimple matrices
     with every generator a polynomial in C; returns (the factorisation of
@@ -242,12 +234,8 @@ def _msq_enclosure(p: IntPolynomial, base_disk, q: list[Fraction]):
 def _component_functionals(
     comp: PrimaryComponent,
 ) -> list[tuple[tuple[RealAlgebraic, ...], int]]:
-    # on a joint component the squarefree part of the minimal polynomial of
-    # a generator is the irreducible factor labelling it there
-    semis = [
-        semisimple_part(linalg.to_mat(b), factor) for b, (factor, _) in zip(comp.mats, comp.labels)
-    ]
-    factors, qs = _cyclic_generator(semis)
+    # the component stores the semisimple parts of the restrictions
+    factors, qs = _cyclic_generator(comp.mats)
     # for a root r of a factor of charpoly(C), q_j(r) is an eigenvalue of
     # s_j = q_j(C), whose minimal polynomial is the label f_j: the moduli
     # candidates are those of f_j, for every factor
@@ -268,18 +256,14 @@ def _component_functionals(
 def lyapunov_data(action: ValidatedAction) -> list[LyapunovFunctional]:
     """Lyapunov functionals of the action, grouped by equal log-modulus
     vectors, with multiplicities summing to the torus dimension."""
-    merged: list[tuple[tuple[RealAlgebraic, ...], int, int]] = []
+    merged: dict[tuple[RealAlgebraic, ...], tuple[int, int]] = {}
     for origin, comp in enumerate(joint_primary_components(action)):
         for msqs, mult in _component_functionals(comp):
-            for i, (m0, t0, o0) in enumerate(merged):
-                if m0 == msqs:
-                    merged[i] = (m0, t0 + mult, o0)
-                    break
-            else:
-                merged.append((msqs, mult, origin))
+            total, first = merged.get(msqs, (0, origin))
+            merged[msqs] = (total + mult, first)
     out = [
         LyapunovFunctional(tuple(LogLinearValue.half_log(m) for m in msqs), mult, origin)
-        for msqs, mult, origin in merged
+        for msqs, (mult, origin) in merged.items()
     ]
     assert sum(f.multiplicity for f in out) == action.dim
     return out

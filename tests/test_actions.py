@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -281,6 +282,21 @@ def test_is_semisimple_matches_squarefree_minimal_polynomial(gens):
     )
     assert is_semisimple(action) == expected
     assert is_totally_reducible(action)[0] == expected
+
+
+@given(commuting_tuples())
+@settings(max_examples=40, deadline=None)
+def test_joint_components_store_commuting_semisimple_parts(gens):
+    action = validate(gens)
+    comps = joint_primary_components(action)
+    for comp in comps:
+        for (factor, _), m in zip(comp.labels, comp.mats):
+            assert linalg.is_zero_mat(linalg.poly_at_matrix(factor, m))
+            power = math.prod([factor] * (comp.dim // factor.degree), start=IntPolynomial([1]))
+            assert linalg.charpoly(m) == power
+        for a, b in itertools.combinations(comp.mats, 2):
+            assert linalg.mat_mul(a, b) == linalg.mat_mul(b, a)
+    assert all(c.semisimple for c in comps) == is_semisimple(action)
 
 
 @given(commuting_tuples())

@@ -280,6 +280,55 @@ def _coplanar_doc():
     return _torus_doc([a, b, c], {"precision_cap_bits": 128})
 
 
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize(
+    "element, exponents, multiplicities, dimension",
+    [
+        ("1,0", ["-1.057576813575"], [2], 4),
+        ("-1,0", ["-0.426632089373", "-0.630944724202"], [2, 2], 12),
+    ],
+)
+def test_normal_forms_merges_equal_exponents_at_an_element(
+    tmp_path, element, exponents, multiplicities, dimension
+):
+    # diag(a1, a1) and diag(a2, a1 a2) on T^6: at (+-1, 0) every stable
+    # class of one block has exactly the value of one of the other, so the
+    # spectrum is cartan_t3's there with every multiplicity doubled
+    a1, a2 = cartan_generators()
+    gens = [
+        [row + [0] * 3 for row in g] + [[0] * 3 + row for row in h]
+        for g, h in ((a1, a1), (a2, _matmul(a1, a2)))
+    ]
+    p = tmp_path / "shared.json"
+    p.write_text(json.dumps(_torus_doc(gens)))
+    proc = run_cli("normal-forms", str(p), f"--element={element}")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["exponents"] == exponents
+    assert doc["multiplicities"] == multiplicities
+    assert doc["sr_group_dimension"] == dimension
+
+
+def test_normal_forms_spectrum_file_with_equal_exponents_exit_three(tmp_path):
+    p = tmp_path / "equal.json"
+    p.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "kind": "spectrum",
+                "exponents": ["-1/2", "-1/2"],
+                "multiplicities": [1, 1],
+            }
+        )
+    )
+    proc = run_cli("normal-forms", str(p))
+    assert proc.returncode == 3
+    assert proc.stderr == "error: exponents must be strictly decreasing\n"
+
+
 def test_options_block_applied(tmp_path):
     doc = _cartan_doc()
     doc["options"] = {"precision_cap_bits": 2048}

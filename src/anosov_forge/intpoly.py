@@ -365,6 +365,12 @@ def safe_endpoint(p: IntPolynomial, v: Fraction, step: Fraction) -> Fraction:
     return v
 
 
+def real_root_window(p: IntPolynomial) -> tuple[Fraction, Fraction]:
+    """(lo, hi) around every real root of p, neither of them a root."""
+    bound = cauchy_root_bound(p)
+    return safe_endpoint(p, -bound, Fraction(-1, 7)), safe_endpoint(p, bound, Fraction(1, 7))
+
+
 def isolate_real_roots(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     """Disjoint isolating intervals for the distinct real roots, ascending.
 
@@ -373,9 +379,7 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     p = squarefree_part(p)
     if p.degree < 1:
         return []
-    bound = cauchy_root_bound(p)
-    lo = safe_endpoint(p, -bound, Fraction(-1, 7))
-    hi = safe_endpoint(p, bound, Fraction(1, 7))
+    lo, hi = real_root_window(p)
     total = sturm_count(p, lo, hi)
     out: list[tuple[Fraction, Fraction]] = []
 

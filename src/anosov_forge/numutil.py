@@ -1,14 +1,15 @@
 """Validated numeric helpers: root disks, interval logs, rational radicals.
 
 Everything here returns rational (Fraction) bounds that provably contain the
-true value; mpmath supplies fast approximations, the certification is exact.
+true value; approximations are fast, the certification is exact.
 Interval logs are directed-rounding libmp bounds, each moved two units in
 the last place outward, at a working precision of 16 bits past the larger
 of the requested bits and the cell's own -log2(hi - lo); they are memoised
 per endpoint pair and working precision.  Root disks use the Newton
-inclusion radius d*|f(z)/f'(z)|, evaluated exactly at the mpmath
-approximations, which are computed only a few dozen bits past the
-requested accuracy; square roots are rounded on the requested grid.
+inclusion radius d*|f(z)/f'(z)|, evaluated exactly at approximations from
+an Aberth iteration: a start in hardware floats, then mpmath sweeps only a
+few dozen bits past the requested accuracy; square roots are rounded on
+the requested grid.
 """
 
 from __future__ import annotations
@@ -104,9 +105,14 @@ def certified_root_disks(
     The polynomial must be squarefree.  Each disk provably contains exactly
     one root; radii are at most 2^-bits.  Deterministic for fixed inputs.
 
-    A disk of radius d*|f(z)/f'(z)| around any z holds a root of the
-    degree-d polynomial f (Newton's inclusion bound), so d pairwise
-    disjoint such disks hold exactly one root each.
+    The approximations come from an Aberth-Ehrlich iteration: sweeps in
+    hardware doubles from points on a circle, then sweeps in mpmath at the
+    working precision, which doubles whenever a budget of sweeps ends
+    uncertified (a coefficient beyond float range skips the float start).
+    The certificate after each sweep is exact: a disk of radius
+    d*|f(z)/f'(z)| around any z holds a root of the degree-d polynomial f
+    (Newton's inclusion bound), so d pairwise disjoint such disks hold
+    exactly one root each.
     """
     p = IntPolynomial(coeffs)
     d = p.degree
@@ -115,35 +121,109 @@ def certified_root_disks(
     dcoeffs = p.derivative().coeffs
     # absolute accuracy 2^-bits needs the roots' size and log d on top
     size = max(abs(c) for c in coeffs[:-1]) // abs(p.leading) + 2
-    guard = size.bit_length() + 2 * d.bit_length() + 16
-    prec, extra = bits + guard, guard
+    prec = bits + size.bit_length() + 2 * d.bit_length() + 16
     target = Fraction(1, 1 << bits)
+    e, units = _start_circle(coeffs)
+    zs = _float_start(coeffs, e, units)
     while prec <= 1 << 22:
         with mpmath.workprec(prec):
-            try:
-                # roots 2^-k apart need about k extra bits to converge
-                roots = mpmath.polyroots(
-                    [mpmath.mpf(c) for c in reversed(coeffs)],
-                    maxsteps=200,
-                    extraprec=extra,
-                )
-            except mpmath.mp.NoConvergence:
-                roots = None
-        if roots is not None:
-            disks = []
-            for z in roots:
-                re = mpf_to_fraction(z.real)
-                im = mpf_to_fraction(z.imag)
-                radius = _newton_radius(coeffs, dcoeffs, re, im, prec)
-                if radius is None or radius > target:
-                    break
-                disks.append((re, im, radius))
-            else:
-                if _pairwise_disjoint(disks):
-                    disks.sort(key=lambda t: (t[0], t[1]))
-                    return tuple(disks)
-        prec, extra = 2 * prec, 2 * extra
+            if zs is None:
+                zs = [mpmath.mpc(mpmath.ldexp(u.real, e), mpmath.ldexp(u.imag, e)) for u in units]
+            a = [mpmath.mpf(c) for c in reversed(coeffs)]
+            da = [mpmath.mpf(c) for c in reversed(dcoeffs)]
+            zs = [mpmath.mpc(z) for z in zs]
+            for _ in range(_MP_SWEEPS):
+                _aberth_sweep(a, da, zs)
+                disks = _certify(coeffs, dcoeffs, zs, prec, target)
+                if disks is not None:
+                    return disks
+        prec *= 2
     raise RuntimeError("root refinement failed to converge")
+
+
+# Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973; Bini, Numer.
+# Algorithms 13, 1996): sweep budgets, and the relative correction at
+# which the float sweeps stop
+_FLOAT_SWEEPS = 64
+_MP_SWEEPS = 16
+_FLOAT_TOL = 2.0**-44
+
+
+def _start_circle(coeffs: tuple[int, ...]) -> tuple[int, list[complex]]:
+    """(e, units): d start points 2^e u_k, with u_k on the unit circle off
+    the axes and 2^e about max |a_i/a_d|^(1/(d-i)), the size of the
+    largest roots."""
+    d = len(coeffs) - 1
+    lead = math.log2(abs(coeffs[-1]))
+    e = max(
+        (math.ceil((math.log2(abs(c)) - lead) / (d - i)) for i, c in enumerate(coeffs[:-1]) if c),
+        default=0,
+    )
+    angles = (2 * math.pi * k / d + 0.4 for k in range(d))
+    return e, [complex(math.cos(t), math.sin(t)) for t in angles]
+
+
+def _float_start(coeffs: tuple[int, ...], e: int, units: list[complex]) -> list[complex] | None:
+    """Aberth sweeps in hardware doubles from the circle, until every
+    correction is below 2^-44 relative or the budget ends; None when a
+    coefficient, the circle or an iterate leaves float range."""
+    try:
+        a = [float(c) for c in reversed(coeffs)]
+        r = math.ldexp(1.0, e)
+        da = [c * (len(a) - 1 - i) for i, c in enumerate(a[:-1])]
+        zs = [r * u for u in units]
+        for _ in range(_FLOAT_SWEEPS):
+            small = _aberth_sweep(a, da, zs, _FLOAT_TOL)
+            if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs):
+                return None
+            if small:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return zs
+
+
+def _aberth_sweep(a: list, da: list, zs: list, tol=0) -> bool:
+    """One Gauss-Seidel sweep z_k -= N/(1 - N sum_j 1/(z_k - z_j)), with N
+    = f/f'(z_k), in place; a and da are the coefficients of f and f',
+    highest first, as complex or mpmath numbers.  True when every
+    correction is at most tol times its new iterate."""
+    small = True
+    for k, z in enumerate(zs):
+        f = a[0]
+        for c in a[1:]:
+            f = f * z + c
+        if not f:
+            continue
+        fp = da[0]
+        for c in da[1:]:
+            fp = fp * z + c
+        s = 0
+        for j, w in enumerate(zs):
+            if j != k:
+                s += 1 / (z - w)
+        step = f / (fp - f * s)
+        zs[k] = z - step
+        if small and abs(step) > tol * abs(zs[k]):
+            small = False
+    return small
+
+
+def _certify(coeffs, dcoeffs, zs, prec: int, target: Fraction):
+    """Disks around the iterates zs, sorted, when every Newton radius is
+    at most target and the disks are pairwise disjoint; else None."""
+    disks = []
+    for z in zs:
+        re = mpf_to_fraction(z.real)
+        im = mpf_to_fraction(z.imag)
+        radius = _newton_radius(coeffs, dcoeffs, re, im, prec)
+        if radius is None or radius > target:
+            return None
+        disks.append((re, im, radius))
+    if not _pairwise_disjoint(disks):
+        return None
+    disks.sort(key=lambda t: (t[0], t[1]))
+    return tuple(disks)
 
 
 def _newton_radius(

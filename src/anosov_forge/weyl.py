@@ -42,7 +42,13 @@ from .errors import (
     UndecidedProportionality,
     WitnessSearchExhausted,
 )
-from .intpoly import IntPolynomial, factor_cached, pair_product_parts
+from .intpoly import (
+    IntPolynomial,
+    factor_cached,
+    pair_product_parts,
+    real_root_window,
+    sturm_count,
+)
 from .logval import LogLinearValue
 from .numutil import certified_root_disks, modulus_squared_bounds, sqrt_bounds
 from .realalg import RealAlgebraic, _interval_mul
@@ -244,12 +250,22 @@ def _component_functionals(
     for p, mult in factors:
         if p.degree < 1:
             continue
-        for disk in certified_root_disks(p.coeffs, INITIAL_BITS):
+        disks = certified_root_disks(p.coeffs, INITIAL_BITS)
+        # the q_j have rational coefficients, so |q_j(r)| = |q_j(conj r)|: one
+        # record per place.  When as many disks meet the real axis as p has
+        # real roots, each of them holds one, and the disks off the axis hold
+        # the conjugate pairs, one member above and one below
+        on_axis = sum(1 for _, im, rad in disks if abs(im) <= rad)
+        paired = on_axis < p.degree and on_axis == sturm_count(p, *real_root_window(p))
+        for disk in disks:
+            _, im, rad = disk
+            if paired and im < -rad:
+                continue
             msqs = tuple(
                 RealAlgebraic.from_enclosure(cands[j], _msq_enclosure(p, disk, qs[j]))
                 for j in range(len(qs))
             )
-            out.append((msqs, mult))
+            out.append((msqs, 2 * mult if paired and im > rad else mult))
     return out
 
 

@@ -73,6 +73,34 @@ def test_root_disks_contract_complex_cluster():
         _check_disks(p, bits)
 
 
+# 2^1101 (x^3 - 3x) + 1, whose coefficients no double holds, and a degree-20
+# unit polynomial, squarefree, lowest coefficient first
+_BEYOND_FLOAT = IntPolynomial((1, -3 << 1101, 0, 1 << 1101))
+_DEGREE_20 = IntPolynomial(
+    (-1, 3, 0, -3, -1, 1, 0, 0, 3, 3, -1, 0, -1, 1, -2, 1, -2, -1, -2, 3, 1)
+)
+
+
+def test_root_disks_contract_beyond_float_range():
+    # the float start gives way to sweeps from the circle when a
+    # coefficient is out of float range, and starts the degree-20 case
+    assert squarefree_part(_DEGREE_20) == _DEGREE_20
+    for p in (_BEYOND_FLOAT, _DEGREE_20):
+        for bits in (64, 128, 256):
+            _check_disks(p, bits)
+    # x^3 + 2^1100 x - 1: roots near +-2^550 i and 2^-1100, against a
+    # reference at 2048 bits, since 4*bits cannot place 2^550 i to 2^-bits
+    coeffs = (-1, 1 << 1100, 0, 1)
+    with mpmath.workprec(2048):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs)], maxsteps=500)
+        for bits in (64, 128, 256):
+            disks = certified_root_disks(coeffs, bits)
+            assert len(disks) == 3 and all(r <= Fraction(1, 1 << bits) for _, _, r in disks)
+            for x, y, r in disks:
+                centre = mpmath.mpc(_mpf(x), _mpf(y))
+                assert any(abs(z - centre) <= _mpf(r) for z in roots)
+
+
 @pytest.mark.parametrize("bits", [64, 256, 1024])
 def test_sqrt_bounds_on_requested_grid(bits):
     lo, hi = sqrt_bounds(Fraction(2), bits)

@@ -17,17 +17,23 @@ from conftest import (
     symplectic_double,
 )
 
-from anosov_forge.actions import is_anosov_matrix, product_matrix, validate
+from anosov_forge.actions import (
+    is_anosov_matrix,
+    joint_primary_components,
+    product_matrix,
+    validate,
+)
 from anosov_forge.cli import load_action_file_with_options
 from anosov_forge.config import DEFAULT_CAP, INITIAL_BITS
 from anosov_forge.errors import NotAnosovAction, NotTNS, SingularElement
 from anosov_forge.freenil import free_nilpotent_lift
-from anosov_forge.intpoly import IntPolynomial
+from anosov_forge.intpoly import IntPolynomial, isolate_real_roots
 from anosov_forge.logval import LogLinearValue
 from anosov_forge.lp import maximize
 from anosov_forge.realalg import RealAlgebraic
 from anosov_forge.report import audit_action
 from anosov_forge.weyl import (
+    _component_functionals,
     _proportionality,
     anosov_in_every_chamber,
     coarse_classes,
@@ -110,6 +116,41 @@ def test_functionals_that_need_a_combined_cyclic_generator():
             assert (v - big_l.scale(s)).sign() == 0
         signs.append(pair)
     assert sorted(signs) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+
+
+def _companion(coeffs):
+    """Companion matrix of the monic polynomial, lowest coefficient first."""
+    d = len(coeffs) - 1
+    return [[int(i == j + 1) for j in range(d - 1)] + [-coeffs[i]] for i in range(d)]
+
+
+@given(
+    st.one_of(
+        st.just([-1, -1, 0, 1]),  # x^3 - x - 1: one real root, one pair
+        st.builds(
+            lambda c0, middle: [c0, *middle, 1],
+            st.sampled_from((1, -1)),
+            st.lists(st.integers(-3, 3), min_size=2, max_size=5),
+        ),
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_one_record_per_place(coeffs):
+    # companion matrix of a unit polynomial with real and complex roots:
+    # each component with label (f, m) gives one record of multiplicity m
+    # per real root of f and one of multiplicity 2m per conjugate pair
+    real = len(isolate_real_roots(IntPolynomial(coeffs)))
+    assume(0 < real < len(coeffs) - 1)
+    action = validate([_companion(coeffs)])
+    total = 0
+    for comp in joint_primary_components(action):
+        (f, m), = comp.labels
+        r1 = len(isolate_real_roots(f))
+        r2 = (f.degree - r1) // 2
+        mults = sorted(mult for _, mult in _component_functionals(comp))
+        assert mults == [m] * r1 + [2 * m] * r2
+        total += sum(mults)
+    assert total == action.dim
 
 
 def test_multiplicity_sums_to_dimension(fibonacci_action, cartan_action):

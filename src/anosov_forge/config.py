@@ -14,6 +14,9 @@ INITIAL_BITS = 64
 DEFAULT_CAP = 4096
 """Precision cap, in bits, of a file that embeds none."""
 
+REPORT_BITS = 128
+"""Precision of every certified value a report renders."""
+
 
 def precisions(cap: int):
     """INITIAL_BITS, then doubling, with the last step clamped to cap:

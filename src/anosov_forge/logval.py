@@ -2,12 +2,16 @@
 
 Values of Lyapunov functionals at lattice points are rational combinations
 of log-moduli, i.e. expressions  c0 + sum c_j * log(alpha_j)  with rational
-c_j and positive real algebraic alpha_j.  Signs are decided by interval
-refinement; exact vanishing is certified algebraically (two products of
-powers of the alpha_j, one over the positive and one over the negative
-coefficients, are equal).  A nonzero value with c0 != 0 can never vanish
-(log of an algebraic number is transcendental unless the argument is 1), so
-the refinement loop always terminates on true nonzero inputs.
+c_j and positive real algebraic alpha_j.  Each alpha_j is a `RealAlgebraic`
+or a `Modulus`, a place's modulus certified from its root disk; terms are
+keyed by place, so equal moduli of two places stay two terms.  Signs are
+decided by interval refinement; exact vanishing is certified algebraically
+(two products of powers of the identified alpha_j, one over the positive
+and one over the negative coefficients, are equal); a modulus is
+identified there, or when its disks no longer serve.  A nonzero value with
+c0 != 0 can never vanish (log of an algebraic number is transcendental
+unless the argument is 1), so the refinement loop always terminates on true
+nonzero inputs.
 """
 
 from __future__ import annotations
@@ -20,27 +24,32 @@ from .config import DEFAULT_CAP, INITIAL_BITS, precisions
 from .errors import PrecisionExhausted
 from .intpoly import IntPolynomial, cauchy_root_bound
 from .numutil import log_interval
-from .realalg import RealAlgebraic
+from .realalg import Modulus, RealAlgebraic
+
+Algebraic = RealAlgebraic | Modulus
 
 
 @dataclass(frozen=True)
 class LogLinearValue:
     const: Fraction
-    terms: tuple[tuple[Fraction, RealAlgebraic], ...]
+    terms: tuple[tuple[Fraction, Algebraic], ...]
 
     @classmethod
     def build(
         cls,
         const=0,
-        terms: list[tuple[Fraction, RealAlgebraic]] | None = None,
+        terms: list[tuple[Fraction, Algebraic]] | None = None,
     ) -> "LogLinearValue":
-        """Like terms merged, in order of first appearance; zero sums dropped."""
-        merged: dict[RealAlgebraic, Fraction] = {}
+        """Like terms merged, in order of first appearance; zero sums and
+        exact unit moduli dropped."""
+        merged: dict[Algebraic, Fraction] = {}
         for coeff, alpha in terms or []:
             coeff = Fraction(coeff)
             if coeff == 0 or alpha == 1:
                 continue
-            if alpha.is_rational and alpha.as_rational() <= 0:
+            # a Modulus is positive
+            rational = isinstance(alpha, RealAlgebraic) and alpha.is_rational
+            if rational and alpha.as_rational() <= 0:
                 raise ValueError("log of non-positive value")
             merged[alpha] = merged.get(alpha, 0) + coeff
         return cls(Fraction(const), tuple((c, a) for a, c in merged.items() if c != 0))
@@ -50,7 +59,7 @@ class LogLinearValue:
         return cls.build(const=Fraction(value))
 
     @classmethod
-    def half_log(cls, alpha: RealAlgebraic) -> "LogLinearValue":
+    def half_log(cls, alpha: Algebraic) -> "LogLinearValue":
         """log|lambda| = (1/2) * log(|lambda|^2)."""
         return cls.build(terms=[(Fraction(1, 2), alpha)])
 
@@ -81,8 +90,10 @@ class LogLinearValue:
             if alo <= 0:
                 # alpha > 1/B for B the root bound of its reversed minimal
                 # polynomial: an enclosure 2^-bits/B wide lies above 0 and
-                # pins log(alpha) about as well as 2^-bits
-                bound = cauchy_root_bound(IntPolynomial(alpha.poly.coeffs[::-1]))
+                # pins log(alpha) about as well as 2^-bits.  A Modulus
+                # serves no disk that reaches 0, so it is identified here
+                poly = alpha.algebraic.poly
+                bound = cauchy_root_bound(IntPolynomial(poly.coeffs[::-1]))
                 abits += math.ceil(bound).bit_length()
                 alo, ahi = alpha.interval(abits)
             la, lb = log_interval(alo, ahi, abits)
@@ -110,9 +121,9 @@ class LogLinearValue:
         for coeff, alpha in self.terms:
             n = int(coeff * den)
             if n > 0:
-                pos = pos.mul(alpha.pow(n))
+                pos = pos.mul(alpha.algebraic.pow(n))
             else:
-                neg = neg.mul(alpha.pow(-n))
+                neg = neg.mul(alpha.algebraic.pow(-n))
         return pos == neg
 
     def vanishes(self) -> bool:

@@ -6,6 +6,10 @@ the ascending real roots of that polynomial.  Equality is therefore a tuple
 comparison.  Ordering and enclosures come from dyadic cells of the isolating
 interval: a fixed-point Newton approximation picks the cell, and exact
 integer signs at its two ends certify it, with bisection as the fallback.
+
+A `Modulus` is a positive real algebraic number known first by a certified
+enclosure, the root disk of its place, and identified as a `RealAlgebraic`
+only when an exact test or a precision past the disks' asks for it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .config import precisions
+from .config import INITIAL_BITS, REPORT_BITS, precisions
 from .errors import PrecisionExhausted
 from .intpoly import (
     IntPolynomial,
@@ -36,6 +40,8 @@ _MIN_NEWTON_HALVINGS = 32
 _MAX_SETTLING_STEPS = 64
 # last precision at which from_enclosure tries to identify its root
 _IDENTIFY_CAP = 1 << 20
+# a disk enclosure at bits is rounded outward on the grid 2^-(bits + this)
+_GRID_GUARD = 4
 
 
 @lru_cache(maxsize=4096)
@@ -112,6 +118,11 @@ class RealAlgebraic:
         in (first, lo)."""
         first = _isolations(poly.coeffs)[0][0]
         return cls(poly, sturm_count(poly, first, lo) if lo > first else 0)
+
+    # -- the interface a Modulus shares ----------------------------------------
+    @property
+    def algebraic(self) -> "RealAlgebraic":
+        return self
 
     # -- rationality -------------------------------------------------------
     @property
@@ -208,6 +219,66 @@ class RealAlgebraic:
         lo, hi = self._lo, self._hi
         mid = float((lo + hi) / 2)
         return f"RealAlgebraic({self.poly}, root#{self.index} ~ {mid:.6g})"
+
+
+class Modulus:
+    """A positive real algebraic number at one place, identified on demand.
+
+    It is a root of one of `candidates`, and `enclosure(bits)` is a
+    certified enclosure of it that shrinks as bits grows, as the root disk
+    of its place gives.  `interval(bits)` serves that enclosure, rounded
+    outward on a dyadic grid and kept per bits, while bits <= REPORT_BITS
+    and its lower end is positive.  Otherwise, and once the value is
+    identified, it serves the cells of the identified value, which past
+    REPORT_BITS are cheaper than disks.  `algebraic` identifies the value
+    by `RealAlgebraic.from_enclosure` on first use.  Equality is identity,
+    so log-linear terms are keyed by place; against a number it is exact.
+    """
+
+    __slots__ = ("_candidates", "_enclosure", "_cells", "_algebraic")
+
+    def __init__(
+        self,
+        candidates: Sequence[IntPolynomial],
+        enclosure: Callable[[int], tuple[Fraction, Fraction]],
+    ):
+        self._candidates = tuple(candidates)
+        self._enclosure = enclosure
+        self._cells: dict[int, tuple[Fraction, Fraction]] = {}
+        self._algebraic: RealAlgebraic | None = None
+
+    @property
+    def algebraic(self) -> RealAlgebraic:
+        if self._algebraic is None:
+            self._algebraic = RealAlgebraic.from_enclosure(self._candidates, self._disk)
+        return self._algebraic
+
+    def _disk(self, bits: int) -> tuple[Fraction, Fraction]:
+        cell = self._cells.get(bits)
+        if cell is None:
+            lo, hi = self._enclosure(bits)
+            g = bits + _GRID_GUARD
+            # floor and ceiling of lo 2^g and hi 2^g
+            n_lo = (lo.numerator << g) // lo.denominator
+            n_hi = -((-hi.numerator << g) // hi.denominator)
+            cell = self._cells[bits] = (Fraction(n_lo, 1 << g), Fraction(n_hi, 1 << g))
+        return cell
+
+    def interval(self, bits: int) -> tuple[Fraction, Fraction]:
+        if self._algebraic is None and bits <= REPORT_BITS:
+            cell = self._disk(bits)
+            # a disk loose enough to reach 0 would leave log unbounded
+            if cell[0] > 0:
+                return cell
+        return self.algebraic.interval(bits)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            lo, hi = self.interval(INITIAL_BITS)
+            return lo <= other <= hi and self.algebraic == other
+        return self is other
+
+    __hash__ = object.__hash__
 
 
 def _interval_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .actions import ValidatedAction, is_totally_reducible
-from .config import DEFAULT_CAP
+from .config import DEFAULT_CAP, REPORT_BITS
 from .errors import NotAnosovAction, UndecidedProportionality
 from .graded import GradedAlgebraAction, is_totally_reducible_graded
 from .logval import LogLinearValue
@@ -31,10 +31,6 @@ from .weyl import (
 def frac_str(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
-# precision of every certified value a report renders
-REPORT_BITS = 128
 
 
 def value_str(v: LogLinearValue) -> str:

@@ -6,8 +6,10 @@ tuples (lambda_1, ..., lambda_k).  They are extracted exactly: each joint
 primary component carries a commutative semisimple matrix algebra, which is
 generated by a single cyclic element C; every generator is a polynomial in
 C, so joint eigenvalue tuples are polynomial images of the roots of the
-(exactly factored) characteristic polynomial of C.  Moduli are pinned down
-as canonical real algebraic numbers, so functional values are log-linear
+(exactly factored) characteristic polynomial of C.  Moduli are certified
+from the root disks of their places, and identified as canonical real
+algebraic numbers only when an exact test, or a group of modulus vectors
+whose enclosures overlap, needs them; functional values are log-linear
 values with exact vanishing tests and refinable signs.
 
 Chambers are read off the certified signs of the minors of the class
@@ -51,7 +53,7 @@ from .intpoly import (
 )
 from .logval import LogLinearValue
 from .numutil import certified_root_disks, modulus_squared_bounds, sqrt_bounds
-from .realalg import RealAlgebraic, _interval_mul
+from .realalg import Modulus, _interval_mul
 
 # largest smaller term (numerator or denominator) of a rational ratio that
 # certifies two functionals proportional, and largest entry of an integer
@@ -239,7 +241,7 @@ def _msq_enclosure(p: IntPolynomial, base_disk, q: list[Fraction]):
 
 def _component_functionals(
     comp: PrimaryComponent,
-) -> list[tuple[tuple[RealAlgebraic, ...], int]]:
+) -> list[tuple[tuple[Modulus, ...], int]]:
     # the component stores the semisimple parts of the restrictions
     factors, qs = _cyclic_generator(comp.mats)
     # for a root r of a factor of charpoly(C), q_j(r) is an eigenvalue of
@@ -262,24 +264,40 @@ def _component_functionals(
             if paired and im < -rad:
                 continue
             msqs = tuple(
-                RealAlgebraic.from_enclosure(cands[j], _msq_enclosure(p, disk, qs[j]))
-                for j in range(len(qs))
+                Modulus(cands[j], _msq_enclosure(p, disk, qs[j])) for j in range(len(qs))
             )
             out.append((msqs, 2 * mult if paired and im > rad else mult))
     return out
 
 
+def _equal_moduli(xs: tuple[Modulus, ...], ys: tuple[Modulus, ...]) -> bool:
+    """Exact equality of two modulus vectors: disjoint enclosures at the
+    initial precision prove a coordinate differs, and only vectors whose
+    enclosures all overlap are identified and compared."""
+    pairs = [(x, y) for x, y in zip(xs, ys) if x is not y]
+    for x, y in pairs:
+        (a, b), (c, d) = x.interval(INITIAL_BITS), y.interval(INITIAL_BITS)
+        if b < c or d < a:
+            return False
+    return all(x.algebraic == y.algebraic for x, y in pairs)
+
+
 def lyapunov_data(action: ValidatedAction) -> list[LyapunovFunctional]:
     """Lyapunov functionals of the action, grouped by equal log-modulus
-    vectors, with multiplicities summing to the torus dimension."""
-    merged: dict[tuple[RealAlgebraic, ...], tuple[int, int]] = {}
+    vectors in order of first appearance, with multiplicities summing to
+    the torus dimension."""
+    groups: list[list] = []  # [moduli, multiplicity, first origin]
     for origin, comp in enumerate(joint_primary_components(action)):
         for msqs, mult in _component_functionals(comp):
-            total, first = merged.get(msqs, (0, origin))
-            merged[msqs] = (total + mult, first)
+            for group in groups:
+                if _equal_moduli(group[0], msqs):
+                    group[1] += mult
+                    break
+            else:
+                groups.append([msqs, mult, origin])
     out = [
         LyapunovFunctional(tuple(LogLinearValue.half_log(m) for m in msqs), mult, origin)
-        for msqs, (mult, origin) in merged.items()
+        for msqs, mult, origin in groups
     ]
     assert sum(f.multiplicity for f in out) == action.dim
     return out

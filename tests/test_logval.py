@@ -10,7 +10,7 @@ from anosov_forge.config import precisions
 from anosov_forge.errors import PrecisionExhausted
 from anosov_forge.intpoly import IntPolynomial
 from anosov_forge.logval import LogLinearValue
-from anosov_forge.realalg import RealAlgebraic
+from anosov_forge.realalg import Modulus, RealAlgebraic
 
 
 def phi_sq() -> RealAlgebraic:
@@ -150,6 +150,17 @@ def test_interval_of_a_modulus_below_the_precision():
     lo, hi = LogLinearValue.half_log(tiny).scale(2).interval(64)
     assert 0 < hi - lo < Fraction(1, 2**60)
     assert abs(float((lo + hi) / 2) + 80 * math.log(2)) < 1e-12
+
+
+def test_interval_of_a_modulus_whose_disks_reach_zero():
+    # a disk enclosure that reaches 0 is never served, even where the
+    # precision raised by the root bound stays within the disks' range: the
+    # modulus is identified and its log taken on the identified cells
+    small = RealAlgebraic(IntPolynomial((1, -3, 1)), 0)  # (3 - sqrt 5)/2
+    loose = Modulus([small.poly], lambda bits: (Fraction(0), small.interval(bits)[1]))
+    value = LogLinearValue.half_log(loose)
+    assert value.interval(64) == LogLinearValue.half_log(small).interval(64)
+    assert loose.algebraic == small
 
 
 # -- the refinement schedule ---------------------------------------------------

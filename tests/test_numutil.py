@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anosov_forge.intpoly import IntPolynomial, squarefree_part
+from anosov_forge.intpoly import IntPolynomial, cauchy_root_bound, squarefree_part
 from anosov_forge.numutil import (
     _log_bounds,
     _raw_mpf_to_fraction,
@@ -22,14 +23,15 @@ COMPLEX_P = IntPolynomial((1, 1, -1, 0, 1))  # x^4 - x^2 + x + 1, no real root
 
 def _check_disks(p: IntPolynomial, bits: int) -> None:
     """The contract: deg p pairwise disjoint disks of radius <= 2^-bits, and
-    a root found by mpmath at 4*bits lies inside each."""
+    a root found by mpmath lies inside each.  The radius is absolute, so the
+    reference runs at 4*bits plus the bits of the root bound."""
     disks = certified_root_disks(p.coeffs, bits)
     assert len(disks) == p.degree
     assert all(r <= Fraction(1, 1 << bits) for _, _, r in disks)
     for i, (x1, y1, r1) in enumerate(disks):
         for x2, y2, r2 in disks[i + 1 :]:
             assert (x1 - x2) ** 2 + (y1 - y2) ** 2 > (r1 + r2) ** 2
-    with mpmath.workprec(4 * bits):
+    with mpmath.workprec(4 * bits + math.ceil(cauchy_root_bound(p)).bit_length()):
         roots = mpmath.polyroots(
             [mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=500, extraprec=bits
         )
@@ -73,9 +75,13 @@ def test_root_disks_contract_complex_cluster():
         _check_disks(p, bits)
 
 
-# 2^1101 (x^3 - 3x) + 1, whose coefficients no double holds, and a degree-20
-# unit polynomial, squarefree, lowest coefficient first
-_BEYOND_FLOAT = IntPolynomial((1, -3 << 1101, 0, 1 << 1101))
+# 2^1101 (x^3 - 3x) + 1 and x^3 + 2^1100 x - 1 (roots near +-2^550 i and
+# 2^-1100), whose coefficients no double holds, and a degree-20 unit
+# polynomial, squarefree, lowest coefficient first
+_BEYOND_FLOAT = (
+    IntPolynomial((1, -3 << 1101, 0, 1 << 1101)),
+    IntPolynomial((-1, 1 << 1100, 0, 1)),
+)
 _DEGREE_20 = IntPolynomial(
     (-1, 3, 0, -3, -1, 1, 0, 0, 3, 3, -1, 0, -1, 1, -2, 1, -2, -1, -2, 3, 1)
 )
@@ -85,20 +91,9 @@ def test_root_disks_contract_beyond_float_range():
     # the float start gives way to sweeps from the circle when a
     # coefficient is out of float range, and starts the degree-20 case
     assert squarefree_part(_DEGREE_20) == _DEGREE_20
-    for p in (_BEYOND_FLOAT, _DEGREE_20):
+    for p in (*_BEYOND_FLOAT, _DEGREE_20):
         for bits in (64, 128, 256):
             _check_disks(p, bits)
-    # x^3 + 2^1100 x - 1: roots near +-2^550 i and 2^-1100, against a
-    # reference at 2048 bits, since 4*bits cannot place 2^550 i to 2^-bits
-    coeffs = (-1, 1 << 1100, 0, 1)
-    with mpmath.workprec(2048):
-        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs)], maxsteps=500)
-        for bits in (64, 128, 256):
-            disks = certified_root_disks(coeffs, bits)
-            assert len(disks) == 3 and all(r <= Fraction(1, 1 << bits) for _, _, r in disks)
-            for x, y, r in disks:
-                centre = mpmath.mpc(_mpf(x), _mpf(y))
-                assert any(abs(z - centre) <= _mpf(r) for z in roots)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])

@@ -29,6 +29,7 @@ from anosov_forge.errors import NotAnosovAction, NotTNS, SingularElement
 from anosov_forge.freenil import free_nilpotent_lift
 from anosov_forge.intpoly import IntPolynomial, isolate_real_roots
 from anosov_forge.logval import LogLinearValue
+from anosov_forge.linalg import int_mat_mul
 from anosov_forge.lp import maximize
 from anosov_forge.realalg import RealAlgebraic
 from anosov_forge.report import audit_action
@@ -599,6 +600,131 @@ def test_exact_zero_tests_reach_only_values_that_intervals_leave_open(
     complementary_splitting(classes, classes[0], CAP)
     assert calls
     assert separated == []
+
+
+def _identifications(monkeypatch) -> list:
+    """The candidates of every RealAlgebraic.from_enclosure call from now on."""
+    calls = []
+    identify = RealAlgebraic.from_enclosure.__func__
+
+    def spy(cls, candidates, enclosure):
+        calls.append(candidates)
+        return identify(cls, candidates, enclosure)
+
+    monkeypatch.setattr(RealAlgebraic, "from_enclosure", classmethod(spy))
+    return calls
+
+
+# the benchmark generator's first degree-5 draw of seed 0, lowest first
+SEEDED_D5 = (1, 3, 0, -3, -1, 1)
+
+
+@pytest.mark.parametrize("name", ["seed0-d5", "seed1-d8", "cartan_t3"])
+def test_generic_audit_identifies_no_modulus(monkeypatch, cartan_action, name):
+    # distinct moduli are told apart by their disk enclosures, and every
+    # sign of a generic audit is settled by intervals: no modulus becomes
+    # a RealAlgebraic
+    p = {"seed0-d5": SEEDED_D5, "seed1-d8": SEEDED_PAIRS["seed1-d8"]}.get(name)
+    action = cartan_action if p is None else _seeded_pair(p)
+    calls = _identifications(monkeypatch)
+    weyl_chambers(coarse_classes(lyapunov_data(action), CAP))
+    assert calls == []
+
+
+def test_symplectic_pair_identifies_its_moduli(monkeypatch):
+    # negative proportionality is certified by exact zero tests, which
+    # identify the moduli they multiply
+    symplectic, _ = load_action_file_with_options(fixture_path("symplectic_pair.json"))
+    calls = _identifications(monkeypatch)
+    weyl_chambers(coarse_classes(lyapunov_data(symplectic), CAP))
+    assert calls
+    assert audit_action(symplectic, CAP)["hypotheses"]["tns"]["kind"] == "false"
+
+
+# unit polynomials p with p(1) = +-1, lowest coefficient first, so that
+# (A, A - I) is unimodular for A the companion matrix of p: the places of
+# p have pairwise distinct modulus vectors (|r|, |r - 1|)
+_UNIT_PAIR_POLYS = (
+    (1, -3, 1),  # x^2 - 3x + 1
+    (-1, -1, 0, 1),  # x^3 - x - 1: one real root and one conjugate pair
+    (1, -3, 0, 1),  # x^3 - 3x + 1
+    (1, 1, -3, -1, 1),  # x^4 - x^3 - 3x^2 + x + 1
+    SEEDED_D5,
+)
+
+
+def _block_sum(gs, hs):
+    n, m = len(gs[0]), len(hs[0])
+    return validate(
+        [
+            [[*row, *[0] * m] for row in g] + [[*[0] * n, *row] for row in h]
+            for g, h in zip(gs, hs)
+        ]
+    )
+
+
+def _places(p) -> list[int]:
+    """Multiplicities of the places of p: 1 per real root, 2 per pair."""
+    real = len(isolate_real_roots(IntPolynomial(p)))
+    return [1] * real + [2] * ((len(p) - 1 - real) // 2)
+
+
+def _reference_groups(action):
+    """The functionals grouped by identified modulus vectors, in order of
+    first appearance: (moduli, multiplicity, first origin)."""
+    merged = {}
+    for origin, comp in enumerate(joint_primary_components(action)):
+        for msqs, mult in _component_functionals(comp):
+            key = tuple(m.algebraic for m in msqs)
+            total, first = merged.get(key, (0, origin))
+            merged[key] = (total + mult, first)
+    return [(key, mult, origin) for key, (mult, origin) in merged.items()]
+
+
+@given(
+    st.sampled_from(range(len(_UNIT_PAIR_POLYS))),
+    st.sampled_from(["conjugate", "negated", "other"]),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4), st.integers(-2, 2)), max_size=6),
+    st.integers(1, len(_UNIT_PAIR_POLYS) - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_grouping_across_components(k, kind, ops, shift):
+    # diag(M_j, P M_j P^-1) and diag(M_j, -P M_j P^-1) for the pair
+    # M = (A, A - I) and a unimodular P: the second block repeats the
+    # modulus vectors of the first, in one joint component or in a second
+    # one (of p(-x)), so every functional has twice the multiplicity of its
+    # place.  A block of another polynomial shares no modulus vector.
+    p = _UNIT_PAIR_POLYS[k]
+    a = _seeded_pair(p).generators
+    d = len(p) - 1
+    if kind == "other":
+        q = _UNIT_PAIR_POLYS[(k + shift) % len(_UNIT_PAIR_POLYS)]
+        action = _block_sum(a, _seeded_pair(q).generators)
+        expected = sorted(_places(p) + _places(q))
+    else:
+        # P and P^-1 from row operations r_i += c r_j and their inverses
+        pm = [[int(i == j) for j in range(d)] for i in range(d)]
+        pinv = [row[:] for row in pm]
+        for i, j, c in ops:
+            i, j = i % d, (i + j) % d
+            if i == j:
+                continue
+            pm[i] = [x + c * y for x, y in zip(pm[i], pm[j])]
+            for row in pinv:
+                row[j] -= c * row[i]
+        sign = -1 if kind == "negated" else 1
+        conj = [
+            [[sign * x for x in row] for row in int_mat_mul(int_mat_mul(pm, g), pinv)] for g in a
+        ]
+        action = _block_sum(a, conj)
+        expected = sorted(2 * m for m in _places(p))
+    fs = lyapunov_data(action)
+    assert sorted(f.multiplicity for f in fs) == expected
+    assert sum(f.multiplicity for f in fs) == action.dim
+    reference = _reference_groups(action)
+    assert [(f.multiplicity, f.origin) for f in fs] == [(m, o) for _, m, o in reference]
+    for f, (key, _, _) in zip(fs, reference):
+        assert tuple(m.algebraic for v in f.values for _, m in v.terms) == key
 
 
 def test_splitting_requires_tns():

@@ -21,12 +21,13 @@ exact linear algebra of the joint components dominates);
 `analyze --json` and `chambers` on the seeded spectral pairs of
 perfbench seeds 1-4, on cartan_t4 (embedded 128-bit cap and default cap),
 the dependent pair (A, A^2), the coplanar action (A, A - I, A(A - I)) and
-one seeded rank-3 action; `analyze --json` on the seeded pairs (A, A - I),
-p = random_unit_polynomial(Random(0), d), of degree 12, whose conjugate
-pairs are ordered at degree 12, and of degree 14, whose moduli have
-pair-product candidates of degree 91; `analyze --json` on the dependent pair with
-embedded caps of 256 and 1024 bits, refined to those caps and undecided
-there; `analyze --json` on the T^6 actions
+one seeded rank-3 action; `analyze --json` and `chambers` on the seeded
+pairs (A, A - I), p = random_unit_polynomial(Random(0), d), of degree 12,
+whose conjugate pairs are ordered at degree 12, and of degree 14, whose
+moduli have pair-product candidates of degree 91 (the largest integers of
+the disk match and of the evaluation of q_j); `analyze --json` on the
+dependent pair with embedded caps of 256 and 1024 bits, refined to those
+caps and undecided there; `analyze --json` on the T^6 actions
 diag(g, h^13) over the cartan_t3 generators g, for h = g and h = g^-T
 (the corpus's one certified ratio other than 1); `analyze --json` on
 the T^7 block sum of example82 and cartan_t3 (one component not
@@ -38,7 +39,7 @@ values; the `normal-forms --element` calls of the perfbench
 errors: `analyze` on a torus file with a 1.5 entry and on a graded file
 with a "1/0" entry, `normal-forms` on a
 spectrum file with an unknown field, and `lift --step 2`, `normal-forms
---element=1,0` and `chambers` on the step-2 lift of cartan_t3: 159 calls.
+--element=1,0` and `chambers` on the step-2 lift of cartan_t3: 161 calls.
 Inputs come from perfbench/inputs.py and perfbench/run.py and are written
 to a temporary directory that both trees read.
 """
@@ -201,7 +202,7 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
         seeded = inputs.polynomial_action(
             f"pair-d{d}", inputs.random_unit_polynomial(random.Random(0), d), [[0, 1], [-1, 1]]
         )
-        calls.append(["analyze", _write(work, seeded.name, seeded.document()), "--json"])
+        both(seeded.name, seeded.document())
     pair = inputs.dependent_pair()
     both("dependent-pair", pair.document())
     for cap in (256, 1024):

@@ -9,7 +9,8 @@ per endpoint pair and working precision.  Root disks use the Newton
 inclusion radius d*|f(z)/f'(z)|, evaluated exactly at approximations from
 an Aberth iteration: a start in hardware floats, then mpmath sweeps only a
 few dozen bits past the requested accuracy; square roots are rounded on
-the requested grid.
+the requested grid.  Disks are compared, and polynomials evaluated at
+their centres, in (Gaussian) integers on one dyadic grid 2^-s.
 """
 
 from __future__ import annotations
@@ -226,39 +227,41 @@ def _certify(coeffs, dcoeffs, zs, prec: int, target: Fraction):
     return tuple(disks)
 
 
+def dyadic_numerators(rows) -> tuple[int, list[tuple[int, ...]]]:
+    """(s, rows times 2^s): tuples of dyadic Fractions as integers on the
+    common grid 2^-s, with 2^s their largest denominator."""
+    s = max(x.denominator.bit_length() for r in rows for x in r)
+    return s - 1, [tuple(x.numerator << s - x.denominator.bit_length() for x in r) for r in rows]
+
+
+def gaussian_horner(coeffs, a: int, b: int, s: int) -> tuple[int, int]:
+    """2^(s n) f(z) as a Gaussian integer, for the integer polynomial f of
+    degree n = len(coeffs) - 1 (lowest coefficient first) at z = (a + ib)/2^s."""
+    fr, fi = coeffs[-1], 0
+    for k, c in enumerate(reversed(coeffs[:-1]), start=1):
+        fr, fi = fr * a - fi * b + (c << (s * k)), fr * b + fi * a
+    return fr, fi
+
+
 def _newton_radius(
     coeffs: tuple[int, ...], dcoeffs: tuple[int, ...], re: Fraction, im: Fraction, grid: int
 ) -> Fraction | None:
-    """Upper bound on d*|f(z)/f'(z)| on the grid 2^-grid, or None if f'(z) = 0.
-
-    z = (a + ib)/2^s is dyadic, so 2^(s*deg) f(z) is a Gaussian integer.
-    """
-    s = max(re.denominator.bit_length(), im.denominator.bit_length()) - 1
-    a = re.numerator << (s - re.denominator.bit_length() + 1)
-    b = im.numerator << (s - im.denominator.bit_length() + 1)
-
-    def scaled_norm(cs):
-        fr, fi = cs[-1], 0
-        for k, c in enumerate(reversed(cs[:-1]), start=1):
-            fr, fi = fr * a - fi * b + (c << (s * k)), fr * b + fi * a
-        return fr * fr + fi * fi
-
-    d = len(coeffs) - 1
-    fd2 = scaled_norm(dcoeffs)
-    if not fd2:
+    """Upper bound on d*|f(z)/f'(z)| on the grid 2^-grid, or None if f'(z) = 0."""
+    s, [(a, b)] = dyadic_numerators([(re, im)])
+    (fr, fi), (gr, gi) = (gaussian_horner(cs, a, b, s) for cs in (coeffs, dcoeffs))
+    if not (gr or gi):
         return None
     # (d|f|/|f'|)^2 = d^2 |F|^2 / (|F'|^2 4^s) with F = 2^(s d) f(z)
-    n = ((d * d * scaled_norm(coeffs)) << (2 * grid)) // (fd2 << (2 * s))
+    d = len(coeffs) - 1
+    n = ((d * d * (fr * fr + fi * fi)) << (2 * grid)) // ((gr * gr + gi * gi) << (2 * s))
     return Fraction(math.isqrt(n) + 1, 1 << grid)
 
 
 def _pairwise_disjoint(disks) -> bool:
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            dx = disks[i][0] - disks[j][0]
-            dy = disks[i][1] - disks[j][1]
-            rr = disks[i][2] + disks[j][2]
-            if dx * dx + dy * dy <= rr * rr:
+    _, ints = dyadic_numerators(disks)
+    for i, (x1, y1, r1) in enumerate(ints):
+        for x2, y2, r2 in ints[i + 1 :]:
+            if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
                 return False
     return True
 

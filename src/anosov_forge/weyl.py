@@ -7,10 +7,11 @@ primary component carries a commutative semisimple matrix algebra, which is
 generated by a single cyclic element C; every generator is a polynomial in
 C, so joint eigenvalue tuples are polynomial images of the roots of the
 (exactly factored) characteristic polynomial of C.  Moduli are certified
-from the root disks of their places, and identified as canonical real
-algebraic numbers only when an exact test, or a group of modulus vectors
-whose enclosures overlap, needs them; functional values are log-linear
-values with exact vanishing tests and refinable signs.
+from the root disks of their places, matched once per place and precision
+and evaluated in integers on the disks' dyadic grid.  They are identified
+as canonical real algebraic numbers only when an exact test, or a group of
+modulus vectors whose enclosures overlap, needs them; functional values
+are log-linear values with exact vanishing tests and refinable signs.
 
 Chambers are read off the certified signs of the minors of the class
 normals, in every rank: a sign vector is a chamber iff no signed circuit
@@ -52,7 +53,9 @@ from .intpoly import (
     sturm_count,
 )
 from .logval import LogLinearValue
-from .numutil import certified_root_disks, modulus_squared_bounds, sqrt_bounds
+from .numutil import (
+    certified_root_disks, dyadic_numerators, gaussian_horner, modulus_squared_bounds, sqrt_bounds
+)
 from .realalg import Modulus, _interval_mul
 
 # largest smaller term (numerator or denominator) of a rational ratio that
@@ -198,43 +201,48 @@ def _cyclic_generator(
     raise RuntimeError("no cyclic generator found for semisimple algebra")
 
 
-def _eval_poly_on_disk(
-    q: list[Fraction], re: Fraction, im: Fraction, rad: Fraction, bits: int
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Rigorous disk enclosure of q(z) over the disk around re + i*im."""
-    are, aim = Fraction(0), Fraction(0)
-    for c in reversed(q):
-        are, aim = are * re - aim * im + c, are * im + aim * re
-    # |q(z) - q(center)| <= rad * sum_t t |q_t| R^(t-1), R >= |center| + rad
-    _, chi = sqrt_bounds(re * re + im * im, bits)
-    big_r = chi + rad
-    deriv_bound = sum(
-        Fraction(t) * abs(c) * big_r ** (t - 1) for t, c in enumerate(q) if t
-    )
-    return are, aim, rad * deriv_bound
+def _place_disks(p: IntPolynomial, base_disk):
+    """bits -> the disks of p at bits that meet base_disk, matched in integers
+    on one grid 2^-s and kept per bits, as (a, b, s, rad, R >= |centre| + rad)
+    with centre (a + ib)/2^s.  The root's own disk always meets base_disk, and
+    foreign disks drop out once their radii beat the root separation."""
+    memo: dict[int, list] = {}
+
+    def match(bits: int) -> list:
+        if bits not in memo:
+            disks = certified_root_disks(p.coeffs, bits)
+            s, ((bx, by, br), *ints) = dyadic_numerators((base_disk, *disks))
+            memo[bits] = [
+                (a, b, s, rad, sqrt_bounds(re * re + im * im, bits)[1] + rad)
+                for (re, im, rad), (a, b, r) in zip(disks, ints)
+                if (a - bx) ** 2 + (b - by) ** 2 <= (r + br) ** 2
+            ]
+        return memo[bits]
+
+    return match
 
 
-def _msq_enclosure(p: IntPolynomial, base_disk, q: list[Fraction]):
-    """Shrinking enclosure of |q(root)|^2 for the root inside base_disk.
-
-    At each refinement, hull the bound over every refined disk meeting the
-    base disk: the true root's disk is always included, and foreign disks
-    drop out once their radii beat the root separation.
-    """
-    bre, bim, brad = base_disk
+def _msq_enclosure(match, q: list[Fraction]):
+    """Shrinking enclosure of |q(root)|^2 for the root of a place: the hull
+    of the bounds over the disks match(bits) of _place_disks, from q at the
+    centre and |q(z) - q(centre)| <= rad * sum_t t |q_t| R^(t-1), both in
+    integers times den, the common denominator of q."""
+    den = math.lcm(*(c.denominator for c in q))
+    num = [c.numerator * (den // c.denominator) for c in q]
+    # t |den q_t| for t >= 1, the derivative bound's coefficients
+    dnum = [t * abs(c) for t, c in enumerate(num)][1:] or [0]
 
     def enclosure(bits: int) -> tuple[Fraction, Fraction]:
-        lo = hi = None
-        for re, im, rad in certified_root_disks(p.coeffs, bits):
-            d2 = (re - bre) ** 2 + (im - bim) ** 2
-            if d2 > (rad + brad) ** 2:
-                continue
-            gre, gim, grad = _eval_poly_on_disk(q, re, im, rad, bits)
-            a, b = modulus_squared_bounds(gre, gim, grad, bits)
-            lo = a if lo is None else min(lo, a)
-            hi = b if hi is None else max(hi, b)
-        assert lo is not None
-        return lo, hi
+        out = []
+        for a, b, s, rad, big_r in match(bits):
+            fr, fi = gaussian_horner(num, a, b, s)  # den 2^(s deg q) q(centre)
+            scale = den << s * (len(num) - 1)
+            k = big_r.denominator.bit_length() - 1
+            deriv = gaussian_horner(dnum, big_r.numerator, 0, k)[0]
+            grad = rad * Fraction(deriv, den << k * (len(dnum) - 1))
+            out.append(modulus_squared_bounds(Fraction(fr, scale), Fraction(fi, scale), grad, bits))
+        los, his = zip(*out)
+        return min(los), max(his)
 
     return enclosure
 
@@ -263,9 +271,8 @@ def _component_functionals(
             _, im, rad = disk
             if paired and im < -rad:
                 continue
-            msqs = tuple(
-                Modulus(cands[j], _msq_enclosure(p, disk, qs[j])) for j in range(len(qs))
-            )
+            match = _place_disks(p, disk)
+            msqs = tuple(Modulus(cands[j], _msq_enclosure(match, qs[j])) for j in range(len(qs)))
             out.append((msqs, 2 * mult if paired and im > rad else mult))
     return out
 

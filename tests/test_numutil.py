@@ -3,19 +3,20 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from anosov_forge.intpoly import IntPolynomial, cauchy_root_bound, squarefree_part
 from anosov_forge.numutil import (
     _log_bounds,
+    _pairwise_disjoint,
     _raw_mpf_to_fraction,
     certified_root_disks,
     log_interval,
     modulus_squared_bounds,
     sqrt_bounds,
 )
-from anosov_forge.weyl import _msq_enclosure
+from anosov_forge.weyl import _msq_enclosure, _place_disks
 
 CARTAN_P = IntPolynomial((1, -3, 0, 1))  # x^3 - 3x + 1, three real roots
 COMPLEX_P = IntPolynomial((1, 1, -1, 0, 1))  # x^4 - x^2 + x + 1, no real root
@@ -115,8 +116,101 @@ def test_modulus_enclosures_shrink_with_bits(p, bits):
         assert 0 < hi - lo < width
     for disk in certified_root_disks(p.coeffs, 64):
         for q in ([Fraction(0), Fraction(1)], [Fraction(-1), Fraction(1, 2), Fraction(1)]):
-            lo, hi = _msq_enclosure(p, disk, q)(bits)
+            lo, hi = _msq_enclosure(_place_disks(p, disk), q)(bits)
             assert 0 < hi - lo < width
+
+
+def _eval_poly_on_disk(
+    q: list[Fraction], re: Fraction, im: Fraction, rad: Fraction, bits: int
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Disk enclosure of q(z) over the disk around re + i*im, in Fractions:
+    the reference for the integer evaluation of _msq_enclosure."""
+    are, aim = Fraction(0), Fraction(0)
+    for c in reversed(q):
+        are, aim = are * re - aim * im + c, are * im + aim * re
+    # |q(z) - q(center)| <= rad * sum_t t |q_t| R^(t-1), R >= |center| + rad
+    _, chi = sqrt_bounds(re * re + im * im, bits)
+    big_r = chi + rad
+    deriv_bound = sum(Fraction(t) * abs(c) * big_r ** (t - 1) for t, c in enumerate(q) if t)
+    return are, aim, rad * deriv_bound
+
+
+def _reference_msq_enclosure(p: IntPolynomial, base_disk, q: list[Fraction], bits: int):
+    """The hull of the Fraction bounds over every disk of p at bits that
+    meets base_disk, each disk tested with Fraction distances."""
+    bre, bim, brad = base_disk
+    lo = hi = None
+    for re, im, rad in certified_root_disks(p.coeffs, bits):
+        if (re - bre) ** 2 + (im - bim) ** 2 > (rad + brad) ** 2:
+            continue
+        a, b = modulus_squared_bounds(*_eval_poly_on_disk(q, re, im, rad, bits), bits)
+        lo = a if lo is None else min(lo, a)
+        hi = b if hi is None else max(hi, b)
+    return lo, hi
+
+
+_unit_polys = st.builds(
+    lambda c0, middle: squarefree_part(IntPolynomial([c0, *middle, 1])),
+    st.sampled_from((1, -1)),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=9),
+)
+_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@given(_unit_polys, st.data())
+@example(CARTAN_P, None)
+@example(COMPLEX_P, None)
+@settings(max_examples=40, deadline=None)
+def test_msq_enclosure_equals_fraction_reference(p, data):
+    # real and complex places, q of degree 0 to deg p - 1 with zero and
+    # negative coefficients: the integer enclosure equals the Fraction one
+    assume(p.degree >= 2)
+    for disk in certified_root_disks(p.coeffs, 64):
+        match = _place_disks(p, disk)
+        if data is None:
+            qs = [[Fraction(3, 2)], [Fraction(0), Fraction(-1, 3), Fraction(0), Fraction(5, 7)]]
+        else:
+            qs = [data.draw(st.lists(_rationals, min_size=1, max_size=p.degree)) for _ in range(2)]
+        for q in qs:
+            enclosure = _msq_enclosure(match, q)
+            for bits in (64, 128, 256):
+                assert enclosure(bits) == _reference_msq_enclosure(p, disk, q, bits)
+
+
+def _reference_disjoint(disks) -> bool:
+    return all(
+        (x1 - x2) ** 2 + (y1 - y2) ** 2 > (r1 + r2) ** 2
+        for i, (x1, y1, r1) in enumerate(disks)
+        for x2, y2, r2 in disks[i + 1 :]
+    )
+
+
+_dyadics = st.builds(lambda n, e: Fraction(n, 1 << e), st.integers(-64, 64), st.integers(0, 8))
+_disks = st.tuples(
+    _dyadics, _dyadics | st.just(Fraction(0)), st.builds(abs, _dyadics).filter(bool)
+)
+
+
+@given(
+    st.lists(_disks, min_size=1, max_size=5),
+    st.lists(st.tuples(_dyadics, st.booleans()), max_size=3),
+)
+# tangent off the axis, and apart with real centres (denominator 1)
+@example([(Fraction(0), Fraction(0), Fraction(1)), (Fraction(3, 4), Fraction(1), Fraction(1, 4))], [])
+@example([(Fraction(0), Fraction(0), Fraction(1)), (Fraction(2), Fraction(0), Fraction(1, 2))], [])
+@settings(max_examples=200, deadline=None)
+def test_pairwise_disjoint_matches_fraction_reference(disks, tangents):
+    # each tangent entry (u, axis) adds a disk at distance exactly its
+    # radius plus r_0 from the first disk: along the real axis, or along
+    # (3, 4) at distance 5|u|
+    x0, y0, r0 = disks[0]
+    for u, axis in tangents:
+        u = abs(u) or Fraction(1)
+        if axis or 5 * u <= r0:
+            disks.append((x0 - r0 - u, y0, u))
+        else:
+            disks.append((x0 + 3 * u, y0 - 4 * u, 5 * u - r0))
+    assert _pairwise_disjoint(disks) == _reference_disjoint(disks)
 
 
 def _iv_log_interval(lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fraction]:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import signal
@@ -17,6 +18,7 @@ from conftest import (
     symplectic_double,
 )
 
+from anosov_forge import weyl
 from anosov_forge.actions import (
     is_anosov_matrix,
     joint_primary_components,
@@ -24,7 +26,7 @@ from anosov_forge.actions import (
     validate,
 )
 from anosov_forge.cli import load_action_file_with_options
-from anosov_forge.config import DEFAULT_CAP, INITIAL_BITS
+from anosov_forge.config import DEFAULT_CAP, INITIAL_BITS, REPORT_BITS
 from anosov_forge.errors import NotAnosovAction, NotTNS, SingularElement
 from anosov_forge.freenil import free_nilpotent_lift
 from anosov_forge.intpoly import IntPolynomial, isolate_real_roots
@@ -629,6 +631,25 @@ def test_generic_audit_identifies_no_modulus(monkeypatch, cartan_action, name):
     calls = _identifications(monkeypatch)
     weyl_chambers(coarse_classes(lyapunov_data(action), CAP))
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["seed0-d5", "seed1-d8"])
+def test_root_disks_asked_once_per_place_and_bits(monkeypatch, name):
+    # the moduli of a place share one disk match per precision: a rank-2
+    # audit asks for the disks of p once per place and bits, and once more
+    # for the base disks
+    p = {"seed0-d5": SEEDED_D5, "seed1-d8": SEEDED_PAIRS["seed1-d8"]}[name]
+    calls = collections.Counter()
+    disks = weyl.certified_root_disks
+
+    def spy(coeffs, bits):
+        calls[coeffs, bits] += 1
+        return disks(coeffs, bits)
+
+    monkeypatch.setattr(weyl, "certified_root_disks", spy)
+    audit_action(_seeded_pair(p), CAP)
+    places = len(_places(p))
+    assert calls == {(p, INITIAL_BITS): places + 1, (p, REPORT_BITS): places}
 
 
 def test_symplectic_pair_identifies_its_moduli(monkeypatch):

@@ -10,8 +10,9 @@ and exits 1 if any does, 0 if all agree.  OLD_SRC and NEW_SRC are the
 `src/` directories of two checkouts.
 
 The corpus: `analyze` (summary and --json), `chambers` and `lift --step 2
---out --json` on the four torus fixtures, and `lift --step 3 --out` on
-cartan_t3 and symplectic_pair; `normal-forms` on the spectrum fixture
+--out --json` on the four torus fixtures, `lift --step 3 --out` on
+cartan_t3 and symplectic_pair, and `lift --step 4 --json` on cartan_t3
+(dimension 32, the largest kernels of the corpus); `normal-forms` on the spectrum fixture
 and on a spectrum of non-integer exponents (-1/3, -1/2, -5/6, -8/7) with
 the exact tie -5/6 = -1/3 - 1/2;
 `analyze --json` on each graded file that OLD_SRC's `lift --step 2 --out`
@@ -39,7 +40,7 @@ values; the `normal-forms --element` calls of the perfbench
 errors: `analyze` on a torus file with a 1.5 entry and on a graded file
 with a "1/0" entry, `normal-forms` on a
 spectrum file with an unknown field, and `lift --step 2`, `normal-forms
---element=1,0` and `chambers` on the step-2 lift of cartan_t3: 161 calls.
+--element=1,0` and `chambers` on the step-2 lift of cartan_t3: 162 calls.
 Inputs come from perfbench/inputs.py and perfbench/run.py and are written
 to a temporary directory that both trees read.
 """
@@ -158,6 +159,7 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
         graded.append(os.path.join(work, f"{name}-lift3.json"))
         run_cli(old_src, ["lift", path, "--step", "3", "--out", graded[-1]], work)
     cartan = os.path.join(FIXTURES, "cartan_t3.json")
+    calls.append(["lift", cartan, "--step", "4", "--json"])
     calls += [["analyze", g, "--json"] for g in graded]
     calls += [
         ["chambers", cartan, "--format", "svg"],

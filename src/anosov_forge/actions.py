@@ -47,7 +47,7 @@ class RationalSubspace:
     @classmethod
     def span(cls, vectors) -> "RationalSubspace":
         """The span of the vectors, as the nonzero rows of their rref."""
-        reduced, pivots = linalg.rref([[Fraction(x) for x in v] for v in vectors])
+        reduced, pivots = linalg.rref(vectors)
         return cls(_frozen(reduced[: len(pivots)]), tuple(pivots))
 
     @classmethod
@@ -258,10 +258,10 @@ def is_anosov_matrix(a) -> bool:
     """No eigenvalue on the unit circle (matrix must be unimodular)."""
     from .modulus import has_unit_modulus_root
 
-    m = linalg.to_mat(a)
-    if linalg.det(m) not in (1, -1):
-        raise NotUnimodular(0, linalg.det(m))
-    return not has_unit_modulus_root(linalg.charpoly(m))
+    dv = linalg.det(a)
+    if dv not in (1, -1):
+        raise NotUnimodular(0, dv)
+    return not has_unit_modulus_root(linalg.charpoly(a))
 
 
 def product_matrix(action: ValidatedAction, exponents) -> Mat:

@@ -1,5 +1,7 @@
-"""Exact linear algebra over Q (lists of lists of Fraction).
+"""Exact linear algebra over Q, on lists of rows of Fractions or ints.
 
+One fraction-free Gauss-Jordan elimination on integer rows (Bareiss, Math.
+Comp. 22, 1968) is behind det, rref, rank, nullspace, solve and inverse.
 Characteristic polynomials come from Berkowitz's division-free algorithm
 (Inf. Proc. Lett. 18, 1984) on the integer matrix den * A.
 """
@@ -74,83 +76,81 @@ def integral(a) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
-def det(a: Mat) -> Fraction:
-    """Determinant, by fraction-free Bareiss elimination on B = den * A:
-    det A = det B / den^n.  A step only scales a row with 0 in the pivot
-    column, by the pivot over the previous one; these factors telescope, so
-    the row keeps the pivot it was last updated at and is rescaled once."""
-    n = len(a)
-    m, den = integral(a)
-    level = [1] * n  # the pivot each row was last updated at
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            level[k], level[pivot] = level[pivot], level[k]
-            sign = -sign
-        top = [x * prev // level[k] for x in m[k][k + 1 :]]
-        p = m[k][k] * prev // level[k]
-        for i in range(k + 1, n):
-            row, f = m[i], m[i][k]
-            if f:
-                # exact: the Bareiss value of the row brought up to date
-                tail = zip(row[k + 1 :], top)
-                row[k + 1 :] = [(p * x - f * y) // level[i] for x, y in tail]
-                level[i] = p
-        prev = p
-    return Fraction(sign * prev, den**n)
+def _integer_rows(a) -> tuple[list[list[int]], int]:
+    """Each row of A times its common denominator, and their product."""
+    rows = [integral([row]) for row in a]
+    return [b for (b,), _ in rows], math.prod(den for _, den in rows)
 
 
-def _reduce(m: Mat, cols: int) -> list[int]:
-    """Bring m to reduced row echelon form in place, pivoting in its first
-    cols columns only; returns the pivot columns."""
+def _reduce(m: list[list[int]], cols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows m in
+    place, pivoting in their first cols columns; returns the pivot columns,
+    the last pivot d and the sign of the row swaps.  The reduced row echelon
+    form is then m / d, and a square m of full rank has determinant sign d.
+
+    A row with f in the column of pivot p becomes (p row - f top) / prev,
+    top the pivot row and prev the pivot before (Bareiss): exact, as every
+    entry is a minor of m.  A row with 0 there would only be scaled by
+    p / prev; these factors telescope, so the row keeps the pivot it was
+    last updated at and is rescaled once at the end."""
     rows = len(m)
+    level = [1] * rows  # the pivot each row was last updated at
     pivots: list[int] = []
-    r = 0
+    sign, prev = 1, 1
     for c in range(cols):
-        if r >= rows:
-            break
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            level[r], level[pivot] = level[pivot], level[r]
+            sign = -sign
+        # brought up to date, the pivot row stays as it is at this step
+        top = m[r] = [x * prev // level[r] for x in m[r]]
+        p = level[r] = top[c]
         for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(p * x - f * y) // level[i] for x, y in zip(m[i], top)]
+                level[i] = p
         pivots.append(c)
-        r += 1
-    return pivots
+        prev = p
+    for i in range(rows):
+        m[i] = [x * prev // level[i] for x in m[i]]
+    return pivots, prev, sign
+
+
+def det(a: Mat) -> Fraction:
+    """The signed last pivot of the integer rows over their denominators."""
+    m, scale = _integer_rows(a)
+    pivots, d, sign = _reduce(m, len(m))
+    return Fraction(sign * d, scale) if len(pivots) == len(m) else Fraction(0)
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
-    m = [row[:] for row in a]
-    return m, _reduce(m, len(m[0]) if m else 0)
+    m, _ = _integer_rows(a)
+    pivots, d, _ = _reduce(m, len(m[0]) if m else 0)
+    return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
 def rank(a: Mat) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
+    return len(_reduce(_integer_rows(a)[0], len(a[0]) if a else 0)[0])
 
 
 def nullspace(a: Mat) -> tuple[list[Vec], list[int]]:
     """Basis of the right kernel, one vector per free column in increasing
     order, and the free columns: at them the basis is the identity."""
-    red, pivots = rref(a)
+    m, _ = _integer_rows(a)
     cols = len(a[0])
+    pivots, d, _ = _reduce(m, cols)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            v[pc] = Fraction(-m[r][fc], d)
         basis.append(v)
     return basis, free
 
@@ -160,8 +160,8 @@ def solve(a: Mat, bs: list[Vec]) -> list[Vec | None]:
     is inconsistent, from one elimination of A with every b appended; the
     free unknowns are 0."""
     rows, cols = len(a), len(a[0])
-    m = [a[i] + [b[i] for b in bs] for i in range(rows)]
-    pivots = _reduce(m, cols)
+    m, _ = _integer_rows(a[i] + [b[i] for b in bs] for i in range(rows))
+    pivots, d, _ = _reduce(m, cols)
     out: list[Vec | None] = []
     for k in range(cols, cols + len(bs)):
         if any(m[i][k] for i in range(len(pivots), rows)):
@@ -169,7 +169,7 @@ def solve(a: Mat, bs: list[Vec]) -> list[Vec | None]:
             continue
         x = [Fraction(0)] * cols
         for r, pc in enumerate(pivots):
-            x[pc] = m[r][k]
+            x[pc] = Fraction(m[r][k], d)
         out.append(x)
     return out
 

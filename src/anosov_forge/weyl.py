@@ -168,18 +168,18 @@ def _cyclic_generator(
         r = sum(p.degree for p, _ in factors)
         # Krylov vectors of the integer matrix B = den*C: B^i e_j = den^i C^i e_j
         b, den = linalg.integral(c)
-        rows: list[list[Fraction]] = []
+        rows: list[list[int]] = []
         rhs: list[list[Fraction]] = [[] for _ in semis]
         krylov: list[list[int]] = []
         for j in range(m):
             vecs = [[int(i == j) for i in range(m)]]
             for _ in range(r - 1):
                 vecs.append([sum(x * y for x, y in zip(row, vecs[-1])) for row in b])
-            rows += [[Fraction(v[i]) for v in vecs] for i in range(m)]
+            rows += [[v[i] for v in vecs] for i in range(m)]
             for col, s in zip(rhs, semis):
                 col += [s[i][j] for i in range(m)]
             krylov += vecs
-            if linalg.rank(linalg.to_mat(krylov)) == m:
+            if linalg.rank(krylov) == m:
                 break
         sols = linalg.solve(rows, rhs)
         if None in sols:
@@ -659,7 +659,7 @@ def complementary_splitting(
     for _attempt in range(64):
         p = tuple(rng.randint(-9, 9) for _ in range(k))
         q = tuple(rng.randint(-9, 9) for _ in range(k))
-        if linalg.rank([[Fraction(v) for v in p], [Fraction(v) for v in q]]) < 2:
+        if linalg.rank([p, q]) < 2:
             continue
         try:
             traces = []

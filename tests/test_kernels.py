@@ -1,7 +1,8 @@
 """The exact integer kernels against sympy: Zassenhaus factoring, primitive
-pseudo-remainder gcds, Berkowitz characteristic polynomials and Bareiss
-determinants; and restrictions to invariant subspaces read off at their
-echelon coordinates."""
+pseudo-remainder gcds, Berkowitz characteristic polynomials and the
+determinants of the fraction-free elimination (its rref, nullspace and
+solve are checked in test_linalg.py); and restrictions to invariant
+subspaces read off at their echelon coordinates."""
 
 from fractions import Fraction
 

@@ -165,12 +165,13 @@ def test_msq_enclosure_equals_fraction_reference(p, data):
     # real and complex places, q of degree 0 to deg p - 1 with zero and
     # negative coefficients: the integer enclosure equals the Fraction one
     assume(p.degree >= 2)
+    if data is None:
+        qs = [[Fraction(3, 2)], [Fraction(0), Fraction(-1, 3), Fraction(0), Fraction(5, 7)]]
+    else:
+        # one draw shared by the disks: a draw per disk can overrun the data budget
+        qs = [data.draw(st.lists(_rationals, min_size=1, max_size=p.degree)) for _ in range(2)]
     for disk in certified_root_disks(p.coeffs, 64):
         match = _place_disks(p, disk)
-        if data is None:
-            qs = [[Fraction(3, 2)], [Fraction(0), Fraction(-1, 3), Fraction(0), Fraction(5, 7)]]
-        else:
-            qs = [data.draw(st.lists(_rationals, min_size=1, max_size=p.degree)) for _ in range(2)]
         for q in qs:
             enclosure = _msq_enclosure(match, q)
             for bits in (64, 128, 256):

@@ -12,7 +12,8 @@ and exits 1 if any does, 0 if all agree.  OLD_SRC and NEW_SRC are the
 The corpus: `analyze` (summary and --json), `chambers` and `lift --step 2
 --out --json` on the four torus fixtures, `lift --step 3 --out` on
 cartan_t3 and symplectic_pair, and `lift --step 4 --json` on cartan_t3
-(dimension 32, the largest kernels of the corpus); `normal-forms` on the spectrum fixture
+(dimension 32) and on symplectic_pair (dimension 90, the largest and
+sparsest matrices of the corpus); `normal-forms` on the spectrum fixture
 and on a spectrum of non-integer exponents (-1/3, -1/2, -5/6, -8/7) with
 the exact tie -5/6 = -1/3 - 1/2;
 `analyze --json` on each graded file that OLD_SRC's `lift --step 2 --out`
@@ -35,12 +36,13 @@ the T^7 block sum of example82 and cartan_t3 (one component not
 semisimple, one semisimple) and on the T^6 block sum diag(a1, a1),
 diag(a2, a1 a2) of the cartan_t3 generators, and `normal-forms
 --element=1,0` on the latter, where two stable classes have equal
-values; the `normal-forms --element` calls of the perfbench
-`subresonance` workload, with the JSON on stdout; the input reader's
-errors: `analyze` on a torus file with a 1.5 entry and on a graded file
-with a "1/0" entry, `normal-forms` on a
-spectrum file with an unknown field, and `lift --step 2`, `normal-forms
---element=1,0` and `chambers` on the step-2 lift of cartan_t3: 162 calls.
+values, at the default cap and at an embedded cap of 128 bits; the
+`normal-forms --element` calls of the perfbench `subresonance` workload,
+with the JSON on stdout; the input reader's errors: `analyze` on a torus
+file with a 1.5 entry and on a graded file with a "1/0" entry,
+`normal-forms` on a spectrum file with an unknown field, and `lift
+--step 2`, `normal-forms --element=1,0` and `chambers` on the step-2
+lift of cartan_t3: 164 calls.
 Inputs come from perfbench/inputs.py and perfbench/run.py and are written
 to a temporary directory that both trees read.
 """
@@ -159,7 +161,11 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
         graded.append(os.path.join(work, f"{name}-lift3.json"))
         run_cli(old_src, ["lift", path, "--step", "3", "--out", graded[-1]], work)
     cartan = os.path.join(FIXTURES, "cartan_t3.json")
-    calls.append(["lift", cartan, "--step", "4", "--json"])
+    symplectic = os.path.join(FIXTURES, "symplectic_pair.json")
+    calls += [
+        ["lift", cartan, "--step", "4", "--json"],
+        ["lift", symplectic, "--step", "4", "--json"],
+    ]
     calls += [["analyze", g, "--json"] for g in graded]
     calls += [
         ["chambers", cartan, "--format", "svg"],
@@ -225,10 +231,13 @@ def corpus(work: str, old_src: str) -> list[list[str]]:
         "example82-cartan-t3", fixture_generators("example82"), fixture_generators("cartan_t3")
     )
     shared = _write(work, "shared-exponents", shared_exponents())
+    capped = {**shared_exponents(), "options": {"precision_cap_bits": 128}}
+    shared_cap128 = _write(work, "shared-exponents-cap128", capped)
     calls += [
         ["analyze", _write(work, mixed["name"], mixed), "--json"],
         ["analyze", shared, "--json"],
         ["normal-forms", shared, "--element=1,0", "--json"],
+        ["normal-forms", shared_cap128, "--element=1,0", "--json"],
     ]
 
     for op in bench.subresonance_ops(random.Random(0), work):

@@ -60,8 +60,8 @@ class RationalSubspace:
         """The matrix of a on the subspace in its basis, read off at coords:
         column j holds the entries of a v_j there.  The subspace must be
         invariant under a."""
-        support = [[(t, x) for t, x in enumerate(v) if x] for v in self.basis]
-        return [[sum(a[c][t] * x for t, x in nz) for nz in support] for c in self.coords]
+        rows = [a[c] for c in self.coords]
+        return [list(r) for r in zip(*(linalg.mat_vec(rows, v) for v in self.basis))]
 
 
 def validate(generators, name: str = "") -> ValidatedAction:
@@ -79,7 +79,7 @@ def validate(generators, name: str = "") -> ValidatedAction:
             raise NotUnimodular(i, dv)
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if linalg.int_mat_mul(mats[i], mats[j]) != linalg.int_mat_mul(mats[j], mats[i]):
+            if linalg.mat_mul(mats[i], mats[j]) != linalg.mat_mul(mats[j], mats[i]):
                 raise NonCommuting(i, j)
     return ValidatedAction(
         dim=d,

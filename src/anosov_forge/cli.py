@@ -272,11 +272,11 @@ def cmd_chambers(args) -> int:
     obj, cap = load_action_file_with_options(args.file)
     if isinstance(obj, GradedAlgebraAction):
         obj = obj.action
+    if args.format == "svg" and obj.rank != 2:
+        raise RankUnsupported(obj.rank)
     classes = coarse_classes(lyapunov_data(obj), cap)
     chambers = weyl_chambers(classes, cap)
     if args.format == "svg":
-        if obj.rank != 2:
-            raise RankUnsupported(obj.rank)
         _emit(chambers_svg(classes, chambers), args.out)
     else:
         _emit(report_to_json(chambers_json(classes, chambers)), args.out)

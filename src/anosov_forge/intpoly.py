@@ -6,8 +6,9 @@ pseudo-remainder sequences over Z; factorisation over Q is Zassenhaus's
 are products r*s or powers r^n of roots, come from power sums by Newton's
 identities in integers; `resultant_y` computes the same polynomials by a
 sympy resultant, as a reference for tests.  The Sturm machinery is done
-directly on integer coefficient lists so that sign counts stay exact.  Signs at rational points come from `sign_at`, one integer
-Horner pass with no `Fraction` arithmetic.
+directly on integer coefficient lists so that sign counts stay exact.
+Signs at rational points come from `sign_at`, one integer Horner pass
+with no `Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import EndpointRoot
 from .zassenhaus import (
+    divrem,
     exact_quotient,
     factor_squarefree,
     gcd_mod,
@@ -122,16 +124,9 @@ _GCD_PRIME = (1 << 61) - 1
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """lc(b)^(deg a - deg b + 1) * a mod b, in Z[x]."""
-    n, lc = len(b) - 1, b[-1]
-    r = list(a)
-    for k in range(len(r) - 1, n - 1, -1):
-        c = r[k]
-        r = [x * lc for x in r[:k]]
-        if c:
-            for i in range(n):
-                r[k - n + i] -= c * b[i]
-    return trim(r)
+    """lc(b)^(deg a - deg b + 1) * a mod b, in Z[x]: the division is exact."""
+    scale = b[-1] ** max(len(a) - len(b) + 1, 0)
+    return divrem([c * scale for c in a], b)[1]
 
 
 def _coprime_mod_prime(a: Sequence[int], b: Sequence[int]) -> bool:

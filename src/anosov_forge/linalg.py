@@ -25,33 +25,25 @@ def identity(n: int) -> Mat:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def zeros(n: int, m: int) -> Mat:
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            v = ai[t]
+    """A B, skipping the zero entries of A: integers for integer input."""
+    m = len(b[0])
+    out = []
+    for ai in a:
+        oi = [0] * m
+        for v, bt in zip(ai, b):
             if v:
-                bt = b[t]
-                oi = out[i]
                 for j in range(m):
                     oi[j] += v * bt[j]
+        out.append(oi)
     return out
 
 
-def int_mat_mul(a, b) -> list[list[int]]:
-    """Product of integer matrices, in integers."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in a]
+    """A v, reading only the nonzero entries of v, so a row may be longer
+    than v: integers for integer input."""
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in support) for row in a]
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
@@ -202,11 +194,12 @@ def _berkowitz(b: list[list[int]]) -> list[int]:
     (1, -a, -R C, -R B_r C, ..., -R B_r^(r-1) C) times that of B_r."""
     poly = [1]
     for r in range(len(b)):
-        row, col = b[r][:r], [b[i][r] for i in range(r)]
+        col = [b[i][r] for i in range(r)]
         toeplitz = [1, -b[r][r]]
         for _ in range(r):
-            toeplitz.append(-sum(x * y for x, y in zip(row, col)))
-            col = [sum(x * y for x, y in zip(b[i][:r], col)) for i in range(r)]
+            # rows 0..r-1 of the product give B_r C, row r gives R C
+            *col, rc = mat_vec(b[: r + 1], col)
+            toeplitz.append(-rc)
         poly = [
             sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
             for i in range(r + 2)
@@ -239,14 +232,12 @@ def poly_at_matrix(p: IntPolynomial, a: Mat) -> Mat:
     """p(A), by Horner in integers: A = B/den with B integral, and
     den^deg p(A) = sum c_k den^(deg-k) B^k."""
     n = len(a)
-    if p.is_zero:
-        return zeros(n, n)
     b, den = integral(a)
     h = [[p.leading * (i == j) for j in range(n)] for i in range(n)]
     scale = 1
     for c in reversed(p.coeffs[:-1]):
         scale *= den
-        h = int_mat_mul(h, b)
+        h = mat_mul(b, h)  # h is a polynomial in B: the sparse B goes left
         if c:
             for i in range(n):
                 h[i][i] += c * scale

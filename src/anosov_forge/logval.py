@@ -147,7 +147,8 @@ class LogLinearValue:
                 return 1
             if hi < 0:
                 return -1
-            if not checked_zero and bits >= 256:
+            # the exact test runs by 256 bits, or at a lower cap's last step
+            if not checked_zero and (bits >= 256 or bits == cap):
                 if self.vanishes():
                     return 0
                 checked_zero = True

@@ -174,7 +174,7 @@ def _cyclic_generator(
         for j in range(m):
             vecs = [[int(i == j) for i in range(m)]]
             for _ in range(r - 1):
-                vecs.append([sum(x * y for x, y in zip(row, vecs[-1])) for row in b])
+                vecs.append(linalg.mat_vec(b, vecs[-1]))
             rows += [[v[i] for v in vecs] for i in range(m)]
             for col, s in zip(rhs, semis):
                 col += [s[i][j] for i in range(m)]
@@ -227,8 +227,7 @@ def _msq_enclosure(match, q: list[Fraction]):
     of the bounds over the disks match(bits) of _place_disks, from q at the
     centre and |q(z) - q(centre)| <= rad * sum_t t |q_t| R^(t-1), both in
     integers times den, the common denominator of q."""
-    den = math.lcm(*(c.denominator for c in q))
-    num = [c.numerator * (den // c.denominator) for c in q]
+    (num,), den = linalg.integral([q])
     # t |den q_t| for t >= 1, the derivative bound's coefficients
     dnum = [t * abs(c) for t, c in enumerate(num)][1:] or [0]
 

@@ -197,20 +197,21 @@ def _reduce(a: list[int], m: int) -> list[int]:
     return trim([c % m for c in a])
 
 
-def _divmod_monic(a: list[int], h: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder over Z of a by the monic h."""
-    n = len(h) - 1
-    if len(a) <= n:
-        return [], list(a)
-    r = list(a)
-    q = [0] * (len(a) - n)
-    for k in range(len(a) - 1, n - 1, -1):
-        c = r[k]
+def divrem(f, g) -> tuple[list[int], list[int]] | None:
+    """Quotient and remainder over Z of f by g (g != 0), the remainder
+    trimmed; None when lc(g) fails to divide a leading coefficient."""
+    n, lc = len(g) - 1, g[-1]
+    r = list(f)
+    q = [0] * max(len(f) - n, 0)
+    for k in range(len(f) - 1, n - 1, -1):
+        c, rem = divmod(r[k], lc)
+        if rem:
+            return None
         if c:
             q[k - n] = c
             for i in range(n):
-                r[k - n + i] -= c * h[i]
-    return q, r[:n]
+                r[k - n + i] -= c * g[i]
+    return q, trim(r[:n])
 
 
 def _hensel_step(m, f, g, h, s, t):
@@ -218,11 +219,11 @@ def _hensel_step(m, f, g, h, s, t):
     relations mod m^2 (von zur Gathen-Gerhard, Algorithm 15.10)."""
     mm = m * m
     e = _reduce(zadd(f, [-c for c in zmul(g, h)]), mm)
-    q, r = _divmod_monic(_reduce(zmul(s, e), mm), h)
+    q, r = divrem(_reduce(zmul(s, e), mm), h)
     g1 = _reduce(zadd(g, zmul(t, e), zmul(q, g)), mm)
     h1 = _reduce(zadd(h, r), mm)
     b = _reduce(zadd(zmul(s, g1), zmul(t, h1), [-1]), mm)
-    c, d = _divmod_monic(_reduce(zmul(s, b), mm), h1)
+    c, d = divrem(_reduce(zmul(s, b), mm), h1)
     s1 = _reduce(zadd(s, [-x for x in d]), mm)
     t1 = _reduce(zadd(t, [-x for x in zmul(t, b)], [-x for x in zmul(c, g1)]), mm)
     return g1, h1, s1, t1
@@ -259,21 +260,8 @@ def primitive(a: list[int]) -> list[int]:
 
 def exact_quotient(f, g) -> list[int] | None:
     """f / g if g divides f in Z[x], else None (g != 0)."""
-    n = len(g) - 1
-    if len(f) <= n:
-        return [] if not any(f) else None
-    r = list(f)
-    lc = g[-1]
-    q = [0] * (len(f) - n)
-    for k in range(len(f) - 1, n - 1, -1):
-        c, rem = divmod(r[k], lc)
-        if rem:
-            return None
-        if c:
-            q[k - n] = c
-            for i in range(n):
-                r[k - n + i] -= c * g[i]
-    return None if any(r[:n]) else q
+    qr = divrem(f, g)
+    return qr[0] if qr and not qr[1] else None
 
 
 def _recombine(f: list[int], lifted: list[list[int]], pl: int, allowed: int) -> list[list[int]]:

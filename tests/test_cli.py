@@ -117,6 +117,20 @@ def test_chambers_svg_rank1_unsupported():
     )
 
 
+def test_chambers_svg_rank3_unsupported_before_the_arrangement(tmp_path):
+    # the coplanar action's arrangement ends undecided at any cap: the
+    # rank is rejected before it is computed
+    doc = _coplanar_doc()
+    del doc["options"]
+    p = tmp_path / "coplanar.json"
+    p.write_text(json.dumps(doc))
+    proc = run_cli("chambers", str(p), "--format", "svg")
+    assert proc.returncode == 3
+    assert proc.stderr.strip() == (
+        "error: RankUnsupported: svg diagrams require rank 2, got rank 3"
+    )
+
+
 def test_chambers_json_fibonacci():
     proc = run_cli("chambers", fixture_path("fibonacci.json"))
     assert proc.returncode == 0
@@ -284,6 +298,17 @@ def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def _shared_doc(options=None):
+    # diag(a1, a1) and diag(a2, a1 a2) on T^6: at (+-1, 0) every stable
+    # class of one block has exactly the value of one of the other
+    a1, a2 = cartan_generators()
+    gens = [
+        [row + [0] * 3 for row in g] + [[0] * 3 + row for row in h]
+        for g, h in ((a1, a1), (a2, _matmul(a1, a2)))
+    ]
+    return _torus_doc(gens, options)
+
+
 @pytest.mark.parametrize(
     "element, exponents, multiplicities, dimension",
     [
@@ -294,22 +319,29 @@ def _matmul(a, b):
 def test_normal_forms_merges_equal_exponents_at_an_element(
     tmp_path, element, exponents, multiplicities, dimension
 ):
-    # diag(a1, a1) and diag(a2, a1 a2) on T^6: at (+-1, 0) every stable
-    # class of one block has exactly the value of one of the other, so the
-    # spectrum is cartan_t3's there with every multiplicity doubled
-    a1, a2 = cartan_generators()
-    gens = [
-        [row + [0] * 3 for row in g] + [[0] * 3 + row for row in h]
-        for g, h in ((a1, a1), (a2, _matmul(a1, a2)))
-    ]
+    # the spectrum is cartan_t3's there with every multiplicity doubled
     p = tmp_path / "shared.json"
-    p.write_text(json.dumps(_torus_doc(gens)))
+    p.write_text(json.dumps(_shared_doc()))
     proc = run_cli("normal-forms", str(p), f"--element={element}")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["exponents"] == exponents
     assert doc["multiplicities"] == multiplicities
     assert doc["sr_group_dimension"] == dimension
+
+
+@pytest.mark.parametrize("cap", [128, 200])
+def test_normal_forms_decides_equal_exponents_below_a_256_bit_cap(tmp_path, cap):
+    # the two equal values at (1, 0) are an exact tie that no enclosure
+    # separates: the exact test runs at the cap's last step, and the
+    # report is the default cap's
+    default, low = tmp_path / "default.json", tmp_path / "low.json"
+    default.write_text(json.dumps(_shared_doc()))
+    low.write_text(json.dumps(_shared_doc({"precision_cap_bits": cap})))
+    expected = run_cli("normal-forms", str(default), "--element=1,0")
+    proc = run_cli("normal-forms", str(low), "--element=1,0")
+    assert proc.returncode == expected.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == (expected.stdout, expected.stderr)
 
 
 def test_normal_forms_spectrum_file_with_equal_exponents_exit_three(tmp_path):

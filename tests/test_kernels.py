@@ -1,8 +1,9 @@
 """The exact integer kernels against sympy: Zassenhaus factoring, primitive
 pseudo-remainder gcds, Berkowitz characteristic polynomials and the
 determinants of the fraction-free elimination (its rref, nullspace and
-solve are checked in test_linalg.py); and restrictions to invariant
-subspaces read off at their echelon coordinates."""
+solve are checked in test_linalg.py, the one division over Z in
+test_divrem.py); and restrictions to invariant subspaces read off at
+their echelon coordinates."""
 
 from fractions import Fraction
 
@@ -10,10 +11,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import from_sympy, restricts_exactly, to_sympy
+from conftest import cartan_generators, from_sympy, restricts_exactly, to_sympy
 
 from anosov_forge import linalg
-from anosov_forge.actions import RationalSubspace, rational_primary_decomposition
+from anosov_forge.actions import RationalSubspace, rational_primary_decomposition, validate
+from anosov_forge.freenil import free_nilpotent_lift
 from anosov_forge.intpoly import (
     IntPolynomial,
     composed_product_poly,
@@ -120,7 +122,28 @@ def sympy_charpoly(a) -> list[Fraction]:
     return [Fraction(int(c.p), int(c.q)) for c in coeffs]
 
 
+# diag([[2, 1], [1, 1]], the companion matrix of x^3 - 2x^2 + x - 1),
+# entry (i, j) taken from entry (P i, P j) for P = (2, 0, 4, 1, 3): its
+# leading blocks B_r mix the two blocks, so the Krylov columns B_r^k C
+# have zeros at varying places
+PERMUTED_BLOCKS = [
+    [0, 0, 1, 0, 0],
+    [0, 2, 0, 1, 0],
+    [0, 0, 2, 0, 1],
+    [0, 1, 0, 1, 0],
+    [1, 0, -1, 0, 0],
+]
+# generator 0 of the step-3 free nilpotent lift of cartan_t3 (d = 14):
+# block triangular over the grading, with 173 of its 196 entries 0
+CARTAN_LIFT3 = [
+    list(row)
+    for row in free_nilpotent_lift(validate(list(cartan_generators())), 3).action.generators[0]
+]
+
+
 @given(int_matrices())
+@example(PERMUTED_BLOCKS)
+@example(CARTAN_LIFT3)
 @settings(max_examples=80, deadline=None)
 def test_berkowitz_like_sympy_on_integer_matrices(rows):
     a = linalg.to_mat(rows)

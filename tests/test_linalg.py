@@ -2,7 +2,8 @@
 elimination in Fractions: rref, rank, nullspace, solve and inverse agree
 on rational and integer matrices of every shape, full rank or not, with
 zero rows and columns, and on inconsistent systems; det agrees with
-sympy's."""
+sympy's.  The zero-skipping products mat_mul and mat_vec agree with dense
+row-by-column sums."""
 
 from fractions import Fraction
 
@@ -157,3 +158,37 @@ def test_inverse_and_det_match_references(a):
             linalg.inverse(a)
         return
     assert linalg.inverse(a) == [list(row) for row in zip(*cols)]
+
+
+def dense_product(a, b):
+    """A B from every row-by-column sum, zeros included."""
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(len(b))), 0) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@given(matrices(), st.data())
+@example(BLOCKS, None)
+@example([[0, 0], [0, 0], [0, 0]], None)
+@settings(max_examples=300, deadline=None)
+def test_products_match_dense_reference(a, data):
+    # B of the entry type of A, zero rows and columns included; v may be
+    # shorter than the rows of A, which mat_vec then reads in part only
+    cols = len(a[0])
+    entries = _rationals if any(isinstance(x, Fraction) for row in a for x in row) else _integers
+    if data is None:
+        b = [[int(i == j) for j in range(2)] for i in range(cols)]
+        v = [0] * cols
+    else:
+        m = data.draw(st.integers(1, 6))
+        row = st.lists(entries, min_size=m, max_size=m)
+        b = data.draw(st.lists(row, min_size=cols, max_size=cols))
+        b = [row if data.draw(st.booleans()) else [0] * m for row in b]
+        v = data.draw(st.lists(entries, max_size=cols))
+    assert linalg.mat_mul(a, b) == dense_product(a, b)
+    assert linalg.mat_vec(a, v) == [sum((row[j] * x for j, x in enumerate(v)), 0) for row in a]
+    if entries is _integers:
+        # integer input stays in integers
+        assert all(type(x) is int for row in linalg.mat_mul(a, b) for x in row)
+        assert all(type(x) is int for x in linalg.mat_vec(a, v))

@@ -175,8 +175,11 @@ def test_precisions_double_from_64_and_stop_at_the_cap():
 
 
 def test_sign_asks_for_the_schedule_and_then_raises(monkeypatch):
-    # exactly zero, with no exact test below 256 bits: never separated
-    v = LogLinearValue.half_log(phi_sq()) + LogLinearValue.half_log(phi_inv_sq())
+    # v = log phi^2 - floor(2^120 log phi^2) / 2^120 lies in (0, 2^-120):
+    # never separated by a cap of 96 bits, and not exactly zero
+    with mpmath.workprec(200):
+        scaled = int(mpmath.floor(mpmath.log(mpmath.phi**2) * 2**120))
+    v = LogLinearValue.build(Fraction(-scaled, 2**120), [(1, phi_sq())])
     asked = []
     interval = LogLinearValue.interval
 
@@ -187,7 +190,17 @@ def test_sign_asks_for_the_schedule_and_then_raises(monkeypatch):
     monkeypatch.setattr(LogLinearValue, "interval", spy)
     with pytest.raises(PrecisionExhausted):
         v.sign(96)
-    assert asked == [64, 96]
+    # the schedule, then the initial enclosure of the exact test at the cap
+    assert asked == [64, 96, 64]
+
+
+@pytest.mark.parametrize("cap", [64, 96, 128, 200, 256])
+def test_sign_decides_an_exact_zero_at_every_cap_from_64(cap):
+    # the exact test runs at 256 bits, or at the last step of a lower cap
+    v = LogLinearValue.half_log(phi_sq()) + LogLinearValue.half_log(phi_inv_sq())
+    assert v.sign(cap) == 0
+    with pytest.raises(PrecisionExhausted):
+        v.sign(32)  # a cap below 64 bits refines at no precision
 
 
 def test_sign_reaches_a_cap_that_is_not_a_power_of_two():

@@ -31,7 +31,7 @@ from anosov_forge.errors import NotAnosovAction, NotTNS, SingularElement
 from anosov_forge.freenil import free_nilpotent_lift
 from anosov_forge.intpoly import IntPolynomial, isolate_real_roots
 from anosov_forge.logval import LogLinearValue
-from anosov_forge.linalg import int_mat_mul
+from anosov_forge.linalg import mat_mul
 from anosov_forge.lp import maximize
 from anosov_forge.realalg import RealAlgebraic
 from anosov_forge.report import audit_action
@@ -735,7 +735,7 @@ def test_grouping_across_components(k, kind, ops, shift):
                 row[j] -= c * row[i]
         sign = -1 if kind == "negated" else 1
         conj = [
-            [[sign * x for x in row] for row in int_mat_mul(int_mat_mul(pm, g), pinv)] for g in a
+            [[sign * x for x in row] for row in mat_mul(mat_mul(pm, g), pinv)] for g in a
         ]
         action = _block_sum(a, conj)
         expected = sorted(2 * m for m in _places(p))
